@@ -95,7 +95,9 @@ def cmd_ingest(args) -> int:
     unknown = sorted(set(doc) - {"window_seconds"})
     if unknown:
         raise _UsageError(f"unknown ingest config keys: {unknown}")
-    window_seconds = args.window_seconds or doc.get("window_seconds", 300)
+    window_seconds = args.window_seconds
+    if window_seconds is None:
+        window_seconds = doc.get("window_seconds", 300)
     try:
         cfg = FeatureConfig(window_seconds=window_seconds)
     except ValueError as exc:

@@ -37,7 +37,8 @@ from .graphs import smoothness
 from .models import (AdamState, GnnParams, TrainConfig, adam_step, backward,
                      init_params, masked_cross_entropy, model_logits, own_logits,
                      softmax)
-from .numerics import require_matrix, soft_threshold, svd, svt, symmetrize_clamp
+from .numerics import (nuclear_norm, require_matrix, soft_threshold, svt,
+                       symmetrize_clamp)
 
 # refine_report weight thresholds: an original edge whose learned weight
 # falls below PRUNED_WEIGHT counts as pruned, a non-edge rising above
@@ -120,7 +121,7 @@ def objective(s: np.ndarray, theta: GnnParams, x: np.ndarray, labels: np.ndarray
     task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
     nuclear = 0.0
     if cfg.alpha_nuclear > 0:
-        nuclear = cfg.alpha_nuclear * float(svd(s).singular_values.sum())
+        nuclear = cfg.alpha_nuclear * nuclear_norm(s)
     l1 = cfg.alpha_l1 * float(np.abs(s).sum()) if cfg.alpha_l1 > 0 else 0.0
     smooth = cfg.beta_smooth * smoothness(s, signal) if cfg.beta_smooth > 0 else 0.0
     prox = cfg.lambda_prox * float(((s - a) ** 2).sum()) if cfg.lambda_prox > 0 else 0.0
@@ -249,7 +250,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
 
     for it in range(gsl_cfg.outer_iters):
         for _ in range(gsl_cfg.inner_theta_steps):
-            loss, grads, _ = backward(s, x, labels, mask, theta)
+            loss, grads, _ = backward(s, x, labels, mask, theta, structure=False)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite task loss at outer iteration {it}")
             adam_step(theta, grads, adam, train_cfg)

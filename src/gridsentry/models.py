@@ -7,10 +7,10 @@ Three model kinds share one parameter container:
   raw structure matrix,
 * ``mlp``  - structure-blind two-layer perceptron baseline.
 
-``backward`` returns exact gradients for every weight matrix and for the raw
-structure matrix feeding the model; the structure gradient (symmetrized, as
-the joint optimizer consumes it) is what lets structure updates descend the
-task loss.
+``backward`` returns exact gradients for every weight matrix and, unless
+asked not to, for the raw structure matrix feeding the model; the structure
+gradient (symmetrized, as the joint optimizer consumes it) is what lets
+structure updates descend the task loss.
 """
 
 from __future__ import annotations
@@ -230,13 +230,15 @@ def _loss_grad_logits(logits, labels, mask) -> tuple[float, np.ndarray]:
 
 
 def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
-             params: GnnParams) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+             params: GnnParams, structure: bool = True
+             ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
     """Loss plus exact gradients for all weights and for the raw structure.
 
     The structure gradient is returned symmetrized, (G + G^T) / 2, which is
     the form the joint optimizer consumes; under a symmetric perturbation of
     the pair (i, j), (j, i) the directional derivative is twice the
-    off-diagonal entry.
+    off-diagonal entry. With ``structure=False`` it is not computed and
+    ``None`` takes its place; the loss and weight gradients are the same.
     """
     x = require_matrix(x, "features")
     labels = np.asarray(labels, dtype=np.int64)
@@ -250,7 +252,8 @@ def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
         dh1 = g @ w["w2"].T
         dz1 = dh1 * (z1 > 0)
         grads = {"w1": x.T @ dz1, "w2": h1.T @ g}
-        return loss, grads, np.zeros_like(np.asarray(s, dtype=np.float64))
+        grad_s = np.zeros_like(np.asarray(s, dtype=np.float64)) if structure else None
+        return loss, grads, grad_s
 
     s = require_matrix(s, "structure matrix")
 
@@ -268,6 +271,8 @@ def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
         dq = s_hat.T @ g
         dz1 = (dq @ w["w2"].T) * (z1 > 0)
         grads = {"w1": x.T @ (s_hat.T @ dz1), "w2": h1.T @ dq}
+        if not structure:
+            return loss, grads, None
 
         # Chain through s_hat = D^{-1/2} (S + I) D^{-1/2}: the direct entry
         # term, plus the row/column coupling through the degree of node i.
@@ -289,14 +294,15 @@ def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
         t2 = inv[:, None] * dn2
         dh1 = g @ w["w2_self"].T + s.T @ t2
         dz1 = dh1 * (z1 > 0)
-        dn1 = dz1 @ w["w1_neigh"].T
-        t1 = inv[:, None] * dn1
         grads = {
             "w1_self": x.T @ dz1,
             "w1_neigh": n1.T @ dz1,
             "w2_self": h1.T @ g,
             "w2_neigh": n2.T @ g,
         }
+        if not structure:
+            return loss, grads, None
+        t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
         # d/dS[i,j] of the weighted mean row i is (h_j - mean_i) / rowsum_i;
         # isolated rows have inv = 0 so nothing flows.
         grad_s = (t2 @ h1.T - (t2 * n2).sum(axis=1)[:, None]) \
@@ -412,7 +418,7 @@ def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         loss, grads, _ = backward(s, snapshot.features, snapshot.labels,
-                                  cfg.train_mask, params)
+                                  cfg.train_mask, params, structure=False)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         losses.append(loss)

@@ -4,6 +4,13 @@ Matrices throughout this package are dense two-dimensional float64 ndarrays
 (row-major). Public operations validate that inputs and results are finite.
 All randomness flows through :func:`make_rng`, a seeded PCG64 generator: the
 same seed reproduces the identical stream within one build.
+
+The structure matrices the optimizer works on are symmetric, so the spectral
+operators it calls, :func:`svt` and :func:`nuclear_norm`, factor with the
+symmetric eigensolvers (LAPACK syevd) instead of a general SVD. They reject
+an input that is not symmetric instead of symmetrizing it. Every
+factorization is capped at a side of 2,000 (``_MAX_SVD_SIDE``), where one
+dense float64 matrix takes 32 MB; larger inputs raise ValueError.
 """
 
 from __future__ import annotations
@@ -14,8 +21,12 @@ import numpy as np
 
 from .errors import NumericError
 
-# Dense SVD is only meant for desk-scale problems.
+# Dense factorizations are only meant for desk-scale problems.
 _MAX_SVD_SIDE = 2000
+
+# Largest asymmetry, relative to the largest entry, that the symmetric
+# operators accept; the eigensolvers read only the lower triangle.
+_SYMMETRY_RTOL = 1e-10
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -95,19 +106,53 @@ def soft_threshold(m, tau: float) -> np.ndarray:
     return np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
 
 
+def _require_symmetric(m, name: str) -> np.ndarray:
+    """A finite, square, symmetric matrix within the dense ceiling, or ValueError."""
+    arr = require_matrix(m, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if arr.shape[0] > _MAX_SVD_SIDE:
+        raise ValueError(
+            f"{name} side {arr.shape[0]} is above the dense ceiling of {_MAX_SVD_SIDE}"
+        )
+    asym = float(np.abs(arr - arr.T).max(initial=0.0))
+    if asym > _SYMMETRY_RTOL * max(float(np.abs(arr).max(initial=0.0)), 1.0):
+        raise ValueError(f"{name} must be symmetric, got max|m - m^T| = {asym:.3e}")
+    return arr
+
+
 def svt(m, tau: float) -> np.ndarray:
-    """Singular value thresholding: soft-threshold the spectrum by tau."""
+    """Singular value thresholding of a symmetric matrix by tau.
+
+    For M = Q diag(l) Q^T the singular values are |l|, so the result is
+    Q diag(sign(l) * max(|l| - tau, 0)) Q^T.
+    """
     if tau < 0:
         raise ValueError(f"svt needs tau >= 0, got {tau}")
-    arr = require_matrix(m, "svt input")
+    arr = _require_symmetric(m, "svt input")
     if tau == 0:
         return arr.copy()
-    factors = svd(arr)
-    shrunk = np.maximum(factors.singular_values - tau, 0.0)
-    out = (factors.u * shrunk) @ factors.vt
+    try:
+        eigvals, eigvecs = np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("svt: the symmetric eigensolver did not converge") from exc
+    shrunk = np.sign(eigvals) * np.maximum(np.abs(eigvals) - tau, 0.0)
+    out = (eigvecs * shrunk) @ eigvecs.T
     if not np.all(np.isfinite(out)):
         raise NumericError("svt produced non-finite entries")
     return out
+
+
+def nuclear_norm(m) -> float:
+    """Sum of the singular values of a symmetric matrix: sum |eigenvalues|."""
+    arr = _require_symmetric(m, "nuclear_norm input")
+    try:
+        eigvals = np.linalg.eigvalsh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            "nuclear_norm: the symmetric eigensolver did not converge"
+        ) from exc
+    return float(np.abs(eigvals).sum())
 
 
 def symmetrize_clamp(s) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gsl
-from .errors import DataError
+from .errors import DataError, NumericError
 from .flows import (FeatureConfig, apply_zscore, build_snapshot,
                     compute_zscore_stats, parse_flows, window)
 from .graphs import GraphSnapshot
@@ -323,8 +323,11 @@ def run_pipeline(csv_path, bundle_path, out_path, diag=None) -> dict:
 
     Alerts are appended to ``out_path`` as JSON lines ordered by window start
     and then device id. A summary JSON object lands on the diagnostic stream.
-    Windows that fail to build or score are logged and skipped; if more than
-    half of them fail the run is declared unusable.
+    A window that fails to build or score with a ValueError (bad values, or
+    a window above the dense ceiling of ``numerics``) or a NumericError is
+    logged under its exception class and skipped; any other exception
+    propagates. If more than half of the windows fail the run is declared
+    unusable.
     """
     diag = diag if diag is not None else sys.stderr
     bundle = DetectorBundle.load(bundle_path)
@@ -346,11 +349,10 @@ def run_pipeline(csv_path, bundle_path, out_path, diag=None) -> dict:
                     bucket, FeatureConfig(window_seconds=bundle.window_seconds)
                 )
                 window_alerts = detect(snapshot, bundle)
-            except DataError:
-                raise
-            except Exception as exc:  # logged, window skipped
+            except (ValueError, NumericError) as exc:  # logged, window skipped
                 failed += 1
-                failures.append(f"window [{bounds[0]}, {bounds[1]}): {exc}")
+                failures.append(f"{type(exc).__name__}: window "
+                                f"[{bounds[0]}, {bounds[1]}): {exc}")
                 continue
             processed += 1
             for alert in window_alerts:

@@ -88,6 +88,17 @@ def test_ingest_writes_window_snapshots(tmp_path, flows_detect_csv, capsys):
     assert "wrote 2 window snapshot(s)" in captured.out
 
 
+def test_ingest_zero_window_seconds_is_usage_error(tmp_path, flows_detect_csv,
+                                                  capsys):
+    # the flag's 0 must reach the config check, not fall back to the file's 600
+    cfg = _write_json(tmp_path / "ingest.json", {"window_seconds": 600})
+    out = tmp_path / "windows"
+    assert main(["ingest", "-i", str(flows_detect_csv), "-o", str(out),
+                 "--config", cfg, "--window-seconds", "0"]) == 1
+    assert "window_seconds must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_missing_columns_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("ts,src_ip,proto\n")

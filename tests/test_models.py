@@ -205,6 +205,19 @@ def test_structure_gradient_matches_finite_differences(kind):
             )
 
 
+@pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
+def test_backward_without_structure_keeps_loss_and_weight_gradients(kind):
+    s, x, labels, mask = _problem(n=8, d=3, seed=15)
+    params = init_params(kind, 3, hidden=4, seed=16)
+    loss, grads, grad_s = backward(s, x, labels, mask, params)
+    loss_ws, grads_ws, none = backward(s, x, labels, mask, params, structure=False)
+    assert grad_s is not None and none is None
+    assert loss_ws == loss
+    assert grads_ws.keys() == grads.keys()
+    for key in grads:
+        assert np.array_equal(grads_ws[key], grads[key]), key
+
+
 def test_mlp_structure_gradient_is_zero():
     s, x, labels, mask = _problem()
     params = init_params("mlp", 3, hidden=4, seed=14)

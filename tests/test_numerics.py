@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from gridsentry import numerics
+from gridsentry.errors import NumericError
 from gridsentry.numerics import (SvdResult, _symmetric_svd, make_rng,
-                                 require_matrix, soft_threshold, svd, svt,
-                                 symmetrize_clamp)
+                                 nuclear_norm, require_matrix, soft_threshold,
+                                 svd, svt, symmetrize_clamp)
 
 from conftest import random_symmetric
 
@@ -112,6 +117,66 @@ def test_svt_matches_eigen_shrinkage_oracle():
 def test_svt_huge_tau_wipes_everything():
     m = random_symmetric(5, 2)
     assert np.allclose(svt(m, 1e6), 0.0)
+
+
+def _svd_shrinkage(m, tau):
+    res = svd(m)
+    return (res.u * np.maximum(res.singular_values - tau, 0.0)) @ res.vt
+
+
+def test_svt_rejects_non_square_asymmetric_and_over_ceiling(monkeypatch):
+    with pytest.raises(ValueError, match="square"):
+        svt(np.zeros((3, 4)), 0.1)
+    asym = random_symmetric(5, 3)
+    asym[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        svt(asym, 0.1)
+    with pytest.raises(ValueError, match="symmetric"):
+        nuclear_norm(asym)
+    monkeypatch.setattr(numerics, "_MAX_SVD_SIDE", 4)
+    with pytest.raises(ValueError, match="dense ceiling"):
+        svt(random_symmetric(5, 4), 0.1)
+    with pytest.raises(ValueError, match="dense ceiling"):
+        nuclear_norm(random_symmetric(5, 4))
+
+
+def test_svt_tolerates_last_bit_asymmetry():
+    m = random_symmetric(6, 5)
+    m[2, 4] = np.nextafter(m[2, 4], 2.0)
+    assert np.allclose(svt(m, 0.3), _svd_shrinkage(m, 0.3), atol=1e-8)
+
+
+def test_eigensolver_failure_is_numeric_error(monkeypatch):
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    m = random_symmetric(4, 6)
+    with pytest.raises(NumericError):
+        svt(m, 0.1)
+    with pytest.raises(NumericError):
+        nuclear_norm(m)
+
+
+def test_nuclear_norm_matches_singular_value_sum():
+    for seed in range(5):
+        m = random_symmetric(7, seed) - 0.3 * random_symmetric(7, seed + 10)
+        want = svd(m).singular_values.sum()
+        assert abs(nuclear_norm(m) - want) <= 1e-10 * max(want, 1.0)
+    assert nuclear_norm(np.zeros((3, 3))) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(
+           lambda n: arrays(np.float64, (n, n),
+                            elements=st.floats(-10.0, 10.0, allow_subnormal=False))),
+       st.floats(0.0, 20.0))
+def test_spectral_operators_match_svd_property(raw, tau):
+    m = (raw + raw.T) / 2.0
+    res = svd(m)
+    assert np.abs(svt(m, tau) - _svd_shrinkage(m, tau)).max() <= 1e-8
+    assert abs(nuclear_norm(m) - res.singular_values.sum()) <= 1e-8
 
 
 def test_symmetrize_clamp_properties():

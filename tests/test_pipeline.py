@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from gridsentry import numerics, pipeline
 from gridsentry.errors import DataError
 from gridsentry.flows import (FEATURE_NAMES, FeatureConfig, build_snapshot,
                               parse_flows, window)
@@ -287,6 +288,36 @@ def test_run_pipeline_rejects_majority_window_failure(flows_detect_csv,
     summary = json.loads(diag.getvalue())
     assert summary["windows_failed"] == 2
     assert len(summary["failures"]) == 2
+
+
+def test_run_pipeline_names_a_window_over_the_dense_ceiling(
+        trained, flows_detect_csv, tmp_path, monkeypatch):
+    _, _, out_dir = trained
+    monkeypatch.setattr(numerics, "_MAX_SVD_SIDE", 3)
+    diag = io.StringIO()
+    with pytest.raises(DataError, match="unusable"):
+        run_pipeline(flows_detect_csv, out_dir / "bundle.json",
+                     tmp_path / "alerts.jsonl", diag=diag)
+    failures = json.loads(diag.getvalue())["failures"]
+    assert len(failures) == 2
+    for failure in failures:
+        assert failure.startswith("ValueError: window [")
+        assert "dense ceiling" in failure
+
+
+def test_run_pipeline_propagates_programming_errors(trained, flows_detect_csv,
+                                                    tmp_path, monkeypatch):
+    _, _, out_dir = trained
+
+    def broken_detect(snapshot, bundle):
+        raise TypeError("detect() called with the wrong arguments")
+
+    monkeypatch.setattr(pipeline, "detect", broken_detect)
+    diag = io.StringIO()
+    with pytest.raises(TypeError, match="wrong arguments"):
+        run_pipeline(flows_detect_csv, out_dir / "bundle.json",
+                     tmp_path / "alerts.jsonl", diag=diag)
+    assert diag.getvalue() == ""
 
 
 def test_alert_json_line_literal():
