@@ -34,6 +34,9 @@ class PerturbationSpec:
     ``rate`` scales the edge budget: exactly floor(rate * edge_count) pairs
     are modified. ``feature_fraction`` defaults to the rate; Gaussian noise
     with ``feature_sigma`` is added to that fraction of node feature rows.
+    ``perturb_structure`` and ``perturb_features`` each seed a generator
+    with the same ``seed``, so their edge and feature-row choices are
+    correlated, not independent.
     """
 
     kind: str = "poisoning"

@@ -10,7 +10,8 @@ One binary with subcommands covering the whole workflow:
     gridsentry experiment robustness grid -> report JSON/markdown
     gridsentry report     re-render a report JSON as markdown
 
-Every command accepts --seed, --config, and --output; flags override config
+Every command accepts --output. generate, attack, train and experiment also
+take --seed and --config, and ingest takes --config; flags override config
 file values. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
 failure.
 """
@@ -20,10 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from . import attacks, experiments, pipeline
+from . import attacks, codec, experiments, pipeline
 from .errors import DataError, NumericError
 from .flows import FeatureConfig, build_snapshot, parse_flows, window
 from .graphs import SbmSpec, load_snapshot, save_snapshot, sbm_generate
@@ -53,12 +53,22 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the configured random seed")
-    sub.add_argument("--config", default=None,
-                     help="JSON config file; flags override its values")
+def _common_flags(sub: argparse.ArgumentParser, seed: bool = True,
+                  config: bool = True) -> None:
+    if seed:
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the configured random seed")
+    if config:
+        sub.add_argument("--config", default=None,
+                         help="JSON config file; flags override its values")
     sub.add_argument("--output", "-o", default=None, help="output path")
+
+
+def _decode(cls, doc: dict, level: str):
+    try:
+        return codec.decode(cls, doc, level)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(str(exc))
 
 
 def _require_output(args) -> str:
@@ -69,21 +79,12 @@ def _require_output(args) -> str:
 
 def cmd_generate(args) -> int:
     doc = _load_config(args.config)
-    allowed = {"n", "classes", "p_in", "p_out", "feature_dim", "signal",
-               "noise_sigma", "seed"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise _UsageError(f"unknown generate config keys: {unknown}")
-    for flag in ("n", "p_in", "p_out", "feature_dim", "signal", "noise_sigma"):
+    for flag in ("n", "p_in", "p_out", "feature_dim", "signal", "noise_sigma",
+                 "seed"):
         value = getattr(args, flag)
         if value is not None:
             doc[flag] = value
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    try:
-        spec = SbmSpec(**doc)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc))
+    spec = _decode(SbmSpec, doc, "generate")
     snapshot = sbm_generate(spec)
     save_snapshot(snapshot, _require_output(args))
     print(f"wrote {snapshot.n_nodes}-node snapshot to {args.output}")
@@ -92,16 +93,9 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     doc = _load_config(args.config)
-    unknown = sorted(set(doc) - {"window_seconds"})
-    if unknown:
-        raise _UsageError(f"unknown ingest config keys: {unknown}")
-    window_seconds = args.window_seconds
-    if window_seconds is None:
-        window_seconds = doc.get("window_seconds", 300)
-    try:
-        cfg = FeatureConfig(window_seconds=window_seconds)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    if args.window_seconds is not None:
+        doc["window_seconds"] = args.window_seconds
+    cfg = _decode(FeatureConfig, doc, "ingest")
     records, stats = parse_flows(args.input)
     print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
     out = Path(_require_output(args))
@@ -118,22 +112,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_attack(args) -> int:
     doc = _load_config(args.config)
-    allowed = {"kind", "rate", "structure_mode", "feature_sigma",
-               "feature_fraction", "seed"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise _UsageError(f"unknown attack config keys: {unknown}")
     for flag in ("kind", "rate", "structure_mode", "feature_sigma",
-                 "feature_fraction"):
+                 "feature_fraction", "seed"):
         value = getattr(args, flag)
         if value is not None:
             doc[flag] = value
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    try:
-        spec = attacks.PerturbationSpec(**doc)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc))
+    spec = _decode(attacks.PerturbationSpec, doc, "attack")
     phase = args.phase
     if phase is None:
         phase = "training" if spec.kind == "poisoning" else "inference"
@@ -153,12 +137,9 @@ def cmd_attack(args) -> int:
 
 def cmd_train(args) -> int:
     doc = _load_config(args.config)
-    try:
-        cfg = pipeline.PipelineConfig.from_dict(doc)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc))
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    cfg = _decode(pipeline.PipelineConfig, doc, "pipeline")
     bundle, state = pipeline.train_pipeline(args.input, cfg, _require_output(args))
     final = state.objective_history[-1].total
     print(
@@ -181,12 +162,9 @@ def cmd_experiment(args) -> int:
     doc = _load_config(args.config)
     if not doc:
         raise _UsageError("experiment needs a --config file")
-    try:
-        cfg = experiments.ExperimentConfig.from_dict(doc)
-        if args.seed is not None:
-            cfg = replace(cfg, base_seed=args.seed)
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc))
+    if args.seed is not None:
+        doc["base_seed"] = args.seed
+    cfg = _decode(experiments.ExperimentConfig, doc, "experiment")
     result = experiments.run_experiment(cfg)
     out = Path(_require_output(args))
     out.mkdir(parents=True, exist_ok=True)
@@ -238,7 +216,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("ingest", help="flow CSV to window snapshots")
-    _common_flags(p)
+    _common_flags(p, seed=False)
     p.add_argument("--input", "-i", required=True, help="flow CSV path")
     p.add_argument("--window-seconds", dest="window_seconds", type=int,
                    default=None)
@@ -265,7 +243,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="score flows against a bundle")
-    _common_flags(p)
+    _common_flags(p, seed=False, config=False)
     p.add_argument("--input", "-i", required=True, help="flow CSV to score")
     p.add_argument("--bundle", "-b", required=True, help="detector bundle JSON")
     p.set_defaults(func=cmd_detect)
@@ -275,7 +253,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="render a report JSON")
-    _common_flags(p)
+    _common_flags(p, seed=False, config=False)
     p.add_argument("--input", "-i", required=True, help="report JSON path")
     p.add_argument("--format", choices=("markdown", "json"), default="markdown")
     p.set_defaults(func=cmd_report)

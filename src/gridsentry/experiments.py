@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import attacks, gsl
+from . import attacks, codec, gsl
 from .errors import DataError
 from .flows import (FeatureConfig, apply_zscore, build_snapshot,
                     compute_zscore_stats, parse_flows, window)
@@ -29,6 +29,9 @@ REPORT_FORMAT_VERSION = 1
 
 # Inference-time structure refinement budget for GSL models under evasion.
 EVASION_REFINE_STEPS = 20
+
+# Model kind behind each grid model that trains on the observed graph as is.
+_PLAIN_KINDS = {"DNN": "mlp", "GCN": "gcn", "GraphSAGE": "sage"}
 
 
 def split(labels: np.ndarray, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,14 +95,6 @@ class MetricValues(NamedTuple):
     recall: float
     f1: float
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 def metrics(confusion: Confusion) -> MetricValues:
     """Standard detection metrics; zero denominators yield zero, not NaN."""
@@ -155,91 +150,14 @@ class ExperimentConfig:
             raise ValueError(f"attack_kind must be one of {attacks.KINDS}")
 
     def to_dict(self) -> dict:
-        doc = {
-            "models": list(self.models),
-            "rates": list(self.rates),
-            "runs": self.runs,
-            "base_seed": self.base_seed,
-            "train_frac": self.train_frac,
-            "attack_kind": self.attack_kind,
-            "structure_mode": self.structure_mode,
-            "feature_sigma": self.feature_sigma,
-            "feature_fraction": self.feature_fraction,
-            "window_seconds": self.window_seconds,
-            "max_flows": self.max_flows,
-            "gsl": {
-                "alpha_nuclear": self.gsl.alpha_nuclear,
-                "alpha_l1": self.gsl.alpha_l1,
-                "beta_smooth": self.gsl.beta_smooth,
-                "lambda_prox": self.gsl.lambda_prox,
-                "eta_s": self.gsl.eta_s,
-                "inner_theta_steps": self.gsl.inner_theta_steps,
-                "outer_iters": self.gsl.outer_iters,
-                "seed": self.gsl.seed,
-            },
-            "train": {
-                "epochs": self.train.epochs,
-                "lr": self.train.lr,
-                "beta1": self.train.beta1,
-                "beta2": self.train.beta2,
-                "eps": self.train.eps,
-                "weight_decay": self.train.weight_decay,
-            },
-        }
-        if self.sbm is not None:
-            doc["sbm"] = {
-                "n": self.sbm.n,
-                "classes": self.sbm.classes,
-                "p_in": self.sbm.p_in,
-                "p_out": self.sbm.p_out,
-                "feature_dim": self.sbm.feature_dim,
-                "signal": self.sbm.signal,
-                "noise_sigma": self.sbm.noise_sigma,
-                "seed": self.sbm.seed,
-            }
-        else:
-            doc["csv_path"] = self.csv_path
+        """Every setting, leaving out the data source that is not set."""
+        doc = codec.encode(self)
+        del doc["csv_path" if self.sbm is not None else "sbm"]
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        allowed = {
-            "sbm", "csv_path", "models", "rates", "runs", "base_seed",
-            "train_frac", "attack_kind", "structure_mode", "feature_sigma",
-            "feature_fraction", "window_seconds", "max_flows", "gsl", "train",
-        }
-        unknown = sorted(set(doc) - allowed)
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {unknown}")
-        kwargs: dict = {k: doc[k] for k in doc
-                        if k not in ("sbm", "gsl", "train", "models", "rates")}
-        if "models" in doc:
-            kwargs["models"] = tuple(doc["models"])
-        if "rates" in doc:
-            kwargs["rates"] = tuple(float(r) for r in doc["rates"])
-        if "sbm" in doc and doc["sbm"] is not None:
-            sbm_allowed = {"n", "classes", "p_in", "p_out", "feature_dim",
-                           "signal", "noise_sigma", "seed"}
-            bad = sorted(set(doc["sbm"]) - sbm_allowed)
-            if bad:
-                raise ValueError(f"unknown sbm config keys: {bad}")
-            kwargs["sbm"] = SbmSpec(**doc["sbm"])
-        if "gsl" in doc:
-            gsl_allowed = {"alpha_nuclear", "alpha_l1", "beta_smooth",
-                           "lambda_prox", "eta_s", "inner_theta_steps",
-                           "outer_iters", "seed"}
-            bad = sorted(set(doc["gsl"]) - gsl_allowed)
-            if bad:
-                raise ValueError(f"unknown gsl config keys: {bad}")
-            kwargs["gsl"] = gsl.GslConfig(**doc["gsl"])
-        if "train" in doc:
-            train_allowed = {"epochs", "lr", "beta1", "beta2", "eps",
-                             "weight_decay"}
-            bad = sorted(set(doc["train"]) - train_allowed)
-            if bad:
-                raise ValueError(f"unknown train config keys: {bad}")
-            kwargs["train"] = TrainConfig(**doc["train"])
-        return cls(**kwargs)
+        return codec.decode(cls, doc, "experiment")
 
 
 @dataclass
@@ -272,9 +190,9 @@ class MetricsReport:
                 {
                     "model": c.model,
                     "rate": c.rate,
-                    "runs": [m.to_dict() for m in c.runs],
-                    "mean": c.mean.to_dict(),
-                    "std": c.std.to_dict(),
+                    "runs": [m._asdict() for m in c.runs],
+                    "mean": c.mean._asdict(),
+                    "std": c.std._asdict(),
                 }
                 for c in self.cells
             ],
@@ -351,32 +269,24 @@ def _predictions(model: str, snapshot: GraphSnapshot, train_cfg: TrainConfig,
     models then re-refine the perturbed graph with frozen weights.
     """
     trained_on = clean if clean is not None else snapshot
-    history = None
-    if model == "DNN":
-        result = train(trained_on, trained_on.adjacency, train_cfg, "mlp")
+    if model in _PLAIN_KINDS:
+        result = train(trained_on, trained_on.adjacency, train_cfg, _PLAIN_KINDS[model])
         logits = model_logits(result.params, snapshot.adjacency, snapshot.features)
-    elif model == "GCN":
-        result = train(trained_on, trained_on.adjacency, train_cfg, "gcn")
-        logits = model_logits(result.params, snapshot.adjacency, snapshot.features)
-    elif model == "GraphSAGE":
-        result = train(trained_on, trained_on.adjacency, train_cfg, "sage")
-        logits = model_logits(result.params, snapshot.adjacency, snapshot.features)
-    elif model in ("GSL-GCN", "GSL-GraphSAGE"):
-        kind = "gcn" if model == "GSL-GCN" else "sage"
-        s_final, theta, state = gsl.fit(
-            trained_on.adjacency, trained_on.features, trained_on.labels,
-            kind, gsl_cfg, train_cfg,
-        )
-        history = state.objective_history
-        if clean is not None:
-            s_final = gsl.refine_structure(
-                snapshot.adjacency, snapshot.features, theta, gsl_cfg,
-                EVASION_REFINE_STEPS,
-            )
-        logits = model_logits(theta, s_final, snapshot.features)
-    else:
+        return predict(logits), None
+    if model not in ("GSL-GCN", "GSL-GraphSAGE"):
         raise ValueError(f"unknown model {model!r}")
-    return predict(logits), history
+    kind = "gcn" if model == "GSL-GCN" else "sage"
+    s_final, theta, state = gsl.fit(
+        trained_on.adjacency, trained_on.features, trained_on.labels,
+        kind, gsl_cfg, train_cfg,
+    )
+    if clean is not None:
+        s_final = gsl.refine_structure(
+            snapshot.adjacency, snapshot.features, theta, gsl_cfg,
+            EVASION_REFINE_STEPS,
+        )
+    logits = model_logits(theta, s_final, snapshot.features)
+    return predict(logits), state.objective_history
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -37,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from .codec import PROGRAM_SET
 from .errors import DataError
 from .graphs import GraphSnapshot
 
@@ -115,7 +116,8 @@ class FeatureConfig:
     """Windowing and standardization settings for snapshot construction."""
 
     window_seconds: int = 300
-    zscore_stats: Optional[tuple[np.ndarray, np.ndarray]] = None
+    zscore_stats: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, metadata=PROGRAM_SET)
 
     def __post_init__(self):
         if self.window_seconds <= 0:
@@ -189,16 +191,24 @@ def parse_flows(source) -> tuple[list[FlowRecord], ParseStats]:
     """Parse a CSV path or stream into flow records plus parse statistics.
 
     Self-flows (src == dst) are dropped and counted separately from skips.
+    Input that is not UTF-8 text or not readable as CSV raises DataError.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return parse_flows(handle)
     if isinstance(source, (bytes, bytearray)):
-        return parse_flows(io.StringIO(source.decode("utf-8")))
+        source = io.BytesIO(source)
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        return _parse_rows(csv.DictReader(source))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"input is not readable as CSV: {exc}") from exc
 
-    reader = csv.DictReader(source)
+
+def _parse_rows(reader: csv.DictReader) -> tuple[list[FlowRecord], ParseStats]:
     columns = _resolve_columns(reader.fieldnames)
     stats = ParseStats()
     records: list[FlowRecord] = []
@@ -237,7 +247,7 @@ def parse_flows(source) -> tuple[list[FlowRecord], ParseStats]:
                 continue
             try:
                 port = int(float(raw))
-            except ValueError:
+            except (ValueError, OverflowError):  # not a number, NaN or infinite
                 stats.skip(f"non-numeric {logical}")
                 bad_port = True
                 break

@@ -201,15 +201,11 @@ def sbm_generate(spec: SbmSpec) -> GraphSnapshot:
     n = spec.n
     labels = np.arange(n, dtype=np.int64) % spec.classes
 
+    rows, cols = np.triu_indices(n, 1)
+    draws = rng.random(rows.size)
+    hit = draws < np.where(labels[rows] == labels[cols], spec.p_in, spec.p_out)
     adj = np.zeros((n, n))
-    draws = rng.random(n * (n - 1) // 2)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = spec.p_in if labels[i] == labels[j] else spec.p_out
-            if draws[idx] < p:
-                adj[i, j] = adj[j, i] = 1.0
-            idx += 1
+    adj[rows[hit], cols[hit]] = adj[cols[hit], rows[hit]] = 1.0
 
     means = np.where(labels[:, None] == 0, spec.signal / 2.0, -spec.signal / 2.0)
     feats = means * np.ones((n, spec.feature_dim))

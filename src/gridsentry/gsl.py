@@ -189,15 +189,18 @@ def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
     return np.column_stack([1.0 - p, p])
 
 
-def _structure_step(s: np.ndarray, a: np.ndarray, theta: GnnParams, x: np.ndarray,
-                    labels: Optional[np.ndarray], mask, cfg: GslConfig,
-                    signal: Optional[np.ndarray] = None) -> np.ndarray:
+def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray], mask,
+                   cfg: GslConfig) -> np.ndarray:
+    """One proximal structure update; the state itself is left untouched.
+
+    Without a ``mask`` (inference time) only the priors drive S.
+    """
+    s, a = state.s, state.a
     if mask is not None:
-        _, _, grad_task = backward(s, x, labels, mask, theta)
+        _, _, grad_task = backward(s, x, labels, mask, state.theta)
     else:
-        # Label-free refinement (inference time): only the priors drive S.
         grad_task = np.zeros_like(s)
-    signal = x if signal is None else signal
+    signal = x if state.signal is None else state.signal
     grad = grad_task + cfg.beta_smooth * _half_sq_dists(signal) \
         + 2.0 * cfg.lambda_prox * (s - a)
     if not np.all(np.isfinite(grad)):
@@ -210,13 +213,6 @@ def _structure_step(s: np.ndarray, a: np.ndarray, theta: GnnParams, x: np.ndarra
     stepped = soft_threshold(stepped, cfg.eta_s * cfg.alpha_l1)
     stepped = svt(stepped, cfg.eta_s * cfg.alpha_nuclear)
     return symmetrize_clamp(stepped)
-
-
-def structure_step(state: GslState, x: np.ndarray, labels: np.ndarray, mask,
-                   cfg: GslConfig) -> np.ndarray:
-    """One proximal structure update; the state itself is left untouched."""
-    return _structure_step(state.s, state.a, state.theta, x, labels, mask, cfg,
-                           state.signal)
 
 
 def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
@@ -238,30 +234,28 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     train_cfg.validate_masks(a.shape[0])
     mask = train_cfg.train_mask
 
-    s = a.copy()
     theta = init_params(gnn_kind, x.shape[1], hidden=hidden, classes=2,
                         seed=train_cfg.seed)
     adam = AdamState.for_params(theta)
-    state = GslState(s=s, a=a, theta=theta, iteration=0,
+    state = GslState(s=a.copy(), a=a, theta=theta, iteration=0,
                      signal=class_beliefs(theta, a, x, labels, mask))
     state.objective_history.append(
-        objective(s, theta, x, labels, mask, a, gsl_cfg, state.signal)
+        objective(state.s, theta, x, labels, mask, a, gsl_cfg, state.signal)
     )
 
     for it in range(gsl_cfg.outer_iters):
         for _ in range(gsl_cfg.inner_theta_steps):
-            loss, grads, _ = backward(s, x, labels, mask, theta, structure=False)
+            loss, grads, _ = backward(state.s, x, labels, mask, theta, structure=False)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite task loss at outer iteration {it}")
             adam_step(theta, grads, adam, train_cfg)
         state.signal = class_beliefs(theta, a, x, labels, mask)
-        s = _structure_step(s, a, theta, x, labels, mask, gsl_cfg, state.signal)
-        state.s = s
+        state.s = structure_step(state, x, labels, mask, gsl_cfg)
         state.iteration = it + 1
         state.objective_history.append(
-            objective(s, theta, x, labels, mask, a, gsl_cfg, state.signal)
+            objective(state.s, theta, x, labels, mask, a, gsl_cfg, state.signal)
         )
-    return s, theta, state
+    return state.s, theta, state
 
 
 def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
@@ -275,11 +269,10 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
     ones cut.
     """
     a = require_matrix(a, "observed adjacency").copy()
-    signal = class_beliefs(theta, a, x)
-    s = a.copy()
+    state = GslState(s=a.copy(), a=a, theta=theta, signal=class_beliefs(theta, a, x))
     for _ in range(steps):
-        s = _structure_step(s, a, theta, x, None, None, cfg, signal)
-    return s
+        state.s = structure_step(state, x, None, None, cfg)
+    return state.s
 
 
 @dataclass
@@ -304,14 +297,10 @@ def refine_report(state: GslState) -> StructureDiff:
     listed upper-triangle, sorted.
     """
     s, a = state.s, state.a
-    pruned = []
-    added = []
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] > 0:
-                if s[i, j] < PRUNED_WEIGHT:
-                    pruned.append((i, j, float(s[i, j])))
-            elif s[i, j] > ADDED_WEIGHT:
-                added.append((i, j, float(s[i, j])))
-    return StructureDiff(pruned=pruned, added=added)
+
+    def listing(mask: np.ndarray) -> list[tuple[int, int, float]]:
+        rows, cols = np.nonzero(np.triu(mask, 1))
+        return [(int(i), int(j), float(s[i, j])) for i, j in zip(rows, cols)]
+
+    return StructureDiff(pruned=listing((a > 0) & (s < PRUNED_WEIGHT)),
+                         added=listing(~(a > 0) & (s > ADDED_WEIGHT)))

@@ -15,14 +15,13 @@ structure updates descend the task loss.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .codec import PROGRAM_SET
 from .errors import NumericError
-from .graphs import GraphSnapshot, normalized_adjacency
+from .graphs import GraphSnapshot, _check_adjacency
 from .numerics import make_rng, require_matrix
 
 MODEL_FORMAT_VERSION = 1
@@ -99,15 +98,6 @@ class GnnParams:
         return params
 
 
-def save_model(params: GnnParams, path) -> None:
-    text = json.dumps(params.to_dict(), sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def load_model(path) -> GnnParams:
-    return GnnParams.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -132,14 +122,6 @@ def init_params(kind: str, in_dim: int, hidden: int = 16, classes: int = 2,
 # Forward passes
 
 
-def gcn_forward(s_hat: np.ndarray, x: np.ndarray, params: GnnParams) -> np.ndarray:
-    """Two propagation layers; ``s_hat`` must be the normalized adjacency."""
-    if params.kind != "gcn":
-        raise ValueError(f"gcn_forward got {params.kind!r} parameters")
-    hidden = np.maximum(s_hat @ (x @ params.weights["w1"]), 0.0)
-    return s_hat @ (hidden @ params.weights["w2"])
-
-
 def _weighted_neighbor_mean(s: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalized aggregation; isolated rows aggregate to the zero vector."""
     row_sum = s.sum(axis=1)
@@ -147,22 +129,34 @@ def _weighted_neighbor_mean(s: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, n
     return inv[:, None] * (s @ h), inv
 
 
-def sage_forward(s: np.ndarray, x: np.ndarray, params: GnnParams) -> np.ndarray:
-    """Self + weighted-mean-neighbor layers over the raw structure matrix."""
-    if params.kind != "sage":
-        raise ValueError(f"sage_forward got {params.kind!r} parameters")
+def _forward(params: GnnParams, s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Logits plus the intermediates ``backward`` chains through.
+
+    The GCN propagates with D^{-1/2} (S + I) D^{-1/2}; ``s`` is not checked.
+    """
     w = params.weights
-    n1, _ = _weighted_neighbor_mean(s, x)
-    hidden = np.maximum(x @ w["w1_self"] + n1 @ w["w1_neigh"], 0.0)
-    n2, _ = _weighted_neighbor_mean(s, hidden)
-    return hidden @ w["w2_self"] + n2 @ w["w2_neigh"]
-
-
-def mlp_forward(x: np.ndarray, params: GnnParams) -> np.ndarray:
-    if params.kind != "mlp":
-        raise ValueError(f"mlp_forward got {params.kind!r} parameters")
-    hidden = np.maximum(x @ params.weights["w1"], 0.0)
-    return hidden @ params.weights["w2"]
+    if params.kind == "gcn":
+        degree = s.sum(axis=1) + 1.0
+        inv_sqrt = 1.0 / np.sqrt(degree)
+        s_hat = (s + np.eye(s.shape[0])) * np.outer(inv_sqrt, inv_sqrt)
+        xw = x @ w["w1"]
+        z1 = s_hat @ xw
+        h1 = np.maximum(z1, 0.0)
+        q = h1 @ w["w2"]
+        return s_hat @ q, dict(degree=degree, inv_sqrt=inv_sqrt, s_hat=s_hat,
+                               xw=xw, z1=z1, h1=h1, q=q)
+    if params.kind == "sage":
+        n1, inv = _weighted_neighbor_mean(s, x)
+        z1 = x @ w["w1_self"] + n1 @ w["w1_neigh"]
+        h1 = np.maximum(z1, 0.0)
+        n2, _ = _weighted_neighbor_mean(s, h1)
+        return h1 @ w["w2_self"] + n2 @ w["w2_neigh"], dict(inv=inv, n1=n1, z1=z1,
+                                                           h1=h1, n2=n2)
+    if params.kind == "mlp":
+        z1 = x @ w["w1"]
+        h1 = np.maximum(z1, 0.0)
+        return h1 @ w["w2"], dict(z1=z1, h1=h1)
+    raise ValueError(f"unknown model kind {params.kind!r}")
 
 
 def own_logits(params: GnnParams, x: np.ndarray) -> np.ndarray:
@@ -177,12 +171,14 @@ def own_logits(params: GnnParams, x: np.ndarray) -> np.ndarray:
 
 
 def model_logits(params: GnnParams, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Kind-appropriate forward pass from the raw structure matrix."""
+    """Kind-appropriate forward pass from the raw structure matrix.
+
+    The GCN path first checks that ``s`` is a valid adjacency: symmetric,
+    zero diagonal, entries in [0, 1].
+    """
     if params.kind == "gcn":
-        return gcn_forward(normalized_adjacency(s), x, params)
-    if params.kind == "sage":
-        return sage_forward(s, x, params)
-    return mlp_forward(x, params)
+        s = _check_adjacency(require_matrix(s, "structure matrix"), "structure matrix")
+    return _forward(params, s, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,73 +239,52 @@ def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
     x = require_matrix(x, "features")
     labels = np.asarray(labels, dtype=np.int64)
     w = params.weights
+    if params.kind != "mlp":
+        s = require_matrix(s, "structure matrix")
+    logits, c = _forward(params, s, x)
+    loss, g = _loss_grad_logits(logits, labels, mask)
 
     if params.kind == "mlp":
-        z1 = x @ w["w1"]
-        h1 = np.maximum(z1, 0.0)
-        logits = h1 @ w["w2"]
-        loss, g = _loss_grad_logits(logits, labels, mask)
-        dh1 = g @ w["w2"].T
-        dz1 = dh1 * (z1 > 0)
-        grads = {"w1": x.T @ dz1, "w2": h1.T @ g}
+        dz1 = (g @ w["w2"].T) * (c["z1"] > 0)
+        grads = {"w1": x.T @ dz1, "w2": c["h1"].T @ g}
         grad_s = np.zeros_like(np.asarray(s, dtype=np.float64)) if structure else None
         return loss, grads, grad_s
 
-    s = require_matrix(s, "structure matrix")
-
     if params.kind == "gcn":
-        degree = s.sum(axis=1) + 1.0
-        inv_sqrt = 1.0 / np.sqrt(degree)
-        s_hat = (s + np.eye(s.shape[0])) * np.outer(inv_sqrt, inv_sqrt)
-        xw = x @ w["w1"]
-        z1 = s_hat @ xw
-        h1 = np.maximum(z1, 0.0)
-        q = h1 @ w["w2"]
-        logits = s_hat @ q
-        loss, g = _loss_grad_logits(logits, labels, mask)
-
+        s_hat, inv_sqrt = c["s_hat"], c["inv_sqrt"]
         dq = s_hat.T @ g
-        dz1 = (dq @ w["w2"].T) * (z1 > 0)
-        grads = {"w1": x.T @ (s_hat.T @ dz1), "w2": h1.T @ dq}
+        dz1 = (dq @ w["w2"].T) * (c["z1"] > 0)
+        grads = {"w1": x.T @ (s_hat.T @ dz1), "w2": c["h1"].T @ dq}
         if not structure:
             return loss, grads, None
 
         # Chain through s_hat = D^{-1/2} (S + I) D^{-1/2}: the direct entry
         # term, plus the row/column coupling through the degree of node i.
-        g_hat = g @ q.T + dz1 @ xw.T
+        g_hat = g @ c["q"].T + dz1 @ c["xw"].T
         prod = g_hat * s_hat
-        phi = -(prod.sum(axis=1) + prod.sum(axis=0)) / (2.0 * degree)
+        phi = -(prod.sum(axis=1) + prod.sum(axis=0)) / (2.0 * c["degree"])
         grad_s = g_hat * np.outer(inv_sqrt, inv_sqrt) + phi[:, None]
         return loss, grads, (grad_s + grad_s.T) / 2.0
 
-    if params.kind == "sage":
-        n1, inv = _weighted_neighbor_mean(s, x)
-        z1 = x @ w["w1_self"] + n1 @ w["w1_neigh"]
-        h1 = np.maximum(z1, 0.0)
-        n2, _ = _weighted_neighbor_mean(s, h1)
-        logits = h1 @ w["w2_self"] + n2 @ w["w2_neigh"]
-        loss, g = _loss_grad_logits(logits, labels, mask)
-
-        dn2 = g @ w["w2_neigh"].T
-        t2 = inv[:, None] * dn2
-        dh1 = g @ w["w2_self"].T + s.T @ t2
-        dz1 = dh1 * (z1 > 0)
-        grads = {
-            "w1_self": x.T @ dz1,
-            "w1_neigh": n1.T @ dz1,
-            "w2_self": h1.T @ g,
-            "w2_neigh": n2.T @ g,
-        }
-        if not structure:
-            return loss, grads, None
-        t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
-        # d/dS[i,j] of the weighted mean row i is (h_j - mean_i) / rowsum_i;
-        # isolated rows have inv = 0 so nothing flows.
-        grad_s = (t2 @ h1.T - (t2 * n2).sum(axis=1)[:, None]) \
-            + (t1 @ x.T - (t1 * n1).sum(axis=1)[:, None])
-        return loss, grads, (grad_s + grad_s.T) / 2.0
-
-    raise ValueError(f"unknown model kind {params.kind!r}")
+    inv, n1, n2, h1 = c["inv"], c["n1"], c["n2"], c["h1"]
+    dn2 = g @ w["w2_neigh"].T
+    t2 = inv[:, None] * dn2
+    dh1 = g @ w["w2_self"].T + s.T @ t2
+    dz1 = dh1 * (c["z1"] > 0)
+    grads = {
+        "w1_self": x.T @ dz1,
+        "w1_neigh": n1.T @ dz1,
+        "w2_self": h1.T @ g,
+        "w2_neigh": n2.T @ g,
+    }
+    if not structure:
+        return loss, grads, None
+    t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
+    # d/dS[i,j] of the weighted mean row i is (h_j - mean_i) / rowsum_i;
+    # isolated rows have inv = 0 so nothing flows.
+    grad_s = (t2 @ h1.T - (t2 * n2).sum(axis=1)[:, None]) \
+        + (t1 @ x.T - (t1 * n1).sum(axis=1)[:, None])
+    return loss, grads, (grad_s + grad_s.T) / 2.0
 
 
 def predict(logits: np.ndarray) -> np.ndarray:
@@ -336,10 +311,11 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 5e-4
-    seed: int = 0
-    train_mask: np.ndarray | None = None
-    val_mask: np.ndarray | None = None
-    test_mask: np.ndarray | None = None
+    # Set by the program (per-run seed, split masks), never read from a config.
+    seed: int = field(default=0, metadata=PROGRAM_SET)
+    train_mask: np.ndarray | None = field(default=None, metadata=PROGRAM_SET)
+    val_mask: np.ndarray | None = field(default=None, metadata=PROGRAM_SET)
+    test_mask: np.ndarray | None = field(default=None, metadata=PROGRAM_SET)
 
     def __post_init__(self):
         if self.epochs < 0:

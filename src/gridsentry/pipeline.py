@@ -12,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import gsl
+from . import codec, gsl
 from .errors import DataError, NumericError
 from .flows import (FeatureConfig, apply_zscore, build_snapshot,
                     compute_zscore_stats, parse_flows, window)
@@ -68,18 +68,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        allowed = {"window_seconds", "gnn_kind", "min_nodes", "score_threshold",
-                   "isolate_threshold", "detect_refine_steps", "seed", "gsl",
-                   "train"}
-        unknown = sorted(set(doc) - allowed)
-        if unknown:
-            raise ValueError(f"unknown pipeline config keys: {unknown}")
-        kwargs: dict = {k: doc[k] for k in doc if k not in ("gsl", "train")}
-        if "gsl" in doc:
-            kwargs["gsl"] = gsl.GslConfig(**doc["gsl"])
-        if "train" in doc:
-            kwargs["train"] = TrainConfig(**doc["train"])
-        return cls(**kwargs)
+        return codec.decode(cls, doc, "pipeline")
 
 
 @dataclass
@@ -118,16 +107,7 @@ class DetectorBundle:
             "format_version": self.format_version,
             "model_version": self.model_version,
             "params": self.params.to_dict(),
-            "gsl": {
-                "alpha_nuclear": self.gsl_cfg.alpha_nuclear,
-                "alpha_l1": self.gsl_cfg.alpha_l1,
-                "beta_smooth": self.gsl_cfg.beta_smooth,
-                "lambda_prox": self.gsl_cfg.lambda_prox,
-                "eta_s": self.gsl_cfg.eta_s,
-                "inner_theta_steps": self.gsl_cfg.inner_theta_steps,
-                "outer_iters": self.gsl_cfg.outer_iters,
-                "seed": self.gsl_cfg.seed,
-            },
+            "gsl": codec.encode(self.gsl_cfg),
             "zscore_mean": self.zscore_mean.tolist(),
             "zscore_std": self.zscore_std.tolist(),
             "feature_names": list(self.feature_names),
@@ -154,7 +134,7 @@ class DetectorBundle:
         try:
             return cls(
                 params=GnnParams.from_dict(doc["params"]),
-                gsl_cfg=gsl.GslConfig(**doc["gsl"]),
+                gsl_cfg=codec.decode(gsl.GslConfig, doc["gsl"], "gsl"),
                 zscore_mean=np.asarray(doc["zscore_mean"], dtype=np.float64),
                 zscore_std=np.asarray(doc["zscore_std"], dtype=np.float64),
                 feature_names=list(doc["feature_names"]),
@@ -210,12 +190,9 @@ def train_from_snapshot(snapshot: GraphSnapshot,
         )
     stats = compute_zscore_stats(snapshot.features)
     features = apply_zscore(snapshot.features, stats)
-    train_cfg = TrainConfig(
-        epochs=cfg.train.epochs, lr=cfg.train.lr, beta1=cfg.train.beta1,
-        beta2=cfg.train.beta2, eps=cfg.train.eps,
-        weight_decay=cfg.train.weight_decay, seed=cfg.seed,
-        train_mask=np.ones(snapshot.n_nodes, dtype=bool),
-    )
+    train_cfg = replace(cfg.train, seed=cfg.seed,
+                        train_mask=np.ones(snapshot.n_nodes, dtype=bool),
+                        val_mask=None, test_mask=None)
     _, theta, state = gsl.fit(snapshot.adjacency, features, snapshot.labels,
                               cfg.gnn_kind, cfg.gsl, train_cfg)
     bundle = DetectorBundle(

@@ -7,6 +7,7 @@ are the committed ground truth.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.experiments import split
@@ -16,6 +17,12 @@ from gridsentry.models import TrainConfig
 from pathlib import Path
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit, so a slow or loaded machine neither fails them on time nor
+# draws examples that a rerun cannot repeat.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 # Main regression fixture for the structure optimizer: dense enough for the
 # attack to have room, features strong enough that pruning is identifiable.

@@ -106,6 +106,27 @@ def test_ingest_missing_columns_is_data_error(tmp_path, capsys):
     assert "data error:" in capsys.readouterr().err
 
 
+def test_ingest_undecodable_or_non_finite_port_is_data_error(tmp_path, capsys):
+    header = b"ts,src_ip,dst_ip,proto,src_port,dst_port,bytes,pkts,dur,label\n"
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(header + b"1.0,caf\xe9,b,tcp,1000,80,100,10,2.0,0\n")
+    inf_port = tmp_path / "inf_port.csv"
+    inf_port.write_bytes(header + b"1.0,a,b,tcp,inf,80,100,10,2.0,0\n")
+    for path in (latin1, inf_port):
+        assert main(["ingest", "-i", str(path), "-o", str(tmp_path / "w")]) == 2
+        assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "report"])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "c.json"]])
+def test_detect_and_report_reject_seed_and_config(command, flag, tmp_path, capsys):
+    args = [command, "-i", "x.csv", "-o", str(tmp_path / "out")]
+    if command == "detect":
+        args += ["-b", "b.json"]
+    assert main(args + flag) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_attack_rate_zero_roundtrips_bytes(tmp_path):
     snap_path = tmp_path / "snap.json"
     assert main(["generate", "--n", "20", "--p-in", "0.4", "--p-out", "0.05",

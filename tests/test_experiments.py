@@ -1,8 +1,13 @@
 """Splits, metrics, the robustness grid runner, and report rendering."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from gridsentry import attacks, codec
 from gridsentry.errors import DataError
 from gridsentry.experiments import (MODELS, CellResult, Confusion,
                                     ExperimentConfig, MetricsReport,
@@ -13,6 +18,7 @@ from gridsentry.experiments import (MODELS, CellResult, Confusion,
 from gridsentry.graphs import SbmSpec
 from gridsentry.gsl import GslConfig, ObjectiveParts
 from gridsentry.models import TrainConfig
+from gridsentry.pipeline import PipelineConfig
 
 
 def test_split_sizes_and_partition(sbm60):
@@ -177,6 +183,101 @@ def test_config_roundtrip_and_validation():
     with pytest.raises(ValueError, match="unknown train config keys"):
         ExperimentConfig.from_dict(
             {"sbm": dict(TINY_SBM), "train": {"seed": 3}})
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+UNIT = st.floats(0.0, 1.0)
+SCALE = st.floats(0.0, 1e6)
+SBM_SPECS = st.builds(
+    SbmSpec, n=st.integers(2, 500), p_in=st.floats(0.5, 1.0),
+    p_out=st.floats(0.0, 0.49), feature_dim=st.integers(1, 64),
+    signal=st.floats(-10.0, 10.0), noise_sigma=st.floats(0.0, 10.0), seed=SEEDS)
+PERTURBATION_SPECS = st.builds(
+    attacks.PerturbationSpec, kind=st.sampled_from(attacks.KINDS), rate=UNIT,
+    structure_mode=st.sampled_from(attacks.STRUCTURE_MODES),
+    feature_sigma=st.floats(0.0, 10.0), feature_fraction=st.none() | UNIT,
+    seed=SEEDS)
+GSL_CONFIGS = st.builds(
+    GslConfig, alpha_nuclear=SCALE, alpha_l1=SCALE, beta_smooth=SCALE,
+    lambda_prox=SCALE, eta_s=SCALE, inner_theta_steps=st.integers(0, 50),
+    outer_iters=st.integers(0, 500), seed=SEEDS)
+TRAIN_CONFIGS = st.builds(
+    TrainConfig, epochs=st.integers(0, 1000), lr=st.floats(1e-6, 1.0),
+    beta1=st.floats(0.0, 0.999), beta2=st.floats(0.0, 0.999),
+    eps=st.floats(1e-12, 1e-3), weight_decay=st.floats(0.0, 1.0))
+EXPERIMENT_SETTINGS = dict(
+    models=st.lists(st.sampled_from(MODELS), min_size=1, unique=True).map(tuple),
+    rates=st.lists(UNIT, max_size=4).map(tuple), runs=st.integers(1, 20),
+    base_seed=SEEDS, train_frac=st.floats(0.05, 0.95),
+    attack_kind=st.sampled_from(attacks.KINDS),
+    structure_mode=st.sampled_from(attacks.STRUCTURE_MODES),
+    feature_sigma=st.floats(0.0, 10.0), feature_fraction=st.none() | UNIT,
+    window_seconds=st.integers(1, 10**6), max_flows=st.none() | st.integers(1, 10**7),
+    gsl=GSL_CONFIGS, train=TRAIN_CONFIGS)
+EXPERIMENT_CONFIGS = st.one_of(
+    st.builds(ExperimentConfig, sbm=SBM_SPECS, **EXPERIMENT_SETTINGS),
+    st.builds(ExperimentConfig, csv_path=st.text(max_size=20), **EXPERIMENT_SETTINGS))
+PIPELINE_CONFIGS = st.builds(
+    PipelineConfig, window_seconds=st.integers(1, 10**6),
+    gnn_kind=st.sampled_from(["gcn", "sage"]), min_nodes=st.integers(1, 1000),
+    score_threshold=UNIT, isolate_threshold=UNIT,
+    detect_refine_steps=st.integers(0, 200), seed=SEEDS, gsl=GSL_CONFIGS,
+    train=TRAIN_CONFIGS)
+CONFIGS = {"sbm": SBM_SPECS, "perturbation": PERTURBATION_SPECS,
+           "gsl": GSL_CONFIGS, "train": TRAIN_CONFIGS,
+           "experiment": EXPERIMENT_CONFIGS, "pipeline": PIPELINE_CONFIGS}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@given(data=st.data())
+def test_config_codec_roundtrip_through_json(name, data):
+    cfg = data.draw(CONFIGS[name])
+    doc = json.loads(json.dumps(codec.encode(cfg)))
+    assert codec.decode(type(cfg), doc, name) == cfg
+    if name == "experiment":
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@pytest.mark.parametrize("top, path", [
+    ("experiment", ()), ("experiment", ("sbm",)), ("experiment", ("gsl",)),
+    ("experiment", ("train",)), ("pipeline", ()), ("pipeline", ("gsl",)),
+    ("pipeline", ("train",)),
+])
+def test_config_rejects_an_extra_key_at_every_level(top, path):
+    cls = ExperimentConfig if top == "experiment" else PipelineConfig
+    doc = codec.encode(cls(sbm=SbmSpec()) if top == "experiment" else cls())
+    inner = doc
+    for key in path:
+        inner = inner[key]
+    inner["bogus"] = 1
+    level = path[-1] if path else top
+    with pytest.raises(ValueError, match=rf"unknown {level} config keys: \['bogus'\]"):
+        cls.from_dict(doc)
+
+
+PINNED_SETTINGS = {
+    "models": ["DNN", "GCN", "GraphSAGE", "GSL-GCN", "GSL-GraphSAGE"],
+    "rates": [0.0, 0.1, 0.5], "runs": 10, "base_seed": 0, "train_frac": 0.8,
+    "attack_kind": "poisoning", "structure_mode": "dice", "feature_sigma": 0.5,
+    "feature_fraction": None, "window_seconds": 300,
+    "gsl": {"alpha_nuclear": 0.25, "alpha_l1": 0.0005, "beta_smooth": 0.5,
+            "lambda_prox": 0.15, "eta_s": 0.2, "inner_theta_steps": 5,
+            "outer_iters": 100, "seed": 0},
+    "train": {"epochs": 200, "lr": 0.01, "beta1": 0.9, "beta2": 0.999,
+              "eps": 1e-08, "weight_decay": 0.0005},
+}
+
+
+def test_config_to_dict_is_pinned():
+    # The config block of report.json: only the data source that is set.
+    assert ExperimentConfig(sbm=SbmSpec()).to_dict() == {
+        **PINNED_SETTINGS, "max_flows": None,
+        "sbm": {"n": 200, "classes": 2, "p_in": 0.1, "p_out": 0.01,
+                "feature_dim": 16, "signal": 1.0, "noise_sigma": 1.0, "seed": 0},
+    }
+    assert ExperimentConfig(csv_path="flows.csv", max_flows=5000).to_dict() == {
+        **PINNED_SETTINGS, "max_flows": 5000, "csv_path": "flows.csv",
+    }
 
 
 def test_config_requires_exactly_one_source(tmp_path):

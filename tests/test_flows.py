@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridsentry.errors import DataError
 from gridsentry.flows import (FEATURE_NAMES, FeatureConfig, apply_zscore,
@@ -103,6 +105,38 @@ def test_invalid_port_skips_row():
     )
     assert len(records) == 1
     assert stats.reasons == {"invalid src_port": 1}
+
+
+def test_non_finite_port_skips_row():
+    records, stats = _parse(
+        "1.0,a,b,tcp,inf,80,100,10,2.0,0,",
+        "2.0,a,b,tcp,1000,-inf,100,10,2.0,0,",
+        _flow(3.0, "a", "b"),
+        _flow(4.0, "a", "b"),
+    )
+    assert len(records) == 2
+    assert stats.reasons == {"non-numeric src_port": 1, "non-numeric dst_port": 1}
+
+
+def test_undecodable_input_is_data_error(tmp_path):
+    data = (HEADER + "\n1.0,a\xff,b,tcp,1000,80,100,10,2.0,0,\n").encode("latin-1")
+    with pytest.raises(DataError, match="not UTF-8"):
+        parse_flows(data)
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match="not UTF-8"):
+        parse_flows(path)
+
+
+@given(st.one_of(st.binary(max_size=300),
+                 st.binary(max_size=300).map(lambda b: HEADER.encode() + b"\n" + b)))
+def test_parse_flows_on_arbitrary_bytes_returns_or_raises_data_error(data):
+    try:
+        records, stats = parse_flows(data)
+    except DataError:
+        return
+    assert len(records) + stats.rows_skipped + stats.self_flows_dropped \
+        == stats.rows_total
 
 
 def test_unknown_protocol_maps_to_other():

@@ -118,6 +118,21 @@ def test_sbm_is_deterministic_per_seed(tmp_path):
     assert not np.array_equal(a.adjacency, c.adjacency)
 
 
+@pytest.mark.parametrize("spec", [SBM60, SbmSpec(n=31, p_in=0.6, p_out=0.3, seed=5)])
+def test_sbm_edges_match_pair_loop_reference(spec):
+    # One uniform per pair, drawn in row-major upper-triangle order.
+    draws = np.random.default_rng(spec.seed).random(spec.n * (spec.n - 1) // 2)
+    want = np.zeros((spec.n, spec.n))
+    idx = 0
+    for i in range(spec.n):
+        for j in range(i + 1, spec.n):
+            p = spec.p_in if i % 2 == j % 2 else spec.p_out
+            if draws[idx] < p:
+                want[i, j] = want[j, i] = 1.0
+            idx += 1
+    assert np.array_equal(sbm_generate(spec).adjacency, want)
+
+
 def test_sbm_spec_validation():
     with pytest.raises(ValueError):
         SbmSpec(n=10, classes=2, p_in=0.1, p_out=0.2, feature_dim=2,

@@ -18,7 +18,7 @@ from gridsentry.gsl import (ADDED_WEIGHT, PRUNED_WEIGHT, GslConfig, GslState,
 from gridsentry.models import TrainConfig, init_params, masked_cross_entropy, \
     model_logits, train
 
-from conftest import SBM12
+from conftest import SBM12, random_symmetric
 from test_acceptance import ROBUST_SBM
 
 
@@ -275,6 +275,23 @@ def test_refine_report_empty_when_structure_unchanged(sbm12):
                      theta=None)
     diff = refine_report(state)
     assert diff == StructureDiff(pruned=[], added=[])
+
+
+def test_refine_report_matches_pair_loop_reference():
+    a = (random_symmetric(25, 4, density=0.3) > 0).astype(float)
+    s = random_symmetric(25, 5, density=0.8)
+    pruned, added = [], []
+    for i in range(25):
+        for j in range(i + 1, 25):
+            if a[i, j] > 0:
+                if s[i, j] < PRUNED_WEIGHT:
+                    pruned.append((i, j, float(s[i, j])))
+            elif s[i, j] > ADDED_WEIGHT:
+                added.append((i, j, float(s[i, j])))
+    assert pruned and added
+    diff = refine_report(GslState(s=s, a=a, theta=None))
+    assert diff == StructureDiff(pruned=pruned, added=added)
+    assert all(type(v) is int for i, j, _ in diff.pruned + diff.added for v in (i, j))
 
 
 def test_refine_structure_zero_steps_is_identity(sbm12):

@@ -167,7 +167,7 @@ def test_nuclear_norm_matches_singular_value_sum():
     assert nuclear_norm(np.zeros((3, 3))) == 0.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(1, 12).flatmap(
            lambda n: arrays(np.float64, (n, n),
                             elements=st.floats(-10.0, 10.0, allow_subnormal=False))),

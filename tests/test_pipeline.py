@@ -65,6 +65,13 @@ def test_config_from_dict():
         PipelineConfig.from_dict({"refine": 5})
 
 
+@pytest.mark.parametrize("key", ["seed", "train_mask", "val_mask", "test_mask"])
+def test_config_rejects_program_set_train_keys(key):
+    # The training seed is the pipeline's top-level seed; masks come from the data.
+    with pytest.raises(ValueError, match=rf"unknown train config keys: \['{key}'\]"):
+        PipelineConfig.from_dict({"train": {key: 3}})
+
+
 def test_train_from_snapshot_stores_raw_feature_stats(sbm60):
     cfg = PipelineConfig(seed=7, gsl=GslConfig(outer_iters=2))
     bundle, state = train_from_snapshot(sbm60, cfg)
