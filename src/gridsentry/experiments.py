@@ -2,6 +2,9 @@
 
 The grid trains five detectors per run: a structure-blind DNN, plain GCN and
 GraphSAGE on the observed graph, and the structure-learning variants of both.
+Under poisoning each attack rate trains them afresh on the perturbed graph;
+under evasion they train once per run on the clean graph and every rate
+only evaluates them on its perturbed copy.
 Each (model, attack rate, run) cell reports accuracy, precision, recall, and
 F1 on held-out nodes, with the malicious class as the positive class.
 """
@@ -20,7 +23,7 @@ from .errors import DataError
 from .flows import (FeatureConfig, apply_zscore, build_snapshot,
                     compute_zscore_stats, parse_flows, window)
 from .graphs import GraphSnapshot, SbmSpec, sbm_generate
-from .models import TrainConfig, model_logits, predict, train
+from .models import GnnParams, TrainConfig, model_logits, predict, train
 from .numerics import make_rng
 
 MODELS = ("DNN", "GCN", "GraphSAGE", "GSL-GCN", "GSL-GraphSAGE")
@@ -259,34 +262,46 @@ def load_merged_snapshot(csv_path, window_seconds: int = 300, min_nodes: int = 1
     return build_snapshot(kept, span)
 
 
-def _predictions(model: str, snapshot: GraphSnapshot, train_cfg: TrainConfig,
-                 gsl_cfg: gsl.GslConfig,
-                 clean: Optional[GraphSnapshot] = None) -> tuple[np.ndarray, Optional[list]]:
-    """Train one grid model and predict every node's class.
+class _Trained(NamedTuple):
+    """One grid model after training: weights, learned structure, fit history."""
 
-    When ``clean`` is given (evasion mode), training happens on the clean
-    snapshot and only prediction sees ``snapshot``; the structure-learning
-    models then re-refine the perturbed graph with frozen weights.
-    """
-    trained_on = clean if clean is not None else snapshot
+    params: GnnParams
+    structure: Optional[np.ndarray]
+    history: Optional[list[gsl.ObjectiveParts]]
+
+
+def _train_model(model: str, snapshot: GraphSnapshot, train_cfg: TrainConfig,
+                 gsl_cfg: gsl.GslConfig) -> _Trained:
+    """Train one grid model on ``snapshot``; GSL models also learn a structure."""
     if model in _PLAIN_KINDS:
-        result = train(trained_on, trained_on.adjacency, train_cfg, _PLAIN_KINDS[model])
-        logits = model_logits(result.params, snapshot.adjacency, snapshot.features)
-        return predict(logits), None
+        result = train(snapshot, snapshot.adjacency, train_cfg, _PLAIN_KINDS[model])
+        return _Trained(result.params, None, None)
     if model not in ("GSL-GCN", "GSL-GraphSAGE"):
         raise ValueError(f"unknown model {model!r}")
     kind = "gcn" if model == "GSL-GCN" else "sage"
     s_final, theta, state = gsl.fit(
-        trained_on.adjacency, trained_on.features, trained_on.labels,
+        snapshot.adjacency, snapshot.features, snapshot.labels,
         kind, gsl_cfg, train_cfg,
     )
-    if clean is not None:
-        s_final = gsl.refine_structure(
-            snapshot.adjacency, snapshot.features, theta, gsl_cfg,
-            EVASION_REFINE_STEPS,
-        )
-    logits = model_logits(theta, s_final, snapshot.features)
-    return predict(logits), state.objective_history
+    return _Trained(theta, s_final, state.objective_history)
+
+
+def _predictions(model: str, trained: _Trained, snapshot: GraphSnapshot,
+                 gsl_cfg: gsl.GslConfig, evasion: bool) -> np.ndarray:
+    """Every node's predicted class from a trained grid model.
+
+    Plain models read ``snapshot``'s graph as is. A GSL model reads the
+    structure it learned, except under evasion, where it was trained on the
+    clean graph and re-refines the perturbed one with frozen weights.
+    """
+    if model in _PLAIN_KINDS:
+        s = snapshot.adjacency
+    elif evasion:
+        s = gsl.refine_structure(snapshot.adjacency, snapshot.features,
+                                 trained.params, gsl_cfg, EVASION_REFINE_STEPS)
+    else:
+        s = trained.structure
+    return predict(model_logits(trained.params, s, snapshot.features))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -297,6 +312,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                       max_flows=cfg.max_flows)
 
     seeds = [cfg.base_seed + r for r in range(cfg.runs)]
+    evasion = cfg.attack_kind == "evasion"
     per_cell: dict[tuple[str, float], list[MetricValues]] = {
         (m, rate): [] for m in cfg.models for rate in cfg.rates
     }
@@ -322,6 +338,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         train_cfg = replace(cfg.train, seed=seed_r, train_mask=train_mask,
                             val_mask=None, test_mask=test_mask)
 
+        # Evasion attacks only the graph a model is evaluated on, so each
+        # model trains once per run on the clean graph.
+        clean_models = {model: _train_model(model, snapshot, train_cfg, cfg.gsl)
+                        for model in cfg.models} if evasion else {}
         for rate in cfg.rates:
             pspec = attacks.PerturbationSpec(
                 kind=cfg.attack_kind,
@@ -331,20 +351,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 feature_fraction=cfg.feature_fraction,
                 seed=seed_r,
             )
-            if cfg.attack_kind == "poisoning":
-                perturbed, _ = attacks.apply(snapshot, pspec, "training")
-                eval_snapshot, clean = perturbed, None
-            else:
-                perturbed, _ = attacks.apply(snapshot, pspec, "inference")
-                eval_snapshot, clean = perturbed, snapshot
-
+            perturbed, _ = attacks.apply(snapshot, pspec,
+                                         "inference" if evasion else "training")
             for model in cfg.models:
-                y_pred, history = _predictions(model, eval_snapshot, train_cfg,
-                                               cfg.gsl, clean)
+                trained = clean_models[model] if evasion else _train_model(
+                    model, perturbed, train_cfg, cfg.gsl)
+                y_pred = _predictions(model, trained, perturbed, cfg.gsl, evasion)
                 conf = Confusion.from_predictions(snapshot.labels, y_pred, test_mask)
                 per_cell[(model, rate)].append(metrics(conf))
-                if history is not None:
-                    histories[(model, rate, r)] = history
+                if trained.history is not None:
+                    histories[(model, rate, r)] = trained.history
 
     cells = []
     for model in cfg.models:

@@ -191,10 +191,15 @@ def parse_flows(source) -> tuple[list[FlowRecord], ParseStats]:
     """Parse a CSV path or stream into flow records plus parse statistics.
 
     Self-flows (src == dst) are dropped and counted separately from skips.
-    Input that is not UTF-8 text or not readable as CSV raises DataError.
+    A path that cannot be opened, and input that is not UTF-8 text or not
+    readable as CSV, raise DataError.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(source, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise DataError(f"cannot read flow file {source}: {exc}") from exc
+        with handle:
             return parse_flows(handle)
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)

@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import DataError
 from .numerics import make_rng, require_matrix
 
 SNAPSHOT_FORMAT_VERSION = 1
@@ -118,8 +119,19 @@ def save_snapshot(snapshot: GraphSnapshot, path) -> None:
 
 
 def load_snapshot(path) -> GraphSnapshot:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a snapshot file; a file that cannot be read or parsed is a DataError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read snapshot {path}: {exc}") from exc
     return GraphSnapshot.from_dict(doc)
+
+
+def _gcn_normalization(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees of S + I, D^{-1/2}, and D^{-1/2} (S + I) D^{-1/2}; ``s`` is not checked."""
+    degree = s.sum(axis=1) + 1.0
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    return degree, inv_sqrt, (s + np.eye(s.shape[0])) * np.outer(inv_sqrt, inv_sqrt)
 
 
 def normalized_adjacency(s) -> np.ndarray:
@@ -129,10 +141,7 @@ def normalized_adjacency(s) -> np.ndarray:
     S + I. The self-loop keeps every degree >= 1, so no division can blow up.
     """
     arr = require_matrix(s, "structure matrix")
-    _check_adjacency(arr, "structure matrix")
-    inv_sqrt_deg = 1.0 / np.sqrt(arr.sum(axis=1) + 1.0)
-    with_loops = arr + np.eye(arr.shape[0])
-    return with_loops * np.outer(inv_sqrt_deg, inv_sqrt_deg)
+    return _gcn_normalization(_check_adjacency(arr, "structure matrix"))[2]
 
 
 def laplacian(s) -> np.ndarray:

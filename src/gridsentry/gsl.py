@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import NumericError
 from .graphs import smoothness
-from .models import (AdamState, GnnParams, TrainConfig, adam_step, backward,
-                     init_params, masked_cross_entropy, model_logits, own_logits,
-                     softmax)
+from .models import (AdamState, GnnParams, TrainConfig, _prepare, _Propagation,
+                     adam_step, backward, init_params, masked_cross_entropy,
+                     model_logits, own_logits, softmax)
 from .numerics import (nuclear_norm, require_matrix, soft_threshold, svt,
                        symmetrize_clamp)
 
@@ -110,15 +110,19 @@ class GslState:
     signal: Optional[np.ndarray] = None
 
 
-def objective(s: np.ndarray, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
+def objective(s, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
               mask, a: np.ndarray, cfg: GslConfig,
               signal: Optional[np.ndarray] = None) -> ObjectiveParts:
     """Evaluate every objective term; weights of zero skip their computation.
 
-    The smoothness term is measured on ``signal``, the features when omitted.
+    ``s`` is the structure matrix, raw or prepared for ``theta``'s kind
+    (``models._prepare``). The smoothness term is measured on ``signal``, the
+    features when omitted.
     """
     signal = x if signal is None else signal
     task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
+    if isinstance(s, _Propagation):
+        s = s.s
     nuclear = 0.0
     if cfg.alpha_nuclear > 0:
         nuclear = cfg.alpha_nuclear * nuclear_norm(s)
@@ -189,27 +193,46 @@ def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
     return np.column_stack([1.0 - p, p])
 
 
-def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray], mask,
-                   cfg: GslConfig) -> np.ndarray:
-    """One proximal structure update; the state itself is left untouched.
-
-    Without a ``mask`` (inference time) only the priors drive S.
-    """
+def _structure_gradient(state: GslState, x: np.ndarray, labels: Optional[np.ndarray],
+                        mask, cfg: GslConfig, propagation: Optional[_Propagation],
+                        smooth_grad: Optional[np.ndarray]) -> np.ndarray:
+    """Gradient of the smooth objective terms at ``state.s``; see ``structure_step``."""
     s, a = state.s, state.a
-    if mask is not None:
-        _, _, grad_task = backward(s, x, labels, mask, state.theta)
+    if propagation is not None and propagation.s is not s:
+        raise ValueError("propagation was prepared from another structure matrix")
+    if smooth_grad is None:
+        signal = x if state.signal is None else state.signal
+        smooth_grad = cfg.beta_smooth * _half_sq_dists(signal)
+    grad_task = None
+    if mask is None:
+        grad = smooth_grad + 2.0 * cfg.lambda_prox * (s - a)
     else:
-        grad_task = np.zeros_like(s)
-    signal = x if state.signal is None else state.signal
-    grad = grad_task + cfg.beta_smooth * _half_sq_dists(signal) \
-        + 2.0 * cfg.lambda_prox * (s - a)
+        _, _, grad_task = backward(s if propagation is None else propagation,
+                                   x, labels, mask, state.theta)
+        grad = grad_task + smooth_grad + 2.0 * cfg.lambda_prox * (s - a)
     if not np.all(np.isfinite(grad)):
+        task_max = 0.0 if grad_task is None else np.abs(grad_task).max()
         raise NumericError(
             "non-finite structure gradient: "
-            f"max|task|={np.abs(grad_task).max():.3e} "
+            f"max|task|={task_max:.3e} "
             f"max|anchor|={np.abs(s - a).max():.3e}"
         )
-    stepped = s - cfg.eta_s * grad
+    return grad
+
+
+def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray], mask,
+                   cfg: GslConfig, *, propagation: Optional[_Propagation] = None,
+                   smooth_grad: Optional[np.ndarray] = None) -> np.ndarray:
+    """One proximal structure update; the state itself is left untouched.
+
+    Without a ``mask`` (inference time) only the priors drive S. A caller
+    that steps repeatedly can pass what it already holds: ``propagation``,
+    ``state.s`` prepared for ``state.theta``, and ``smooth_grad``, the
+    smoothness gradient ``beta_smooth * _half_sq_dists(signal)``.
+    """
+    # The gradient's arrays are freed before the proximal maps run.
+    stepped = state.s - cfg.eta_s * _structure_gradient(
+        state, x, labels, mask, cfg, propagation, smooth_grad)
     stepped = soft_threshold(stepped, cfg.eta_s * cfg.alpha_l1)
     stepped = svt(stepped, cfg.eta_s * cfg.alpha_nuclear)
     return symmetrize_clamp(stepped)
@@ -226,7 +249,9 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     then takes one structure step. The weighted objective, with that
     iteration's beliefs, is recorded before the loop and after every outer
     iteration. There is no convergence test: the budget is the schedule,
-    which keeps runs reproducible.
+    which keeps runs reproducible. Each S is prepared for the classifier once
+    (``models._prepare``); its objective, the next inner steps and its
+    structure step share that.
     """
     a = require_matrix(a, "observed adjacency").copy()
     x = require_matrix(x, "features")
@@ -239,21 +264,24 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     adam = AdamState.for_params(theta)
     state = GslState(s=a.copy(), a=a, theta=theta, iteration=0,
                      signal=class_beliefs(theta, a, x, labels, mask))
+    prop = _prepare(gnn_kind, state.s)
     state.objective_history.append(
-        objective(state.s, theta, x, labels, mask, a, gsl_cfg, state.signal)
+        objective(prop, theta, x, labels, mask, a, gsl_cfg, state.signal)
     )
 
     for it in range(gsl_cfg.outer_iters):
         for _ in range(gsl_cfg.inner_theta_steps):
-            loss, grads, _ = backward(state.s, x, labels, mask, theta, structure=False)
+            loss, grads, _ = backward(prop, x, labels, mask, theta, structure=False)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite task loss at outer iteration {it}")
             adam_step(theta, grads, adam, train_cfg)
         state.signal = class_beliefs(theta, a, x, labels, mask)
-        state.s = structure_step(state, x, labels, mask, gsl_cfg)
+        state.s = structure_step(state, x, labels, mask, gsl_cfg, propagation=prop)
+        prop = None  # free the old arrays before the new ones are built
+        prop = _prepare(gnn_kind, state.s)
         state.iteration = it + 1
         state.objective_history.append(
-            objective(state.s, theta, x, labels, mask, a, gsl_cfg, state.signal)
+            objective(prop, theta, x, labels, mask, a, gsl_cfg, state.signal)
         )
     return state.s, theta, state
 
@@ -266,12 +294,14 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
     run ``steps`` structure updates driven by the priors alone, with
     smoothness measured on the frozen classifier's reading of each node's own
     features. Edges between nodes it places in different classes are the
-    ones cut.
+    ones cut. Those beliefs are frozen, so the smoothness gradient is
+    computed once for all steps.
     """
     a = require_matrix(a, "observed adjacency").copy()
     state = GslState(s=a.copy(), a=a, theta=theta, signal=class_beliefs(theta, a, x))
+    smooth_grad = cfg.beta_smooth * _half_sq_dists(state.signal)
     for _ in range(steps):
-        state.s = structure_step(state, x, None, None, cfg)
+        state.s = structure_step(state, x, None, None, cfg, smooth_grad=smooth_grad)
     return state.s
 
 

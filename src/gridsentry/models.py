@@ -11,6 +11,12 @@ Three model kinds share one parameter container:
 asked not to, for the raw structure matrix feeding the model; the structure
 gradient (symmetrized, as the joint optimizer consumes it) is what lets
 structure updates descend the task loss.
+
+Everything a forward pass derives from the structure matrix alone (the
+GCN's normalized propagation matrix, GraphSAGE's inverse row sums) is built
+once per matrix by ``_prepare``. ``backward`` and ``model_logits`` take the
+raw matrix or that prepared value, so ``train`` and ``gsl.fit`` prepare each
+structure once instead of once per pass.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .codec import PROGRAM_SET
 from .errors import NumericError
-from .graphs import GraphSnapshot, _check_adjacency
+from .graphs import GraphSnapshot, _check_adjacency, _gcn_normalization
 from .numerics import make_rng, require_matrix
 
 MODEL_FORMAT_VERSION = 1
@@ -122,41 +128,77 @@ def init_params(kind: str, in_dim: int, hidden: int = 16, classes: int = 2,
 # Forward passes
 
 
-def _weighted_neighbor_mean(s: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized aggregation; isolated rows aggregate to the zero vector."""
-    row_sum = s.sum(axis=1)
-    inv = np.where(row_sum > 0, 1.0 / np.where(row_sum > 0, row_sum, 1.0), 0.0)
-    return inv[:, None] * (s @ h), inv
+@dataclass(frozen=True)
+class _Propagation:
+    """The structure-only part of one model kind's forward pass.
 
-
-def _forward(params: GnnParams, s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Logits plus the intermediates ``backward`` chains through.
-
-    The GCN propagates with D^{-1/2} (S + I) D^{-1/2}; ``s`` is not checked.
+    Built once per structure matrix by ``_prepare`` and read by every
+    ``backward`` and ``model_logits`` call on that matrix. ``s`` is the
+    validated matrix itself. GCN: ``degree`` (row sums of S + I),
+    ``inv_sqrt`` = D^{-1/2} and ``s_hat`` = D^{-1/2} (S + I) D^{-1/2}.
+    GraphSAGE: ``inv``, the inverse row sums, 0 on isolated rows. MLP:
+    nothing. The derived arrays are read-only.
     """
+
+    kind: str
+    s: np.ndarray
+    degree: np.ndarray | None = None
+    inv_sqrt: np.ndarray | None = None
+    s_hat: np.ndarray | None = None
+    inv: np.ndarray | None = None
+
+
+def _prepare(kind: str, s) -> _Propagation:
+    """Validate ``s`` and build what every forward pass of ``kind`` needs from it.
+
+    GCN and GraphSAGE need a finite square matrix; no adjacency check is
+    made here (``model_logits`` makes it for the GCN). The MLP ignores ``s``.
+    """
+    if kind == "mlp":
+        return _Propagation(kind, np.asarray(s, dtype=np.float64))
+    s = require_matrix(s, "structure matrix")
+    if s.shape[0] != s.shape[1]:
+        raise ValueError(f"structure matrix must be square, got {s.shape}")
+    if kind == "gcn":
+        degree, inv_sqrt, s_hat = _gcn_normalization(s)
+        derived = {"degree": degree, "inv_sqrt": inv_sqrt, "s_hat": s_hat}
+    else:
+        row_sum = s.sum(axis=1)
+        derived = {"inv": np.where(row_sum > 0,
+                                   1.0 / np.where(row_sum > 0, row_sum, 1.0), 0.0)}
+    for arr in derived.values():
+        arr.setflags(write=False)
+    return _Propagation(kind, s, **derived)
+
+
+def _as_propagation(kind: str, s) -> _Propagation:
+    """``s`` itself when it is already prepared for ``kind``, else ``_prepare``."""
+    if not isinstance(s, _Propagation):
+        return _prepare(kind, s)
+    if s.kind != kind:
+        raise ValueError(f"structure prepared for {s.kind!r} fed to a {kind!r} model")
+    return s
+
+
+def _forward(params: GnnParams, prop: _Propagation, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Logits plus the intermediates ``backward`` chains through."""
     w = params.weights
     if params.kind == "gcn":
-        degree = s.sum(axis=1) + 1.0
-        inv_sqrt = 1.0 / np.sqrt(degree)
-        s_hat = (s + np.eye(s.shape[0])) * np.outer(inv_sqrt, inv_sqrt)
         xw = x @ w["w1"]
-        z1 = s_hat @ xw
+        z1 = prop.s_hat @ xw
         h1 = np.maximum(z1, 0.0)
         q = h1 @ w["w2"]
-        return s_hat @ q, dict(degree=degree, inv_sqrt=inv_sqrt, s_hat=s_hat,
-                               xw=xw, z1=z1, h1=h1, q=q)
+        return prop.s_hat @ q, dict(xw=xw, z1=z1, h1=h1, q=q)
     if params.kind == "sage":
-        n1, inv = _weighted_neighbor_mean(s, x)
+        # Row-normalized aggregation; isolated rows aggregate to the zero vector.
+        n1 = prop.inv[:, None] * (prop.s @ x)
         z1 = x @ w["w1_self"] + n1 @ w["w1_neigh"]
         h1 = np.maximum(z1, 0.0)
-        n2, _ = _weighted_neighbor_mean(s, h1)
-        return h1 @ w["w2_self"] + n2 @ w["w2_neigh"], dict(inv=inv, n1=n1, z1=z1,
-                                                           h1=h1, n2=n2)
-    if params.kind == "mlp":
-        z1 = x @ w["w1"]
-        h1 = np.maximum(z1, 0.0)
-        return h1 @ w["w2"], dict(z1=z1, h1=h1)
-    raise ValueError(f"unknown model kind {params.kind!r}")
+        n2 = prop.inv[:, None] * (prop.s @ h1)
+        return h1 @ w["w2_self"] + n2 @ w["w2_neigh"], dict(n1=n1, z1=z1, h1=h1, n2=n2)
+    z1 = x @ w["w1"]
+    h1 = np.maximum(z1, 0.0)
+    return h1 @ w["w2"], dict(z1=z1, h1=h1)
 
 
 def own_logits(params: GnnParams, x: np.ndarray) -> np.ndarray:
@@ -170,26 +212,33 @@ def own_logits(params: GnnParams, x: np.ndarray) -> np.ndarray:
     return np.maximum(x @ w[first], 0.0) @ w[second]
 
 
-def model_logits(params: GnnParams, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Kind-appropriate forward pass from the raw structure matrix.
+def model_logits(params: GnnParams, s, x: np.ndarray) -> np.ndarray:
+    """Kind-appropriate forward pass from the raw or prepared structure matrix.
 
-    The GCN path first checks that ``s`` is a valid adjacency: symmetric,
-    zero diagonal, entries in [0, 1].
+    The GCN path first checks that the structure is a valid adjacency:
+    symmetric, zero diagonal, entries in [0, 1].
     """
+    prop = _as_propagation(params.kind, s)
     if params.kind == "gcn":
-        s = _check_adjacency(require_matrix(s, "structure matrix"), "structure matrix")
-    return _forward(params, s, x)[0]
+        _check_adjacency(prop.s, "structure matrix")
+    return _forward(params, prop, x)[0]
 
 
 # ---------------------------------------------------------------------------
 # Loss and gradients
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise class probabilities, shifted by the row maximum for stability."""
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits shifted by their row maximum, their exponentials, and the row sums."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    return shifted, expd, expd.sum(axis=1, keepdims=True)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise class probabilities, shifted by the row maximum for stability."""
+    _, expd, total = _shifted_exp(logits)
+    return expd / total
 
 
 def _check_mask(mask, n: int) -> np.ndarray:
@@ -201,35 +250,43 @@ def _check_mask(mask, n: int) -> np.ndarray:
     return m
 
 
+def _mean_nll(shifted: np.ndarray, total: np.ndarray, labels: np.ndarray,
+              m: np.ndarray) -> float:
+    log_probs = shifted - np.log(total)
+    picked = log_probs[np.arange(shifted.shape[0]), labels]
+    return float(-picked[m].mean())
+
+
 def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
     """Mean negative log-likelihood over the masked nodes."""
     logits = require_matrix(logits, "logits")
     m = _check_mask(mask, logits.shape[0])
     labels = np.asarray(labels, dtype=np.int64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    picked = log_probs[np.arange(logits.shape[0]), labels]
-    return float(-picked[m].mean())
+    shifted, _, total = _shifted_exp(logits)
+    return _mean_nll(shifted, total, labels, m)
 
 
 def _loss_grad_logits(logits, labels, mask) -> tuple[float, np.ndarray]:
+    """``masked_cross_entropy`` and its logit gradient from one exp pass."""
     if not np.all(np.isfinite(logits)):
         raise NumericError("classifier logits overflowed during training")
     m = _check_mask(mask, logits.shape[0])
-    probs = softmax(logits)
-    n = logits.shape[0]
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
+    shifted, expd, total = _shifted_exp(logits)
+    grad = expd / total
+    grad[np.arange(logits.shape[0]), labels] -= 1.0
     grad[~m] = 0.0
     grad /= m.sum()
-    return masked_cross_entropy(logits, labels, mask), grad
+    return _mean_nll(shifted, total, labels, m), grad
 
 
-def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
+def backward(s, x: np.ndarray, labels: np.ndarray, mask,
              params: GnnParams, structure: bool = True
              ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
     """Loss plus exact gradients for all weights and for the raw structure.
 
+    ``s`` is the raw structure matrix or one prepared for this model kind
+    (``_prepare``); a loop over one structure prepares it once. It is not
+    checked to be an adjacency, so gradients can be probed anywhere.
     The structure gradient is returned symmetrized, (G + G^T) / 2, which is
     the form the joint optimizer consumes; under a symmetric perturbation of
     the pair (i, j), (j, i) the directional derivative is twice the
@@ -239,19 +296,17 @@ def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
     x = require_matrix(x, "features")
     labels = np.asarray(labels, dtype=np.int64)
     w = params.weights
-    if params.kind != "mlp":
-        s = require_matrix(s, "structure matrix")
-    logits, c = _forward(params, s, x)
+    prop = _as_propagation(params.kind, s)
+    logits, c = _forward(params, prop, x)
     loss, g = _loss_grad_logits(logits, labels, mask)
 
     if params.kind == "mlp":
         dz1 = (g @ w["w2"].T) * (c["z1"] > 0)
         grads = {"w1": x.T @ dz1, "w2": c["h1"].T @ g}
-        grad_s = np.zeros_like(np.asarray(s, dtype=np.float64)) if structure else None
-        return loss, grads, grad_s
+        return loss, grads, np.zeros_like(prop.s) if structure else None
 
     if params.kind == "gcn":
-        s_hat, inv_sqrt = c["s_hat"], c["inv_sqrt"]
+        s_hat, inv_sqrt = prop.s_hat, prop.inv_sqrt
         dq = s_hat.T @ g
         dz1 = (dq @ w["w2"].T) * (c["z1"] > 0)
         grads = {"w1": x.T @ (s_hat.T @ dz1), "w2": c["h1"].T @ dq}
@@ -260,16 +315,18 @@ def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
 
         # Chain through s_hat = D^{-1/2} (S + I) D^{-1/2}: the direct entry
         # term, plus the row/column coupling through the degree of node i.
-        g_hat = g @ c["q"].T + dz1 @ c["xw"].T
-        prod = g_hat * s_hat
-        phi = -(prod.sum(axis=1) + prod.sum(axis=0)) / (2.0 * c["degree"])
-        grad_s = g_hat * np.outer(inv_sqrt, inv_sqrt) + phi[:, None]
-        return loss, grads, (grad_s + grad_s.T) / 2.0
+        grad_s = g @ c["q"].T + dz1 @ c["xw"].T
+        prod = grad_s * s_hat
+        phi = -(prod.sum(axis=1) + prod.sum(axis=0)) / (2.0 * prop.degree)
+        del prod
+        grad_s *= np.outer(inv_sqrt, inv_sqrt)
+        grad_s += phi[:, None]
+        return loss, grads, _symmetrized(grad_s)
 
-    inv, n1, n2, h1 = c["inv"], c["n1"], c["n2"], c["h1"]
+    inv, n1, n2, h1 = prop.inv, c["n1"], c["n2"], c["h1"]
     dn2 = g @ w["w2_neigh"].T
     t2 = inv[:, None] * dn2
-    dh1 = g @ w["w2_self"].T + s.T @ t2
+    dh1 = g @ w["w2_self"].T + prop.s.T @ t2
     dz1 = dh1 * (c["z1"] > 0)
     grads = {
         "w1_self": x.T @ dz1,
@@ -282,9 +339,24 @@ def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
     t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
     # d/dS[i,j] of the weighted mean row i is (h_j - mean_i) / rowsum_i;
     # isolated rows have inv = 0 so nothing flows.
-    grad_s = (t2 @ h1.T - (t2 * n2).sum(axis=1)[:, None]) \
-        + (t1 @ x.T - (t1 * n1).sum(axis=1)[:, None])
-    return loss, grads, (grad_s + grad_s.T) / 2.0
+    grad_s = t2 @ h1.T
+    grad_s -= (t2 * n2).sum(axis=1)[:, None]
+    first_layer = t1 @ x.T
+    first_layer -= (t1 * n1).sum(axis=1)[:, None]
+    grad_s += first_layer
+    return loss, grads, _symmetrized(grad_s)
+
+
+def _symmetrized(grad_s: np.ndarray) -> np.ndarray:
+    """(G + G^T) / 2.
+
+    The structure gradients build their n x n arrays in place, with the same
+    arithmetic bit for bit: fresh arrays of that size cost page faults and
+    set the structure step's peak memory.
+    """
+    sym = grad_s + grad_s.T
+    sym /= 2.0
+    return sym
 
 
 def predict(logits: np.ndarray) -> np.ndarray:
@@ -391,9 +463,10 @@ def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
     params = init_params(kind, snapshot.features.shape[1], hidden=hidden,
                          classes=2, seed=cfg.seed)
     state = AdamState.for_params(params)
+    prop = _prepare(kind, s)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        loss, grads, _ = backward(s, snapshot.features, snapshot.labels,
+        loss, grads, _ = backward(prop, snapshot.features, snapshot.labels,
                                   cfg.train_mask, params, structure=False)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")

@@ -274,3 +274,40 @@ def test_report_rejects_malformed_input(tmp_path, capsys):
     bad.write_text("{\"format_version\": 1}")
     assert main(["report", "-i", str(bad)]) == 2
     assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "attack"])
+def test_missing_input_file_is_data_error(command, tmp_path, capsys):
+    missing = tmp_path / "missing.input"
+    assert main([command, "-i", str(missing), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "missing.input" in err
+    assert "Traceback" not in err
+
+
+def test_attack_on_invalid_json_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "snap.json"
+    bad.write_text("{not json", encoding="utf-8")
+    assert main(["attack", "-i", str(bad), "-o", str(tmp_path / "out")]) == 2
+    assert "data error: cannot read snapshot" in capsys.readouterr().err
+
+
+def test_detect_missing_flow_file_is_data_error(tmp_path, flows_train_csv,
+                                                capsys):
+    cfg = _write_json(tmp_path / "train.json", {"gsl": {"outer_iters": 1}})
+    out_dir = tmp_path / "model"
+    assert main(["train", "-i", str(flows_train_csv), "--config", cfg,
+                 "-o", str(out_dir)]) == 0
+    capsys.readouterr()
+    code = main(["detect", "-i", str(tmp_path / "missing.csv"),
+                 "-b", str(out_dir / "bundle.json"),
+                 "-o", str(tmp_path / "alerts.jsonl")])
+    assert code == 2
+    assert "data error: cannot read flow file" in capsys.readouterr().err
+
+
+def test_experiment_missing_csv_is_data_error(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "exp.json",
+                      {"csv_path": str(tmp_path / "missing.csv"), "runs": 1})
+    assert main(["experiment", "--config", cfg, "-o", str(tmp_path / "r")]) == 2
+    assert "data error: cannot read flow file" in capsys.readouterr().err

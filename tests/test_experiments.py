@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridsentry import attacks, codec
+from gridsentry import attacks, codec, experiments
 from gridsentry.errors import DataError
 from gridsentry.experiments import (MODELS, CellResult, Confusion,
                                     ExperimentConfig, MetricsReport,
@@ -377,3 +377,30 @@ def test_load_merged_snapshot_rejects_empty(tmp_path):
         "ts,src_ip,dst_ip,proto,src_port,dst_port,bytes,pkts,dur,label,attack_type\n")
     with pytest.raises(DataError, match="no usable flows"):
         load_merged_snapshot(empty)
+
+
+@pytest.mark.parametrize("attack_kind,per_rate", [("evasion", False),
+                                                  ("poisoning", True)])
+def test_grid_training_count(attack_kind, per_rate, monkeypatch):
+    """Evasion trains each model once per run, poisoning once per rate too."""
+    calls = {"train": 0, "fit": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(experiments, "train", counting("train", experiments.train))
+    monkeypatch.setattr(experiments.gsl, "fit", counting("fit", experiments.gsl.fit))
+    rates = [0.0, 0.3, 0.5]
+    result = run_experiment(_tiny_config(runs=2, rates=rates,
+                                         attack_kind=attack_kind))
+    factor = 2 * (len(rates) if per_rate else 1)
+    assert calls == {"train": 3 * factor, "fit": 2 * factor}
+    assert set(result.histories) == {(m, rate, r) for m in ("GSL-GCN", "GSL-GraphSAGE")
+                                     for rate in rates for r in (0, 1)}
+    if not per_rate:
+        for m in ("GSL-GCN", "GSL-GraphSAGE"):
+            for r in (0, 1):
+                assert result.histories[(m, 0.0, r)] is result.histories[(m, 0.5, r)]

@@ -228,3 +228,10 @@ def test_feature_config_validation():
         FeatureConfig(window_seconds=0)
     with pytest.raises(ValueError):
         FeatureConfig(zscore_stats=(np.zeros(3), np.zeros(3)))
+
+
+def test_unopenable_path_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read flow file"):
+        parse_flows(tmp_path / "missing.csv")
+    with pytest.raises(DataError, match="cannot read flow file"):
+        parse_flows(str(tmp_path))  # a directory

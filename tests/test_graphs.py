@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gridsentry.errors import DataError
 from gridsentry.graphs import (GraphSnapshot, SbmSpec, laplacian,
                                load_snapshot, normalized_adjacency,
                                save_snapshot, sbm_generate, smoothness)
@@ -182,3 +183,15 @@ def test_snapshot_format_version_checked(tmp_path, sbm60):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_snapshot(path)
+
+
+def test_unreadable_snapshot_file_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read snapshot"):
+        load_snapshot(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    with pytest.raises(DataError, match="cannot read snapshot"):
+        load_snapshot(bad)
+    bad.write_bytes(b"\xff\xfe")
+    with pytest.raises(DataError, match="cannot read snapshot"):
+        load_snapshot(bad)

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from gridsentry import gsl, models
 from gridsentry.attacks import PerturbationSpec, apply
-from gridsentry.experiments import split
+from gridsentry.experiments import split, write_history_csv
 from gridsentry.graphs import sbm_generate
 from gridsentry.gsl import (ADDED_WEIGHT, PRUNED_WEIGHT, GslConfig, GslState,
                             StructureDiff, class_beliefs, fit, objective,
@@ -20,6 +21,7 @@ from gridsentry.models import TrainConfig, init_params, masked_cross_entropy, \
 
 from conftest import SBM12, random_symmetric
 from test_acceptance import ROBUST_SBM
+from test_models import _count_preparations
 
 
 def _tiny():
@@ -309,3 +311,56 @@ def test_refine_structure_is_label_free_and_valid(sbm12):
     assert np.all(np.diagonal(out) == 0.0)
     assert out.min() >= 0.0 and out.max() <= 1.0
     assert not np.array_equal(out, sbm12.adjacency)
+
+
+def test_fit_prepares_each_structure_once(sbm60, masks60, monkeypatch):
+    calls = _count_preparations(monkeypatch, gsl)
+    train_mask, test_mask = masks60
+    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    fit(sbm60.adjacency, sbm60.features, sbm60.labels, "sage",
+        GslConfig(outer_iters=4), tcfg)
+    assert calls == ["sage"] * (4 + 1)
+
+
+def test_structure_step_rejects_a_propagation_of_another_matrix():
+    s, a, x, labels, mask, theta = _tiny()
+    state = GslState(s=s.copy(), a=a, theta=theta)
+    with pytest.raises(ValueError, match="another structure"):
+        structure_step(state, x, labels, mask, GslConfig(),
+                       propagation=models._prepare("gcn", s.copy()))
+
+
+# Objective histories of 5 outer iterations on the 60-node fixture, as
+# write_history_csv prints them. Pinned so that a change to any step of fit
+# (forward, gradients, beliefs, structure step, objective) shows here.
+FIT_HISTORY_CSV = {
+    "gcn": (
+        "iteration,total,task,nuclear,l1,smooth,prox\n"
+        "0,56.9112559992,0.726707795525,34.1406918289,0.24,21.8038563748,0\n"
+        "1,53.157128076,0.40248566102,33.1646092614,0.236474246578,19.2492232554,0.104335651516\n"
+        "2,50.0753286323,0.211168512834,32.2699850824,0.233155841919,16.9703582997,0.390660895443\n"
+        "3,47.4666998884,0.101022850506,31.4533727342,0.230033205256,14.8596392182,0.822631880201\n"
+        "4,45.2270058876,0.0432240771044,30.7094090668,0.227100513343,12.8785963861,1.3686758442\n"
+        "5,43.2950607045,0.0180761182598,30.0310980516,0.224364827155,11.0198621697,2.00165953769\n"
+    ),
+    "sage": (
+        "iteration,total,task,nuclear,l1,smooth,prox\n"
+        "0,56.8958541812,0.711061143235,34.1406918289,0.24,21.8041012091,0\n"
+        "1,52.8561414563,0.0775958808658,33.1635565462,0.236488903387,19.2739629501,0.104537175766\n"
+        "2,49.8893289221,0.00739365908379,32.2692264769,0.233155989138,16.9891144078,0.390438389133\n"
+        "3,47.3707829997,0.00134259302713,31.4533852466,0.230020572721,14.8651198607,0.820914726683\n"
+        "4,45.1769702237,0.000463175931591,30.7104197175,0.227081614334,12.8745274573,1.36447825865\n"
+        "5,43.2688255666,0.000235881102195,30.0329356724,0.224346397893,11.0168830809,1.99442453433\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage"])
+def test_fit_history_is_pinned(kind, sbm60, masks60, tmp_path):
+    train_mask, test_mask = masks60
+    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    _, _, state = fit(sbm60.adjacency, sbm60.features, sbm60.labels, kind,
+                      GslConfig(outer_iters=5), tcfg)
+    path = tmp_path / "history.csv"
+    write_history_csv(state.objective_history, path)
+    assert path.read_text() == FIT_HISTORY_CSV[kind]

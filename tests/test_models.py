@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from gridsentry import models
 from gridsentry.errors import NumericError
 from gridsentry.graphs import normalized_adjacency
 from gridsentry.models import (GnnParams, TrainConfig, backward, init_params,
@@ -302,3 +303,100 @@ def test_model_load_rejects_inconsistent_dims():
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="format_version"):
         GnnParams.from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# Structure preparation: built once per structure matrix, same bits as raw
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
+def test_prepared_structure_matches_raw_bit_for_bit(kind):
+    s, x, labels, mask = _problem(n=9, d=3, seed=20)
+    params = init_params(kind, 3, hidden=4, seed=21)
+    prop = models._prepare(kind, s)
+    assert np.array_equal(model_logits(params, prop, x), model_logits(params, s, x))
+    raw = backward(s, x, labels, mask, params)
+    prepared = backward(prop, x, labels, mask, params)
+    assert prepared[0] == raw[0]
+    assert prepared[1].keys() == raw[1].keys()
+    for key in raw[1]:
+        assert np.array_equal(prepared[1][key], raw[1][key]), key
+    assert np.array_equal(prepared[2], raw[2])
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage"])
+def test_preparation_rejects_non_finite_and_non_square_structures(kind):
+    s, x, labels, mask = _problem()
+    params = init_params(kind, 3, hidden=4, seed=22)
+    bad = s.copy()
+    bad[0, 1] = bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        models._prepare(kind, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        backward(bad, x, labels, mask, params)
+    with pytest.raises(ValueError, match="must be square"):
+        models._prepare(kind, s[:, :-1])
+
+
+def test_model_logits_checks_a_prepared_gcn_adjacency_on_every_call():
+    s, x, labels, mask = _problem()
+    s[0, 1] += 0.1  # asymmetric: fine for gradients, not a GCN adjacency
+    params = init_params("gcn", 3, hidden=4, seed=23)
+    prop = models._prepare("gcn", s)
+    assert math.isfinite(backward(prop, x, labels, mask, params)[0])
+    with pytest.raises(ValueError, match="symmetric"):
+        model_logits(params, prop, x)
+
+
+def test_prepared_structure_is_read_only_and_bound_to_its_kind():
+    s, x, labels, mask = _problem()
+    prop = models._prepare("gcn", s)
+    with pytest.raises(ValueError):
+        prop.s_hat[0, 0] = 1.0
+    with pytest.raises(ValueError, match="prepared for 'gcn'"):
+        backward(prop, x, labels, mask, init_params("sage", 3, hidden=4, seed=0))
+
+
+def _count_preparations(monkeypatch, *modules):
+    calls = []
+    original = models._prepare
+
+    def counting(kind, s):
+        calls.append(kind)
+        return original(kind, s)
+
+    for module in (models,) + modules:
+        monkeypatch.setattr(module, "_prepare", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
+def test_train_prepares_the_structure_once_per_run(kind, sbm60, masks60,
+                                                   monkeypatch):
+    calls = _count_preparations(monkeypatch)
+    train_mask, test_mask = masks60
+    cfg = TrainConfig(epochs=6, seed=7, train_mask=train_mask, test_mask=test_mask)
+    train(sbm60, sbm60.adjacency, cfg, kind)
+    assert calls == [kind]
+
+
+# Losses of 8 epochs on the 60-node fixture, pinned exactly: a change that
+# moves any bit of the forward pass, the loss or the gradients fails here.
+TRAIN_LOSSES = {
+    "gcn": [0.7267077955247462, 0.6485821530845987, 0.5786923887454161,
+            0.515635737254562, 0.4593262397587387, 0.40937935657537755,
+            0.3649393086060056, 0.32513016091030594],
+    "sage": [0.7110611432352162, 0.47896874972329595, 0.3160846820161755,
+             0.20485927856485922, 0.13068402323943554, 0.08338851559793452,
+             0.05314842725556743, 0.03409348120310604],
+    "mlp": [0.7977978060640315, 0.6864397795776737, 0.5917328892958241,
+            0.510809419971149, 0.44336807451432597, 0.38567712643558344,
+            0.3361839882812763, 0.2936918692669017],
+}
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
+def test_training_losses_are_pinned(kind, sbm60, masks60):
+    train_mask, test_mask = masks60
+    cfg = TrainConfig(epochs=8, seed=7, train_mask=train_mask, test_mask=test_mask)
+    assert train(sbm60, sbm60.adjacency, cfg, kind).losses == TRAIN_LOSSES[kind]
