@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import GraphSnapshot
+from .graphs import GraphSnapshot, _check_adjacency
 from .numerics import make_rng, require_matrix
 
 KINDS = ("poisoning", "evasion")
@@ -87,22 +87,11 @@ class PerturbationReceipt:
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _check_binary_adjacency(a: np.ndarray) -> np.ndarray:
-    arr = require_matrix(a, "adjacency")
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"adjacency must be square, got {arr.shape}")
-    if not np.array_equal(arr, arr.T):
-        raise ValueError("adjacency must be symmetric")
-    if np.any(np.diagonal(arr) != 0):
-        raise ValueError("adjacency must have a zero diagonal")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("structure perturbation needs a binary adjacency")
-    return arr
-
-
-def _upper_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
-    rows, cols = np.nonzero(np.triu(mask, k=1))
-    return list(zip(rows.tolist(), cols.tolist()))
+def _flip(out: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+          value: float) -> list[tuple[int, int]]:
+    """Set the symmetric pairs (rows, cols) of ``out`` to ``value``; the pairs, sorted."""
+    out[rows, cols] = out[cols, rows] = value
+    return sorted(zip(rows.tolist(), cols.tolist()))
 
 
 def perturb_structure(a: np.ndarray, labels: Optional[np.ndarray],
@@ -114,14 +103,15 @@ def perturb_structure(a: np.ndarray, labels: Optional[np.ndarray],
     removes floor(k/2) same-label edges. Raises when the candidate pools are
     too small for the requested budget.
     """
-    a = _check_binary_adjacency(a)
+    a = _check_adjacency(require_matrix(a, "adjacency"))
+    if not np.all((a == 0) | (a == 1)):
+        raise ValueError("structure perturbation needs a binary adjacency")
     n = a.shape[0]
     m = int(round(np.triu(a, k=1).sum()))
     k = int(math.floor(spec.rate * m))
     out = a.copy()
-    receipt = PerturbationReceipt()
     if k == 0:
-        return out, receipt
+        return out, PerturbationReceipt()
 
     rng = make_rng(spec.seed)
     if spec.structure_mode == "random":
@@ -130,48 +120,39 @@ def perturb_structure(a: np.ndarray, labels: Optional[np.ndarray],
             raise ValueError(
                 f"random mode needs {k} candidate pairs, only {n_pairs} exist"
             )
-        chosen = rng.choice(n_pairs, size=k, replace=False)
         # Linear index over the row-major upper triangle.
-        ii, jj = np.triu_indices(n, k=1)
-        for idx in chosen:
-            i, j = int(ii[idx]), int(jj[idx])
-            if out[i, j] > 0:
-                out[i, j] = out[j, i] = 0.0
-                receipt.edges_removed.append((i, j))
-            else:
-                out[i, j] = out[j, i] = 1.0
-                receipt.edges_added.append((i, j))
-    else:
-        if labels is None:
-            raise ValueError("dice mode needs node labels")
-        labels = np.asarray(labels, dtype=np.int64)
-        n_add = (k + 1) // 2
-        n_remove = k // 2
-        same = labels[:, None] == labels[None, :]
-        add_pool = _upper_pairs((a == 0) & ~same)
-        remove_pool = _upper_pairs((a == 1) & same)
-        if len(add_pool) < n_add:
-            raise ValueError(
-                f"dice mode needs {n_add} cross-label non-edges, "
-                f"only {len(add_pool)} available"
-            )
-        if len(remove_pool) < n_remove:
-            raise ValueError(
-                f"dice mode needs {n_remove} same-label edges, "
-                f"only {len(remove_pool)} available"
-            )
-        for idx in rng.choice(len(add_pool), size=n_add, replace=False):
-            i, j = add_pool[int(idx)]
-            out[i, j] = out[j, i] = 1.0
-            receipt.edges_added.append((i, j))
-        for idx in rng.choice(len(remove_pool), size=n_remove, replace=False):
-            i, j = remove_pool[int(idx)]
-            out[i, j] = out[j, i] = 0.0
-            receipt.edges_removed.append((i, j))
+        chosen = rng.choice(n_pairs, size=k, replace=False)
+        rows, cols = (idx[chosen] for idx in np.triu_indices(n, k=1))
+        edge = a[rows, cols] > 0
+        return out, PerturbationReceipt(
+            edges_added=_flip(out, rows[~edge], cols[~edge], 1.0),
+            edges_removed=_flip(out, rows[edge], cols[edge], 0.0),
+        )
 
-    receipt.edges_added.sort()
-    receipt.edges_removed.sort()
-    return out, receipt
+    if labels is None:
+        raise ValueError("dice mode needs node labels")
+    labels = np.asarray(labels, dtype=np.int64)
+    n_add = (k + 1) // 2
+    n_remove = k // 2
+    same = labels[:, None] == labels[None, :]
+    add_rows, add_cols = np.nonzero(np.triu((a == 0) & ~same, k=1))
+    remove_rows, remove_cols = np.nonzero(np.triu((a == 1) & same, k=1))
+    if add_rows.size < n_add:
+        raise ValueError(
+            f"dice mode needs {n_add} cross-label non-edges, "
+            f"only {add_rows.size} available"
+        )
+    if remove_rows.size < n_remove:
+        raise ValueError(
+            f"dice mode needs {n_remove} same-label edges, "
+            f"only {remove_rows.size} available"
+        )
+    add = rng.choice(add_rows.size, size=n_add, replace=False)
+    remove = rng.choice(remove_rows.size, size=n_remove, replace=False)
+    return out, PerturbationReceipt(
+        edges_added=_flip(out, add_rows[add], add_cols[add], 1.0),
+        edges_removed=_flip(out, remove_rows[remove], remove_cols[remove], 0.0),
+    )
 
 
 def perturb_features(x: np.ndarray, spec: PerturbationSpec) -> tuple[np.ndarray, list[int]]:

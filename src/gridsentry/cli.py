@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import attacks, codec, experiments, pipeline
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, load_json_object
 from .flows import FeatureConfig, build_snapshot, parse_flows, window
 from .graphs import SbmSpec, load_snapshot, save_snapshot, sbm_generate
 
@@ -186,11 +186,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
-        report = experiments.MetricsReport.from_dict(doc)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise DataError(f"cannot load report {args.input}: {exc}")
+    report = load_json_object(args.input, "report",
+                              experiments.MetricsReport.from_dict)
     text = experiments.render_report(report, args.format)
     if args.output:
         Path(args.output).write_text(text + ("" if text.endswith("\n") else "\n"),

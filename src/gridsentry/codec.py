@@ -3,9 +3,9 @@
 ``encode`` writes every field of a config dataclass, recursing into nested
 configs and writing tuples as lists; ``decode`` builds the dataclass back
 from such a dict and raises ValueError naming the level on any key it does
-not know. Fields marked with :data:`PROGRAM_SET` are filled in by the
-program (per-run seeds, node masks, z-score statistics), so they are
-neither written nor accepted.
+not know. Config types hold settings only: what the program derives for
+each run, such as a grid run's seed and its node masks, is passed to the
+functions that use it as an argument.
 """
 
 from __future__ import annotations
@@ -14,17 +14,10 @@ import dataclasses
 import types
 import typing
 
-PROGRAM_SET = {"program_set": True}
-
-
-def _fields(cls) -> list[dataclasses.Field]:
-    return [f for f in dataclasses.fields(cls) if not f.metadata.get("program_set")]
-
-
 def encode(obj) -> dict:
-    """Every field of a config dataclass that is not set by the program."""
+    """Every field of a config dataclass."""
     doc = {}
-    for f in _fields(type(obj)):
+    for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             value = encode(value)
@@ -36,7 +29,9 @@ def encode(obj) -> dict:
 
 def decode(cls, doc: dict, level: str):
     """Build ``cls`` from ``doc``; missing keys keep their defaults."""
-    names = {f.name for f in _fields(cls)}
+    if not isinstance(doc, dict):
+        raise ValueError(f"{level} config must be a JSON object")
+    names = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - names)
     if unknown:
         raise ValueError(f"unknown {level} config keys: {unknown}")

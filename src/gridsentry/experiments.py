@@ -270,18 +270,19 @@ class _Trained(NamedTuple):
     history: Optional[list[gsl.ObjectiveParts]]
 
 
-def _train_model(model: str, snapshot: GraphSnapshot, train_cfg: TrainConfig,
-                 gsl_cfg: gsl.GslConfig) -> _Trained:
+def _train_model(model: str, snapshot: GraphSnapshot, cfg: ExperimentConfig,
+                 mask: np.ndarray, seed: int) -> _Trained:
     """Train one grid model on ``snapshot``; GSL models also learn a structure."""
     if model in _PLAIN_KINDS:
-        result = train(snapshot, snapshot.adjacency, train_cfg, _PLAIN_KINDS[model])
+        result = train(snapshot, snapshot.adjacency, cfg.train, _PLAIN_KINDS[model],
+                       mask, seed)
         return _Trained(result.params, None, None)
     if model not in ("GSL-GCN", "GSL-GraphSAGE"):
         raise ValueError(f"unknown model {model!r}")
     kind = "gcn" if model == "GSL-GCN" else "sage"
     s_final, theta, state = gsl.fit(
         snapshot.adjacency, snapshot.features, snapshot.labels,
-        kind, gsl_cfg, train_cfg,
+        kind, cfg.gsl, cfg.train, mask, seed,
     )
     return _Trained(theta, s_final, state.objective_history)
 
@@ -335,12 +336,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 window=snapshot.window,
                 feature_names=list(snapshot.feature_names),
             )
-        train_cfg = replace(cfg.train, seed=seed_r, train_mask=train_mask,
-                            val_mask=None, test_mask=test_mask)
-
         # Evasion attacks only the graph a model is evaluated on, so each
         # model trains once per run on the clean graph.
-        clean_models = {model: _train_model(model, snapshot, train_cfg, cfg.gsl)
+        clean_models = {model: _train_model(model, snapshot, cfg, train_mask, seed_r)
                         for model in cfg.models} if evasion else {}
         for rate in cfg.rates:
             pspec = attacks.PerturbationSpec(
@@ -355,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                          "inference" if evasion else "training")
             for model in cfg.models:
                 trained = clean_models[model] if evasion else _train_model(
-                    model, perturbed, train_cfg, cfg.gsl)
+                    model, perturbed, cfg, train_mask, seed_r)
                 y_pred = _predictions(model, trained, perturbed, cfg.gsl, evasion)
                 conf = Confusion.from_predictions(snapshot.labels, y_pred, test_mask)
                 per_cell[(model, rate)].append(metrics(conf))

@@ -37,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import PROGRAM_SET
 from .errors import DataError
 from .graphs import GraphSnapshot
 
@@ -113,24 +112,13 @@ class ParseStats:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Windowing and standardization settings for snapshot construction."""
+    """Windowing settings for snapshot construction."""
 
     window_seconds: int = 300
-    zscore_stats: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, metadata=PROGRAM_SET)
 
     def __post_init__(self):
         if self.window_seconds <= 0:
             raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
-        if self.zscore_stats is not None:
-            mean, std = self.zscore_stats
-            mean = np.asarray(mean, dtype=np.float64)
-            std = np.asarray(std, dtype=np.float64)
-            if mean.shape != std.shape or mean.ndim != 1:
-                raise ValueError("zscore stats must be two equal-length vectors")
-            if np.any(std <= 0):
-                raise ValueError("zscore std entries must be positive")
-            object.__setattr__(self, "zscore_stats", (mean, std))
 
 
 def _resolve_columns(fieldnames) -> dict:
@@ -416,8 +404,6 @@ def build_snapshot(flows: list[FlowRecord], cfg: FeatureConfig) -> GraphSnapshot
             duration_sum / touch,
         ]
     )
-    if cfg.zscore_stats is not None:
-        features = apply_zscore(features, cfg.zscore_stats)
 
     labels = (attack_touch / touch > 0.5).astype(np.int64)
     return GraphSnapshot(

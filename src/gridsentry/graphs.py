@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import load_json_object
 from .numerics import make_rng, require_matrix
 
 SNAPSHOT_FORMAT_VERSION = 1
@@ -119,12 +119,8 @@ def save_snapshot(snapshot: GraphSnapshot, path) -> None:
 
 
 def load_snapshot(path) -> GraphSnapshot:
-    """Read a snapshot file; a file that cannot be read or parsed is a DataError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read snapshot {path}: {exc}") from exc
-    return GraphSnapshot.from_dict(doc)
+    """Read a snapshot file; one that cannot be read or built from is a DataError."""
+    return load_json_object(path, "snapshot", GraphSnapshot.from_dict)
 
 
 def _gcn_normalization(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

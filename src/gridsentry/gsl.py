@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import NumericError
 from .graphs import smoothness
-from .models import (AdamState, GnnParams, TrainConfig, _prepare, _Propagation,
-                     adam_step, backward, init_params, masked_cross_entropy,
-                     model_logits, own_logits, softmax)
+from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _prepare,
+                     _Propagation, adam_step, backward, init_params,
+                     masked_cross_entropy, model_logits, own_logits, softmax)
 from .numerics import (nuclear_norm, require_matrix, soft_threshold, svt,
                        symmetrize_clamp)
 
@@ -239,11 +239,12 @@ def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray],
 
 
 def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
-        gsl_cfg: GslConfig, train_cfg: TrainConfig,
+        gsl_cfg: GslConfig, train_cfg: TrainConfig, mask, seed: int,
         hidden: int = 16) -> tuple[np.ndarray, GnnParams, GslState]:
     """Alternate classifier epochs with structure steps for a fixed budget.
 
-    Starts from S = A and Glorot-initialized parameters. Each outer iteration
+    Starts from S = A and parameters Glorot-initialized from ``seed``; the
+    task loss is taken over the nodes in ``mask``. Each outer iteration
     runs ``inner_theta_steps`` Adam updates of the classifier on the task
     loss, refreshes the class beliefs the smoothness term is measured on,
     then takes one structure step. The weighted objective, with that
@@ -256,11 +257,9 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     a = require_matrix(a, "observed adjacency").copy()
     x = require_matrix(x, "features")
     labels = np.asarray(labels, dtype=np.int64)
-    train_cfg.validate_masks(a.shape[0])
-    mask = train_cfg.train_mask
+    mask = _check_mask(mask, a.shape[0])
 
-    theta = init_params(gnn_kind, x.shape[1], hidden=hidden, classes=2,
-                        seed=train_cfg.seed)
+    theta = init_params(gnn_kind, x.shape[1], hidden=hidden, classes=2, seed=seed)
     adam = AdamState.for_params(theta)
     state = GslState(s=a.copy(), a=a, theta=theta, iteration=0,
                      signal=class_beliefs(theta, a, x, labels, mask))

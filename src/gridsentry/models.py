@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import PROGRAM_SET
 from .errors import NumericError
 from .graphs import GraphSnapshot, _check_adjacency, _gcn_normalization
 from .numerics import make_rng, require_matrix
@@ -80,6 +79,8 @@ class GnnParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GnnParams":
+        if not isinstance(doc, dict):
+            raise ValueError("model params must be a JSON object")
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported model format_version {doc.get('format_version')!r}"
@@ -368,13 +369,12 @@ def predict(logits: np.ndarray) -> np.ndarray:
 # Training
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Full-batch Adam settings plus the node masks.
+    """Full-batch Adam settings; training runs a fixed number of epochs.
 
     ``weight_decay`` is classic L2-in-the-gradient decay applied to every
-    weight matrix; ``val_mask`` is carried for reporting only, training runs
-    a fixed number of epochs.
+    weight matrix.
     """
 
     epochs: int = 200
@@ -383,11 +383,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 5e-4
-    # Set by the program (per-run seed, split masks), never read from a config.
-    seed: int = field(default=0, metadata=PROGRAM_SET)
-    train_mask: np.ndarray | None = field(default=None, metadata=PROGRAM_SET)
-    val_mask: np.ndarray | None = field(default=None, metadata=PROGRAM_SET)
-    test_mask: np.ndarray | None = field(default=None, metadata=PROGRAM_SET)
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -398,20 +393,6 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if self.eps <= 0 or self.weight_decay < 0:
             raise ValueError("eps must be positive and weight_decay non-negative")
-
-    def validate_masks(self, n: int) -> None:
-        if self.train_mask is None:
-            raise ValueError("train_mask is required")
-        train = _check_mask(self.train_mask, n)
-        for name in ("val_mask", "test_mask"):
-            other = getattr(self, name)
-            if other is None:
-                continue
-            other = np.asarray(other, dtype=bool)
-            if other.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-            if np.any(train & other):
-                raise ValueError(f"{name} overlaps the train mask")
 
 
 @dataclass
@@ -450,24 +431,24 @@ class TrainResult:
 
 
 def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
-          hidden: int = 16) -> TrainResult:
+          mask, seed: int, hidden: int = 16) -> TrainResult:
     """Full-batch training of one model on the given structure matrix.
 
-    The per-epoch loss is recorded before each update, so ``losses[0]`` is
-    the loss at initialization.
+    The loss is taken over the nodes in ``mask``; ``seed`` draws the initial
+    weights. The per-epoch loss is recorded before each update, so
+    ``losses[0]`` is the loss at initialization.
     """
     if snapshot.labels is None:
         raise ValueError("training needs a labeled snapshot")
-    n = snapshot.n_nodes
-    cfg.validate_masks(n)
+    mask = _check_mask(mask, snapshot.n_nodes)
     params = init_params(kind, snapshot.features.shape[1], hidden=hidden,
-                         classes=2, seed=cfg.seed)
+                         classes=2, seed=seed)
     state = AdamState.for_params(params)
     prop = _prepare(kind, s)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         loss, grads, _ = backward(prop, snapshot.features, snapshot.labels,
-                                  cfg.train_mask, params, structure=False)
+                                  mask, params, structure=False)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         losses.append(loss)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import codec, gsl
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, load_json_object
 from .flows import (FeatureConfig, apply_zscore, build_snapshot,
                     compute_zscore_stats, parse_flows, window)
 from .graphs import GraphSnapshot
@@ -123,29 +123,26 @@ class DetectorBundle:
 
     @classmethod
     def load(cls, path) -> "DetectorBundle":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read detector bundle {path}: {exc}") from exc
+        return load_json_object(path, "detector bundle", cls.from_dict)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "DetectorBundle":
         if doc.get("format_version") != BUNDLE_FORMAT_VERSION:
-            raise DataError(
+            raise ValueError(
                 f"unsupported bundle format_version {doc.get('format_version')!r}"
             )
-        try:
-            return cls(
-                params=GnnParams.from_dict(doc["params"]),
-                gsl_cfg=codec.decode(gsl.GslConfig, doc["gsl"], "gsl"),
-                zscore_mean=np.asarray(doc["zscore_mean"], dtype=np.float64),
-                zscore_std=np.asarray(doc["zscore_std"], dtype=np.float64),
-                feature_names=list(doc["feature_names"]),
-                window_seconds=int(doc["window_seconds"]),
-                score_threshold=float(doc["score_threshold"]),
-                isolate_threshold=float(doc["isolate_threshold"]),
-                detect_refine_steps=int(doc["detect_refine_steps"]),
-                model_version=str(doc["model_version"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed detector bundle {path}: {exc}") from exc
+        return cls(
+            params=GnnParams.from_dict(doc["params"]),
+            gsl_cfg=codec.decode(gsl.GslConfig, doc["gsl"], "gsl"),
+            zscore_mean=np.asarray(doc["zscore_mean"], dtype=np.float64),
+            zscore_std=np.asarray(doc["zscore_std"], dtype=np.float64),
+            feature_names=list(doc["feature_names"]),
+            window_seconds=int(doc["window_seconds"]),
+            score_threshold=float(doc["score_threshold"]),
+            isolate_threshold=float(doc["isolate_threshold"]),
+            detect_refine_steps=int(doc["detect_refine_steps"]),
+            model_version=str(doc["model_version"]),
+        )
 
 
 @dataclass
@@ -190,11 +187,9 @@ def train_from_snapshot(snapshot: GraphSnapshot,
         )
     stats = compute_zscore_stats(snapshot.features)
     features = apply_zscore(snapshot.features, stats)
-    train_cfg = replace(cfg.train, seed=cfg.seed,
-                        train_mask=np.ones(snapshot.n_nodes, dtype=bool),
-                        val_mask=None, test_mask=None)
     _, theta, state = gsl.fit(snapshot.adjacency, features, snapshot.labels,
-                              cfg.gnn_kind, cfg.gsl, train_cfg)
+                              cfg.gnn_kind, cfg.gsl, cfg.train,
+                              np.ones(snapshot.n_nodes, dtype=bool), cfg.seed)
     bundle = DetectorBundle(
         params=theta,
         gsl_cfg=cfg.gsl,

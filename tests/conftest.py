@@ -12,7 +12,6 @@ from hypothesis import settings
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.experiments import split
 from gridsentry.graphs import SbmSpec, sbm_generate
-from gridsentry.models import TrainConfig
 
 from pathlib import Path
 
@@ -64,12 +63,6 @@ def poisoned60(sbm60):
 @pytest.fixture(scope="session")
 def masks60(sbm60):
     return split(sbm60.labels, 0.8, seed=7)
-
-
-@pytest.fixture()
-def train_cfg60(masks60):
-    train_mask, test_mask = masks60
-    return TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
 
 
 @pytest.fixture(scope="session")

@@ -237,9 +237,8 @@ def test_criterion_04_numerical_oracles():
 
 def test_criterion_05_structure_descent(grid, sbm12):
     mask = np.ones(12, dtype=bool)
-    theta = train(sbm12, sbm12.adjacency,
-                  TrainConfig(epochs=30, seed=11, train_mask=mask),
-                  "gcn").params
+    theta = train(sbm12, sbm12.adjacency, TrainConfig(epochs=30), "gcn",
+                  mask, seed=11).params
     cfg = GslConfig(eta_s=1e-3)
     state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy(),
                      theta=theta)
@@ -264,10 +263,9 @@ def test_criterion_05_structure_descent(grid, sbm12):
 
 def test_criterion_06_structure_recovery(poisoned60, masks60):
     snap, receipt = poisoned60
-    train_mask, test_mask = masks60
-    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    train_mask, _ = masks60
     _, _, state = fit(snap.adjacency, snap.features, snap.labels, "gcn",
-                      GslConfig(), tcfg)
+                      GslConfig(), TrainConfig(), train_mask, seed=7)
     pruned = {(i, j) for i, j, _ in refine_report(state).pruned}
     attack_edges = set(receipt.edges_added)
     precision = len(pruned & attack_edges) / len(pruned) if pruned else 0.0

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gridsentry.attacks import (PerturbationSpec, apply, perturb_features,
-                                perturb_structure)
+from gridsentry.attacks import (STRUCTURE_MODES, PerturbationSpec, apply,
+                                perturb_features, perturb_structure)
 from gridsentry.experiments import split
+from gridsentry.graphs import SbmSpec, sbm_generate
 from gridsentry.models import TrainConfig, model_logits, predict, train
 
 
@@ -46,6 +49,39 @@ def test_receipt_replays_the_edit(mode, sbm60):
     assert np.array_equal(replay, out)
     assert receipt.edges_added == sorted(receipt.edges_added)
     assert receipt.edges_removed == sorted(receipt.edges_removed)
+
+
+@given(n=st.integers(2, 30), p_in=st.floats(0.05, 1.0),
+       graph_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
+       rate=st.floats(0.0, 1.0), mode=st.sampled_from(STRUCTURE_MODES))
+def test_receipt_replay_property(n, p_in, graph_seed, seed, rate, mode):
+    snap = sbm_generate(SbmSpec(n=n, p_in=p_in, p_out=p_in / 2, feature_dim=1,
+                                seed=graph_seed))
+    a, labels = snap.adjacency, snap.labels
+    same = labels[:, None] == labels[None, :]
+    k = math.floor(rate * _edge_count(a))
+    spec = PerturbationSpec(rate=rate, structure_mode=mode, seed=seed)
+    try:
+        out, receipt = perturb_structure(a, labels, spec)
+    except ValueError:
+        # Only DICE can run short, and only when a candidate pool is too small.
+        assert mode == "dice"
+        assert (np.triu((a == 0) & ~same, k=1).sum() < (k + 1) // 2
+                or np.triu((a == 1) & same, k=1).sum() < k // 2)
+        return
+    replay = a.copy()
+    for i, j in receipt.edges_added:
+        assert i < j and a[i, j] == 0.0
+        replay[i, j] = replay[j, i] = 1.0
+    for i, j in receipt.edges_removed:
+        assert i < j and a[i, j] == 1.0
+        replay[i, j] = replay[j, i] = 0.0
+    assert np.array_equal(replay, out)
+    edited = set(receipt.edges_added) | set(receipt.edges_removed)
+    assert len(edited) == len(receipt.edges_added) + len(receipt.edges_removed) == k
+    if mode == "dice":
+        assert all(not same[i, j] for i, j in receipt.edges_added)
+        assert all(same[i, j] for i, j in receipt.edges_removed)
 
 
 def test_rate_zero_changes_nothing(sbm60):
@@ -181,8 +217,8 @@ def test_spec_validation():
 
 def test_evasion_degrades_a_clean_trained_model(sbm60_sharp):
     train_mask, test_mask = split(sbm60_sharp.labels, 0.8, seed=7)
-    cfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
-    result = train(sbm60_sharp, sbm60_sharp.adjacency, cfg, "gcn")
+    result = train(sbm60_sharp, sbm60_sharp.adjacency, TrainConfig(), "gcn",
+                   train_mask, seed=7)
 
     def accuracy(snap):
         pred = predict(model_logits(result.params, snap.adjacency,

@@ -292,6 +292,26 @@ def test_attack_on_invalid_json_is_data_error(tmp_path, capsys):
     assert "data error: cannot read snapshot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, doc", [
+    ("attack", "-i", {"format_version": 1}),
+    ("attack", "-i", []),
+    ("detect", "-b", []),
+    ("detect", "-b", {"format_version": 1, "params": []}),
+    ("report", "-i", []),
+    ("report", "-i", {"format_version": 1, "config": {}, "seeds": [], "cells": 5}),
+])
+def test_malformed_json_document_is_data_error(command, flag, doc, tmp_path,
+                                               flows_detect_csv, capsys):
+    path = _write_json(tmp_path / "doc.json", doc)
+    argv = [command, flag, path, "-o", str(tmp_path / "out")]
+    if command == "detect":
+        argv += ["-i", str(flows_detect_csv)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: malformed") and "doc.json" in err
+    assert "Traceback" not in err
+
+
 def test_detect_missing_flow_file_is_data_error(tmp_path, flows_train_csv,
                                                 capsys):
     cfg = _write_json(tmp_path / "train.json", {"gsl": {"outer_iters": 1}})

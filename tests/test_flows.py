@@ -226,8 +226,6 @@ def test_zscore_stats_and_application():
 def test_feature_config_validation():
     with pytest.raises(ValueError):
         FeatureConfig(window_seconds=0)
-    with pytest.raises(ValueError):
-        FeatureConfig(zscore_stats=(np.zeros(3), np.zeros(3)))
 
 
 def test_unopenable_path_is_data_error(tmp_path):

@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridsentry.errors import DataError
 from gridsentry.graphs import (GraphSnapshot, SbmSpec, laplacian,
@@ -181,8 +185,50 @@ def test_snapshot_format_version_checked(tmp_path, sbm60):
     doc = json.loads(path.read_text())
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="format_version"):
         load_snapshot(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def snapshots(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    upper = np.triu(np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n,
+                                           max_size=n * n))).reshape(n, n), k=1)
+    features = draw(st.lists(FINITE, min_size=n * d, max_size=n * d))
+    labels = draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    start, end = sorted(draw(st.lists(FINITE, min_size=2, max_size=2)))
+    return GraphSnapshot(
+        node_ids=draw(st.lists(st.text(max_size=6), min_size=n, max_size=n,
+                               unique=True)),
+        adjacency=upper + upper.T,
+        features=np.array(features).reshape(n, d),
+        labels=None if labels is None else np.array(labels),
+        window=(start, end),
+        feature_names=draw(st.lists(st.text(max_size=6), min_size=d, max_size=d)),
+    )
+
+
+@given(snapshots())
+def test_snapshot_round_trip_property(snap):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        save_snapshot(snap, first)
+        back = load_snapshot(first)
+        save_snapshot(back, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert back.node_ids == snap.node_ids
+    assert back.feature_names == snap.feature_names
+    assert back.window == snap.window
+    for name in ("adjacency", "features"):
+        assert np.array_equal(getattr(back, name), getattr(snap, name))
+    if snap.labels is None:
+        assert back.labels is None
+    else:
+        assert np.array_equal(back.labels, snap.labels)
 
 
 def test_unreadable_snapshot_file_is_data_error(tmp_path):

@@ -105,8 +105,8 @@ def test_descent_on_small_fixture(theta_source, sbm12):
     if theta_source == "initialized":
         theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
     else:
-        tcfg = TrainConfig(epochs=30, seed=11, train_mask=mask)
-        theta = train(sbm12, sbm12.adjacency, tcfg, "gcn").params
+        theta = train(sbm12, sbm12.adjacency, TrainConfig(epochs=30), "gcn",
+                      mask, seed=11).params
     cfg = GslConfig(eta_s=1e-3)
     state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy(),
                      theta=theta)
@@ -123,8 +123,8 @@ def test_descent_on_small_fixture(theta_source, sbm12):
 def test_descent_with_belief_signal(sbm12):
     # The signal fit smooths: labels on the masked half, beliefs elsewhere.
     mask = np.arange(12) % 3 != 0
-    tcfg = TrainConfig(epochs=30, seed=11, train_mask=mask)
-    theta = train(sbm12, sbm12.adjacency, tcfg, "gcn").params
+    theta = train(sbm12, sbm12.adjacency, TrainConfig(epochs=30), "gcn",
+                  mask, seed=11).params
     signal = class_beliefs(theta, sbm12.adjacency, sbm12.features,
                            sbm12.labels, mask)
     assert np.array_equal(signal[mask, 1], sbm12.labels[mask])
@@ -144,19 +144,17 @@ def test_descent_with_belief_signal(sbm12):
 
 @pytest.fixture(scope="module")
 def fit_clean(sbm60, masks60):
-    train_mask, test_mask = masks60
-    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    train_mask, _ = masks60
     return fit(sbm60.adjacency, sbm60.features, sbm60.labels, "gcn",
-               GslConfig(), tcfg)
+               GslConfig(), TrainConfig(), train_mask, seed=7)
 
 
 @pytest.fixture(scope="module")
 def fit_poisoned(poisoned60, masks60):
     snap, _ = poisoned60
-    train_mask, test_mask = masks60
-    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    train_mask, _ = masks60
     return fit(snap.adjacency, snap.features, snap.labels, "gcn",
-               GslConfig(), tcfg)
+               GslConfig(), TrainConfig(), train_mask, seed=7)
 
 
 def test_fit_objective_does_not_end_above_start(fit_clean):
@@ -176,23 +174,22 @@ def test_fit_output_invariants(fit_poisoned):
 
 
 def test_fit_with_frozen_structure_equals_plain_training(sbm60, masks60):
-    train_mask, test_mask = masks60
+    train_mask, _ = masks60
     gcfg = GslConfig(eta_s=0.0, outer_iters=10, inner_theta_steps=5)
-    tcfg = TrainConfig(epochs=50, seed=7, train_mask=train_mask,
-                       test_mask=test_mask)
+    tcfg = TrainConfig(epochs=50)
     s, theta, _ = fit(sbm60.adjacency, sbm60.features, sbm60.labels, "gcn",
-                      gcfg, tcfg)
+                      gcfg, tcfg, train_mask, seed=7)
     assert np.array_equal(s, sbm60.adjacency)
-    plain = train(sbm60, sbm60.adjacency, tcfg, "gcn")
+    plain = train(sbm60, sbm60.adjacency, tcfg, "gcn", train_mask, seed=7)
     for key in theta.weights:
         assert np.array_equal(theta.weights[key], plain.params.weights[key])
 
 
 def test_fit_zero_iterations_returns_inputs(sbm60, masks60):
-    train_mask, test_mask = masks60
-    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    train_mask, _ = masks60
     s, theta, state = fit(sbm60.adjacency, sbm60.features, sbm60.labels,
-                          "gcn", GslConfig(outer_iters=0), tcfg)
+                          "gcn", GslConfig(outer_iters=0), TrainConfig(),
+                          train_mask, seed=7)
     assert np.array_equal(s, sbm60.adjacency)
     fresh = init_params("gcn", sbm60.features.shape[1], hidden=16, classes=2,
                         seed=7)
@@ -203,12 +200,12 @@ def test_fit_zero_iterations_returns_inputs(sbm60, masks60):
 
 def test_stronger_anchor_stays_closer_to_observation(poisoned60, masks60):
     snap, _ = poisoned60
-    train_mask, test_mask = masks60
-    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    train_mask, _ = masks60
     dist = {}
     for lam in (0.15, 0.30):
         s, _, _ = fit(snap.adjacency, snap.features, snap.labels, "gcn",
-                      GslConfig(lambda_prox=lam), tcfg)
+                      GslConfig(lambda_prox=lam), TrainConfig(), train_mask,
+                      seed=7)
         dist[lam] = float(np.linalg.norm(s - snap.adjacency))
     assert dist[0.30] < dist[0.15]
 
@@ -232,13 +229,12 @@ def test_attack_edges_end_light_on_criterion_01_fixture():
     # features alone barely separate the classes, so only the labels can tell
     # the attacker's cross-class edges from genuine ones.
     snap = sbm_generate(ROBUST_SBM)
-    train_mask, test_mask = split(snap.labels, 0.8, seed=0)
+    train_mask, _ = split(snap.labels, 0.8, seed=0)
     spec = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="dice",
                             seed=0)
     poisoned, receipt = apply(snap, spec, "training")
-    tcfg = TrainConfig(seed=0, train_mask=train_mask, test_mask=test_mask)
     s, _, _ = fit(poisoned.adjacency, poisoned.features, poisoned.labels,
-                  "gcn", GslConfig(), tcfg)
+                  "gcn", GslConfig(), TrainConfig(), train_mask, seed=0)
     removed = set(receipt.edges_removed)
     genuine = [(i, j) for i, j in zip(*np.nonzero(np.triu(snap.adjacency, k=1)))
                if (i, j) not in removed]
@@ -315,10 +311,9 @@ def test_refine_structure_is_label_free_and_valid(sbm12):
 
 def test_fit_prepares_each_structure_once(sbm60, masks60, monkeypatch):
     calls = _count_preparations(monkeypatch, gsl)
-    train_mask, test_mask = masks60
-    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    train_mask, _ = masks60
     fit(sbm60.adjacency, sbm60.features, sbm60.labels, "sage",
-        GslConfig(outer_iters=4), tcfg)
+        GslConfig(outer_iters=4), TrainConfig(), train_mask, seed=7)
     assert calls == ["sage"] * (4 + 1)
 
 
@@ -357,10 +352,10 @@ FIT_HISTORY_CSV = {
 
 @pytest.mark.parametrize("kind", ["gcn", "sage"])
 def test_fit_history_is_pinned(kind, sbm60, masks60, tmp_path):
-    train_mask, test_mask = masks60
-    tcfg = TrainConfig(seed=7, train_mask=train_mask, test_mask=test_mask)
+    train_mask, _ = masks60
     _, _, state = fit(sbm60.adjacency, sbm60.features, sbm60.labels, kind,
-                      GslConfig(outer_iters=5), tcfg)
+                      GslConfig(outer_iters=5), TrainConfig(), train_mask,
+                      seed=7)
     path = tmp_path / "history.csv"
     write_history_csv(state.objective_history, path)
     assert path.read_text() == FIT_HISTORY_CSV[kind]

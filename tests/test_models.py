@@ -13,6 +13,7 @@ import pytest
 from gridsentry import models
 from gridsentry.errors import NumericError
 from gridsentry.graphs import normalized_adjacency
+from gridsentry.gsl import GslConfig, fit
 from gridsentry.models import (GnnParams, TrainConfig, backward, init_params,
                                masked_cross_entropy, model_logits, own_logits,
                                predict, train)
@@ -244,13 +245,12 @@ def test_permutation_equivariance(kind):
 
 @pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
 def test_training_descends_and_is_deterministic(kind, sbm60, masks60):
-    train_mask, test_mask = masks60
-    cfg = TrainConfig(epochs=40, seed=7, train_mask=train_mask,
-                      test_mask=test_mask)
-    first = train(sbm60, sbm60.adjacency, cfg, kind)
+    train_mask, _ = masks60
+    cfg = TrainConfig(epochs=40)
+    first = train(sbm60, sbm60.adjacency, cfg, kind, train_mask, seed=7)
     assert len(first.losses) == 40
     assert first.losses[-1] < first.losses[0]
-    second = train(sbm60, sbm60.adjacency, cfg, kind)
+    second = train(sbm60, sbm60.adjacency, cfg, kind, train_mask, seed=7)
     for key in first.params.weights:
         assert np.array_equal(first.params.weights[key],
                               second.params.weights[key])
@@ -260,7 +260,7 @@ def test_training_descends_and_is_deterministic(kind, sbm60, masks60):
 def test_training_aborts_on_overflow(sbm60, masks60):
     from gridsentry.graphs import GraphSnapshot
 
-    train_mask, test_mask = masks60
+    train_mask, _ = masks60
     huge = GraphSnapshot(
         node_ids=list(sbm60.node_ids),
         adjacency=sbm60.adjacency.copy(),
@@ -268,20 +268,20 @@ def test_training_aborts_on_overflow(sbm60, masks60):
         labels=sbm60.labels.copy(),
         window=sbm60.window,
     )
-    cfg = TrainConfig(epochs=5, seed=7, train_mask=train_mask,
-                      test_mask=test_mask)
     with np.errstate(all="ignore"), pytest.raises(NumericError):
-        train(huge, huge.adjacency, cfg, "gcn")
+        train(huge, huge.adjacency, TrainConfig(epochs=5), "gcn", train_mask,
+              seed=7)
 
 
-def test_mask_validation():
-    cfg = TrainConfig(train_mask=None)
-    with pytest.raises(ValueError, match="train_mask"):
-        cfg.validate_masks(4)
-    overlap = TrainConfig(train_mask=np.array([True, True, False]),
-                          test_mask=np.array([True, False, True]))
-    with pytest.raises(ValueError, match="overlap"):
-        overlap.validate_masks(3)
+def test_mask_validation(sbm12):
+    cfg = TrainConfig(epochs=1)
+    # Missing, empty, and shaped for another graph.
+    for mask in (None, np.zeros(12, dtype=bool), np.ones(4, dtype=bool)):
+        with pytest.raises(ValueError, match="mask"):
+            train(sbm12, sbm12.adjacency, cfg, "gcn", mask, seed=0)
+        with pytest.raises(ValueError, match="mask"):
+            fit(sbm12.adjacency, sbm12.features, sbm12.labels, "gcn",
+                GslConfig(outer_iters=1), cfg, mask, seed=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
 
@@ -374,9 +374,8 @@ def _count_preparations(monkeypatch, *modules):
 def test_train_prepares_the_structure_once_per_run(kind, sbm60, masks60,
                                                    monkeypatch):
     calls = _count_preparations(monkeypatch)
-    train_mask, test_mask = masks60
-    cfg = TrainConfig(epochs=6, seed=7, train_mask=train_mask, test_mask=test_mask)
-    train(sbm60, sbm60.adjacency, cfg, kind)
+    train_mask, _ = masks60
+    train(sbm60, sbm60.adjacency, TrainConfig(epochs=6), kind, train_mask, seed=7)
     assert calls == [kind]
 
 
@@ -397,6 +396,7 @@ TRAIN_LOSSES = {
 
 @pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
 def test_training_losses_are_pinned(kind, sbm60, masks60):
-    train_mask, test_mask = masks60
-    cfg = TrainConfig(epochs=8, seed=7, train_mask=train_mask, test_mask=test_mask)
-    assert train(sbm60, sbm60.adjacency, cfg, kind).losses == TRAIN_LOSSES[kind]
+    train_mask, _ = masks60
+    result = train(sbm60, sbm60.adjacency, TrainConfig(epochs=8), kind,
+                   train_mask, seed=7)
+    assert result.losses == TRAIN_LOSSES[kind]

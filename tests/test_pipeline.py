@@ -63,6 +63,8 @@ def test_config_from_dict():
     assert cfg.train.epochs == 11
     with pytest.raises(ValueError, match="unknown pipeline config keys"):
         PipelineConfig.from_dict({"refine": 5})
+    with pytest.raises(ValueError, match="gsl config must be a JSON object"):
+        PipelineConfig.from_dict({"gsl": ["outer_iters"]})
 
 
 @pytest.mark.parametrize("key", ["seed", "train_mask", "val_mask", "test_mask"])
