@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -189,12 +189,4 @@ def apply(snapshot: GraphSnapshot, spec: PerturbationSpec,
     adjacency, receipt = perturb_structure(snapshot.adjacency, snapshot.labels, spec)
     features, nodes = perturb_features(snapshot.features, spec)
     receipt.nodes_feature_perturbed = nodes
-    perturbed = GraphSnapshot(
-        node_ids=list(snapshot.node_ids),
-        adjacency=adjacency,
-        features=features,
-        labels=None if snapshot.labels is None else snapshot.labels.copy(),
-        window=snapshot.window,
-        feature_names=list(snapshot.feature_names),
-    )
-    return perturbed, receipt
+    return replace(snapshot, adjacency=adjacency, features=features), receipt

@@ -151,6 +151,15 @@ class ExperimentConfig:
                 raise ValueError(f"rates must lie in [0, 1], got {rate}")
         if self.attack_kind not in attacks.KINDS:
             raise ValueError(f"attack_kind must be one of {attacks.KINDS}")
+        attacks.PerturbationSpec(kind=self.attack_kind,
+                                 structure_mode=self.structure_mode,
+                                 feature_sigma=self.feature_sigma,
+                                 feature_fraction=self.feature_fraction)
+        if not 0.0 < self.train_frac < 1.0:
+            raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
+        if self.max_flows is not None and self.max_flows < 1:
+            raise ValueError(f"max_flows must be at least 1, got {self.max_flows}")
+        FeatureConfig(window_seconds=self.window_seconds)
 
     def to_dict(self) -> dict:
         """Every setting, leaving out the data source that is not set."""
@@ -328,14 +337,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         train_mask, test_mask = split(snapshot.labels, cfg.train_frac, seed_r)
         if cfg.csv_path is not None:
             stats = compute_zscore_stats(snapshot.features[train_mask])
-            snapshot = GraphSnapshot(
-                node_ids=list(snapshot.node_ids),
-                adjacency=snapshot.adjacency,
-                features=apply_zscore(snapshot.features, stats),
-                labels=snapshot.labels,
-                window=snapshot.window,
-                feature_names=list(snapshot.feature_names),
-            )
+            snapshot = replace(snapshot,
+                               features=apply_zscore(snapshot.features, stats))
         # Evasion attacks only the graph a model is evaluated on, so each
         # model trains once per run on the clean graph.
         clean_models = {model: _train_model(model, snapshot, cfg, train_mask, seed_r)

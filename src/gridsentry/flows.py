@@ -33,7 +33,6 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -143,36 +142,62 @@ def _resolve_columns(fieldnames) -> dict:
     return resolved
 
 
-def _get(row: dict, column) -> Optional[str]:
-    value = row.get(column)
-    if value is None:
-        return None
-    value = value.strip()
-    return value if value else None
+class _Skip(Exception):
+    """A malformed row; the message is the reason it is counted under."""
 
 
-def _number(row: dict, columns, logical: str, stats: ParseStats) -> Optional[float]:
-    """Numeric cell (summing column pairs); records the skip reason on failure."""
-    names = columns if isinstance(columns, tuple) else (columns,)
+def _cell(row: dict, column) -> str:
+    """Stripped cell text; empty for an absent column, short row or blank cell."""
+    value = row.get(column) if column is not None else None
+    return value.strip() if value else ""
+
+
+def _text(row: dict, column, logical: str) -> str:
+    value = _cell(row, column)
+    if not value:
+        raise _Skip(f"missing {logical}")
+    return value
+
+
+def _number(row: dict, columns, logical: str) -> float:
+    """Non-negative numeric field, summing a ToN_IoT column pair."""
     total = 0.0
-    for name in names:
-        raw = _get(row, name)
-        if raw is None:
-            stats.skip(f"missing {logical}")
-            return None
+    for name in columns if isinstance(columns, tuple) else (columns,):
         try:
-            value = float(raw)
+            value = float(_text(row, name, logical))
         except ValueError:
-            stats.skip(f"non-numeric {logical}")
-            return None
+            raise _Skip(f"non-numeric {logical}") from None
         if not math.isfinite(value):
-            stats.skip(f"non-numeric {logical}")
-            return None
+            raise _Skip(f"non-numeric {logical}")
         total += value
     if total < 0:
-        stats.skip(f"negative {logical}")
-        return None
+        raise _Skip(f"negative {logical}")
     return total
+
+
+def _port(row: dict, column, logical: str) -> int:
+    """Port number; an absent column or empty cell reads 0."""
+    text = _cell(row, column)
+    if not text:
+        return 0
+    try:
+        port = int(float(text))
+    except (ValueError, OverflowError):  # not a number, NaN or infinite
+        raise _Skip(f"non-numeric {logical}") from None
+    if not 0 <= port <= 65535:
+        raise _Skip(f"invalid {logical}")
+    return port
+
+
+def _label(row: dict, column) -> int:
+    text = _text(row, column, "label")
+    try:
+        value = float(text)
+    except ValueError:
+        raise _Skip("non-numeric label") from None
+    if value not in (0.0, 1.0):
+        raise _Skip("invalid label")
+    return int(value)
 
 
 def parse_flows(source) -> tuple[list[FlowRecord], ParseStats]:
@@ -208,94 +233,36 @@ def _parse_rows(reader: csv.DictReader) -> tuple[list[FlowRecord], ParseStats]:
 
     for row in reader:
         stats.rows_total += 1
-
-        ts = _number(row, columns["ts"], "ts", stats)
-        if ts is None:
-            continue
-        src = _get(row, columns["src"])
-        if src is None:
-            stats.skip("missing src")
-            continue
-        dst = _get(row, columns["dst"])
-        if dst is None:
-            stats.skip("missing dst")
-            continue
-        proto_raw = _get(row, columns["proto"])
-        if proto_raw is None:
-            stats.skip("missing proto")
-            continue
-        proto = proto_raw.lower()
-        if proto not in PROTOCOLS:
-            proto = "other"
-
-        ports = []
-        bad_port = False
-        for logical in ("src_port", "dst_port"):
-            if logical not in columns:
-                ports.append(0)
-                continue
-            raw = _get(row, columns[logical])
-            if raw is None:
-                ports.append(0)
-                continue
-            try:
-                port = int(float(raw))
-            except (ValueError, OverflowError):  # not a number, NaN or infinite
-                stats.skip(f"non-numeric {logical}")
-                bad_port = True
-                break
-            if not 0 <= port <= 65535:
-                stats.skip(f"invalid {logical}")
-                bad_port = True
-                break
-            ports.append(port)
-        if bad_port:
-            continue
-
-        nbytes = _number(row, columns["bytes"], "bytes", stats)
-        if nbytes is None:
-            continue
-        pkts = _number(row, columns["pkts"], "pkts", stats)
-        if pkts is None:
-            continue
-        dur = _number(row, columns["dur"], "dur", stats)
-        if dur is None:
-            continue
-
-        label_raw = _get(row, columns["label"])
-        if label_raw is None:
-            stats.skip("missing label")
-            continue
         try:
-            label_val = float(label_raw)
-        except ValueError:
-            stats.skip("non-numeric label")
+            ts = _number(row, columns["ts"], "ts")
+            src = _text(row, columns["src"], "src")
+            dst = _text(row, columns["dst"], "dst")
+            proto = _text(row, columns["proto"], "proto").lower()
+            src_port = _port(row, columns.get("src_port"), "src_port")
+            dst_port = _port(row, columns.get("dst_port"), "dst_port")
+            nbytes = _number(row, columns["bytes"], "bytes")
+            pkts = _number(row, columns["pkts"], "pkts")
+            dur = _number(row, columns["dur"], "dur")
+            label = _label(row, columns["label"])
+        except _Skip as skip:
+            stats.skip(str(skip))
             continue
-        if label_val not in (0.0, 1.0):
-            stats.skip("invalid label")
-            continue
-
-        attack_type = ""
-        if "type" in columns:
-            attack_type = _get(row, columns["type"]) or ""
-
         if src == dst:
             stats.self_flows_dropped += 1
             continue
-
         records.append(
             FlowRecord(
                 timestamp=ts,
                 src=src,
                 dst=dst,
-                protocol=proto,
-                src_port=ports[0],
-                dst_port=ports[1],
+                protocol=proto if proto in PROTOCOLS else "other",
+                src_port=src_port,
+                dst_port=dst_port,
                 bytes=int(nbytes),
                 packets=int(pkts),
                 duration=dur,
-                label=int(label_val),
-                attack_type=attack_type,
+                label=label,
+                attack_type=_cell(row, columns.get("type")),
             )
         )
 
@@ -361,56 +328,45 @@ def build_snapshot(flows: list[FlowRecord], cfg: FeatureConfig) -> GraphSnapshot
     node_ids = sorted({f.src for f in flows} | {f.dst for f in flows})
     index = {d: i for i, d in enumerate(node_ids)}
     n = len(node_ids)
+    src = np.array([index[f.src] for f in flows], dtype=np.intp)
+    dst = np.array([index[f.dst] for f in flows], dtype=np.intp)
+    # Both endpoints of every flow, in flow order: each node adds its terms in
+    # the order of the flows, so float sums do not depend on the method.
+    ends = np.column_stack([src, dst]).ravel()
 
-    bytes_sent = np.zeros(n)
-    bytes_recv = np.zeros(n)
-    pkts_sent = np.zeros(n)
-    pkts_recv = np.zeros(n)
-    touch = np.zeros(n)
-    proto_touch = {p: np.zeros(n) for p in ("tcp", "udp", "icmp")}
-    duration_sum = np.zeros(n)
-    attack_touch = np.zeros(n)
-    peers = [set() for _ in range(n)]
+    def per_node(nodes, weights=None):
+        return np.bincount(nodes, weights, minlength=n)
+
+    def per_end(values):
+        return per_node(ends, np.repeat(values, 2))
+
+    nbytes = np.array([f.bytes for f in flows], dtype=np.float64)
+    pkts = np.array([f.packets for f in flows], dtype=np.float64)
+    protocols = np.array([f.protocol for f in flows])
     adjacency = np.zeros((n, n))
-
-    for flow in flows:
-        i, j = index[flow.src], index[flow.dst]
-        bytes_sent[i] += flow.bytes
-        pkts_sent[i] += flow.packets
-        bytes_recv[j] += flow.bytes
-        pkts_recv[j] += flow.packets
-        for k in (i, j):
-            touch[k] += 1
-            duration_sum[k] += flow.duration
-            attack_touch[k] += flow.label
-            if flow.protocol in proto_touch:
-                proto_touch[flow.protocol][k] += 1
-        peers[i].add(j)
-        peers[j].add(i)
-        adjacency[i, j] = adjacency[j, i] = 1.0
+    adjacency[src, dst] = adjacency[dst, src] = 1.0
 
     # Every node comes from some flow, so touch >= 1 throughout.
+    touch = per_node(ends)
     features = np.column_stack(
         [
-            np.log1p(bytes_sent),
-            np.log1p(bytes_recv),
-            np.log1p(pkts_sent),
-            np.log1p(pkts_recv),
+            np.log1p(per_node(src, nbytes)),
+            np.log1p(per_node(dst, nbytes)),
+            np.log1p(per_node(src, pkts)),
+            np.log1p(per_node(dst, pkts)),
             np.log1p(touch),
-            proto_touch["tcp"] / touch,
-            proto_touch["udp"] / touch,
-            proto_touch["icmp"] / touch,
-            np.log1p([len(p) for p in peers]),
-            duration_sum / touch,
+            *(per_end(protocols == p) / touch for p in ("tcp", "udp", "icmp")),
+            np.log1p(adjacency.sum(axis=1)),
+            per_end([f.duration for f in flows]) / touch,
         ]
     )
 
-    labels = (attack_touch / touch > 0.5).astype(np.int64)
+    labels = (per_end([f.label for f in flows]) / touch > 0.5).astype(np.int64)
     return GraphSnapshot(
         node_ids=node_ids,
         adjacency=adjacency,
         features=features,
         labels=labels,
         window=(start, end),
-        feature_names=list(FEATURE_NAMES),
+        feature_names=FEATURE_NAMES,
     )

@@ -34,8 +34,9 @@ class GraphSnapshot:
 
     ``adjacency`` is symmetric with zero diagonal and entries in [0, 1];
     ``features`` holds one row per node; ``labels``, when present, are 0 for
-    benign and 1 for malicious nodes. Arrays are copied and frozen at
-    construction, so a snapshot never mutates underneath its consumers.
+    benign and 1 for malicious nodes. Arrays are copied and frozen, and the
+    name lists copied, at construction, so a snapshot never mutates
+    underneath its consumers.
     """
 
     node_ids: list[str]
@@ -46,6 +47,8 @@ class GraphSnapshot:
     feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        self.node_ids = list(self.node_ids)
+        self.feature_names = list(self.feature_names)
         n = len(self.node_ids)
         if len(set(self.node_ids)) != n:
             raise ValueError("node_ids must be unique")

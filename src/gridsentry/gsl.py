@@ -104,7 +104,6 @@ class GslState:
     s: np.ndarray
     a: np.ndarray
     theta: GnnParams
-    iteration: int = 0
     objective_history: list[ObjectiveParts] = field(default_factory=list)
     # Node signal the smoothness term is measured on; None means the features.
     signal: Optional[np.ndarray] = None
@@ -239,8 +238,8 @@ def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray],
 
 
 def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
-        gsl_cfg: GslConfig, train_cfg: TrainConfig, mask, seed: int,
-        hidden: int = 16) -> tuple[np.ndarray, GnnParams, GslState]:
+        gsl_cfg: GslConfig, train_cfg: TrainConfig, mask,
+        seed: int) -> tuple[np.ndarray, GnnParams, GslState]:
     """Alternate classifier epochs with structure steps for a fixed budget.
 
     Starts from S = A and parameters Glorot-initialized from ``seed``; the
@@ -259,9 +258,9 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     labels = np.asarray(labels, dtype=np.int64)
     mask = _check_mask(mask, a.shape[0])
 
-    theta = init_params(gnn_kind, x.shape[1], hidden=hidden, classes=2, seed=seed)
+    theta = init_params(gnn_kind, x.shape[1], seed=seed)
     adam = AdamState.for_params(theta)
-    state = GslState(s=a.copy(), a=a, theta=theta, iteration=0,
+    state = GslState(s=a.copy(), a=a, theta=theta,
                      signal=class_beliefs(theta, a, x, labels, mask))
     prop = _prepare(gnn_kind, state.s)
     state.objective_history.append(
@@ -278,7 +277,6 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
         state.s = structure_step(state, x, labels, mask, gsl_cfg, propagation=prop)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s)
-        state.iteration = it + 1
         state.objective_history.append(
             objective(prop, theta, x, labels, mask, a, gsl_cfg, state.signal)
         )

@@ -431,7 +431,7 @@ class TrainResult:
 
 
 def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
-          mask, seed: int, hidden: int = 16) -> TrainResult:
+          mask, seed: int) -> TrainResult:
     """Full-batch training of one model on the given structure matrix.
 
     The loss is taken over the nodes in ``mask``; ``seed`` draws the initial
@@ -441,8 +441,7 @@ def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
     if snapshot.labels is None:
         raise ValueError("training needs a labeled snapshot")
     mask = _check_mask(mask, snapshot.n_nodes)
-    params = init_params(kind, snapshot.features.shape[1], hidden=hidden,
-                         classes=2, seed=seed)
+    params = init_params(kind, snapshot.features.shape[1], seed=seed)
     state = AdamState.for_params(params)
     prop = _prepare(kind, s)
     losses: list[float] = []

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import codec, gsl
 from .errors import DataError, NumericError, load_json_object
+from .experiments import load_merged_snapshot, write_history_csv
 from .flows import (FeatureConfig, apply_zscore, build_snapshot,
                     compute_zscore_stats, parse_flows, window)
 from .graphs import GraphSnapshot
@@ -85,7 +86,6 @@ class DetectorBundle:
     isolate_threshold: float = DEFAULT_ISOLATE_THRESHOLD
     detect_refine_steps: int = DEFAULT_REFINE_STEPS
     model_version: str = ""
-    format_version: int = BUNDLE_FORMAT_VERSION
 
     def __post_init__(self):
         self.zscore_mean = np.asarray(self.zscore_mean, dtype=np.float64)
@@ -100,11 +100,11 @@ class DetectorBundle:
             digest = hashlib.sha256(
                 json.dumps(self.params.to_dict(), sort_keys=True).encode()
             ).hexdigest()[:12]
-            self.model_version = f"{self.params.kind}-b{self.format_version}-{digest}"
+            self.model_version = f"{self.params.kind}-b{BUNDLE_FORMAT_VERSION}-{digest}"
 
     def to_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": BUNDLE_FORMAT_VERSION,
             "model_version": self.model_version,
             "params": self.params.to_dict(),
             "gsl": codec.encode(self.gsl_cfg),
@@ -212,8 +212,6 @@ def train_pipeline(csv_path, cfg: PipelineConfig,
     ``refine_report.json`` (structure changes with device identifiers) under
     ``out_dir``.
     """
-    from .experiments import load_merged_snapshot, write_history_csv
-
     merged = load_merged_snapshot(csv_path, cfg.window_seconds,
                                   min_nodes=cfg.min_nodes)
     bundle, state = train_from_snapshot(merged, cfg)

@@ -250,6 +250,21 @@ def test_experiment_rejects_unknown_key(tmp_path):
                  "-o", str(tmp_path / "r")]) == 1
 
 
+@pytest.mark.parametrize("bad", [
+    {"structure_mode": "bogus"},
+    {"train_frac": 1.5},
+    {"feature_sigma": -1},
+    {"max_flows": -3},
+])
+def test_experiment_rejects_bad_setting_before_running(bad, tmp_path, capsys):
+    cfg = _write_json(tmp_path / "exp.json", {**TINY_EXPERIMENT, **bad})
+    out = tmp_path / "r"
+    assert main(["experiment", "--config", cfg, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_report_rendering(tmp_path, capsys):
     cfg = _write_json(tmp_path / "exp.json",
                       {**TINY_EXPERIMENT, "runs": 1, "rates": [0.0],

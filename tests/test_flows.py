@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridsentry.errors import DataError
-from gridsentry.flows import (FEATURE_NAMES, FeatureConfig, apply_zscore,
-                              build_snapshot, compute_zscore_stats,
-                              parse_flows, window)
+from gridsentry.flows import (FEATURE_NAMES, FeatureConfig, FlowRecord,
+                              apply_zscore, build_snapshot,
+                              compute_zscore_stats, parse_flows, window)
 
 HEADER = "ts,src_ip,dst_ip,proto,src_port,dst_port,bytes,pkts,dur,label,attack_type"
 
@@ -71,6 +71,36 @@ def test_skip_reasons_are_counted():
     )
     assert len(records) == 2
     assert stats.reasons == {"non-numeric bytes": 1, "invalid label": 1}
+
+
+TON_HEADER = "ts,src_ip,dst_ip,proto,src_bytes,dst_bytes,src_pkts,dst_pkts,duration,label,type"
+
+# (header, bad row, reason) for every skip rule; the last two rows break two
+# rules at once and are counted under the field read first.
+SKIP_RULES = [
+    (HEADER, ",a,b,tcp,1000,80,100,10,2.0,0,", "missing ts"),
+    (HEADER, "1.0,,b,tcp,1000,80,100,10,2.0,0,", "missing src"),
+    (HEADER, "1.0,a,,tcp,1000,80,100,10,2.0,0,", "missing dst"),
+    (HEADER, "1.0,a,b,,1000,80,100,10,2.0,0,", "missing proto"),
+    (HEADER, "1.0,a,b,tcp,1000,80,100,10,2.0,,", "missing label"),
+    (HEADER, "soon,a,b,tcp,1000,80,100,10,2.0,0,", "non-numeric ts"),
+    (HEADER, "1.0,a,b,tcp,1000,80,100,many,2.0,0,", "non-numeric pkts"),
+    (HEADER, "1.0,a,b,tcp,1000,80,100,10,nan,0,", "non-numeric dur"),
+    (HEADER, "1.0,a,b,tcp,1000,80,100,10,2.0,yes,", "non-numeric label"),
+    (HEADER, "1.0,a,b,tcp,1000,80,-5,10,2.0,0,", "negative bytes"),
+    (HEADER, "1.0,a,b,tcp,1000,80,100,10,-0.5,0,", "negative dur"),
+    (TON_HEADER, "1.0,a,b,udp,60,,3,2,1.5,0,", "missing bytes"),
+    (HEADER, "soon,a,b,tcp,1000,80,lots,10,2.0,0,", "non-numeric ts"),
+    (HEADER, "1.0,a,b,tcp,1000,http,100,10,2.0,maybe,", "non-numeric dst_port"),
+]
+
+
+def test_skip_reason_for_each_rule():
+    good = {HEADER: _flow(2.0, "a", "b"), TON_HEADER: "2.0,a,b,udp,60,40,3,2,1.5,0,"}
+    for header, row, reason in SKIP_RULES:
+        records, stats = parse_flows(io.StringIO(f"{header}\n{row}\n{good[header]}\n"))
+        assert len(records) == 1, row
+        assert stats.reasons == {reason: 1}, row
 
 
 def test_self_flows_dropped_separately():
@@ -206,6 +236,78 @@ def test_build_snapshot_is_flow_order_independent():
     assert np.array_equal(first.adjacency, second.adjacency)
     assert np.array_equal(first.features, second.features)
     assert np.array_equal(first.labels, second.labels)
+
+
+def _flow_loop_reference(flows, cfg):
+    """The per-flow accumulation loop that build_snapshot once ran."""
+    delta = float(cfg.window_seconds)
+    start = math.floor(min(f.timestamp for f in flows) / delta) * delta
+    node_ids = sorted({f.src for f in flows} | {f.dst for f in flows})
+    index = {d: i for i, d in enumerate(node_ids)}
+    n = len(node_ids)
+    bytes_sent, bytes_recv = np.zeros(n), np.zeros(n)
+    pkts_sent, pkts_recv = np.zeros(n), np.zeros(n)
+    touch, duration_sum, attack_touch = np.zeros(n), np.zeros(n), np.zeros(n)
+    proto_touch = {p: np.zeros(n) for p in ("tcp", "udp", "icmp")}
+    peers = [set() for _ in range(n)]
+    adjacency = np.zeros((n, n))
+    for flow in flows:
+        i, j = index[flow.src], index[flow.dst]
+        bytes_sent[i] += flow.bytes
+        pkts_sent[i] += flow.packets
+        bytes_recv[j] += flow.bytes
+        pkts_recv[j] += flow.packets
+        for k in (i, j):
+            touch[k] += 1
+            duration_sum[k] += flow.duration
+            attack_touch[k] += flow.label
+            if flow.protocol in proto_touch:
+                proto_touch[flow.protocol][k] += 1
+        peers[i].add(j)
+        peers[j].add(i)
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    features = np.column_stack([
+        np.log1p(bytes_sent), np.log1p(bytes_recv),
+        np.log1p(pkts_sent), np.log1p(pkts_recv), np.log1p(touch),
+        proto_touch["tcp"] / touch, proto_touch["udp"] / touch,
+        proto_touch["icmp"] / touch,
+        np.log1p([len(p) for p in peers]), duration_sum / touch,
+    ])
+    labels = (attack_touch / touch > 0.5).astype(np.int64)
+    return node_ids, adjacency, features, labels, (start, start + delta)
+
+
+def test_build_snapshot_matches_flow_loop_reference():
+    rng = np.random.default_rng(7)
+    devices = [f"10.0.0.{k}" for k in range(30)]
+    flows = []
+    for _ in range(400):
+        # Few senders, so pairs repeat and nodes mix flows in both roles.
+        i = int(rng.integers(0, 8))
+        j = int(rng.integers(0, 30))
+        if i == j:
+            continue
+        flows.append(FlowRecord(
+            timestamp=float(rng.uniform(0.0, 300.0)),
+            src=devices[i],
+            dst=devices[j],
+            protocol=str(rng.choice(["tcp", "udp", "icmp", "other"])),
+            src_port=int(rng.integers(1024, 65536)),
+            dst_port=int(rng.choice([22, 80, 443, 502])),
+            bytes=int(rng.integers(0, 10**9)),
+            packets=int(rng.integers(0, 10**5)),
+            duration=float(rng.exponential(3.0)),
+            label=int(rng.random() < 0.4),
+        ))
+    assert len(flows) >= 300 and len({(f.src, f.dst) for f in flows}) < len(flows)
+    cfg = FeatureConfig(window_seconds=300)
+    node_ids, adjacency, features, labels, span = _flow_loop_reference(flows, cfg)
+    snap = build_snapshot(flows, cfg)
+    assert snap.node_ids == node_ids and snap.window == span
+    assert np.array_equal(snap.adjacency, adjacency)
+    assert np.array_equal(snap.features, features)
+    assert np.array_equal(snap.labels, labels)
+    assert 0 < labels.sum() < len(labels)
 
 
 def test_zscore_stats_and_application():
