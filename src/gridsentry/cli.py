@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import attacks, codec, experiments, pipeline
 from .errors import DataError, NumericError, load_json_object
-from .flows import FeatureConfig, build_snapshot, parse_flows, window
+from .flows import build_snapshot, parse_flows, window
 from .graphs import SbmSpec, load_snapshot, save_snapshot, sbm_generate
 
 
@@ -95,18 +95,15 @@ def cmd_ingest(args) -> int:
     doc = _load_config(args.config)
     if args.window_seconds is not None:
         doc["window_seconds"] = args.window_seconds
-    cfg = _decode(FeatureConfig, doc, "ingest")
+    cfg = _decode(pipeline.PipelineConfig, doc, "pipeline")
     records, stats = parse_flows(args.input)
     print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
     out = Path(_require_output(args))
     out.mkdir(parents=True, exist_ok=True)
-    count = 0
-    if records:
-        for k, (_, bucket) in enumerate(window(records, cfg)):
-            snapshot = build_snapshot(bucket, cfg)
-            save_snapshot(snapshot, out / f"window_{k:04d}.json")
-            count += 1
-    print(f"wrote {count} window snapshot(s) to {out}")
+    windows = window(records, cfg.window_seconds)
+    for k, (bounds, bucket) in enumerate(windows):
+        save_snapshot(build_snapshot(bucket, bounds), out / f"window_{k:04d}.json")
+    print(f"wrote {len(windows)} window snapshot(s) to {out}")
     return 0
 
 

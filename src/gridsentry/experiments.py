@@ -20,8 +20,8 @@ import numpy as np
 
 from . import attacks, codec, gsl
 from .errors import DataError
-from .flows import (FeatureConfig, apply_zscore, build_snapshot,
-                    compute_zscore_stats, parse_flows, window)
+from .flows import (apply_zscore, build_snapshot, compute_zscore_stats,
+                    parse_flows, window)
 from .graphs import GraphSnapshot, SbmSpec, sbm_generate
 from .models import GnnParams, TrainConfig, model_logits, predict, train
 from .numerics import make_rng
@@ -159,7 +159,9 @@ class ExperimentConfig:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
         if self.max_flows is not None and self.max_flows < 1:
             raise ValueError(f"max_flows must be at least 1, got {self.max_flows}")
-        FeatureConfig(window_seconds=self.window_seconds)
+        if self.window_seconds <= 0:
+            raise ValueError(
+                f"window_seconds must be positive, got {self.window_seconds}")
 
     def to_dict(self) -> dict:
         """Every setting, leaving out the data source that is not set."""
@@ -248,27 +250,27 @@ def load_merged_snapshot(csv_path, window_seconds: int = 300, min_nodes: int = 1
     """Build one training graph from a flow CSV.
 
     Windows with fewer than ``min_nodes`` devices are dropped, then all
-    remaining flows are aggregated over the full span: node and edge sets are
-    the unions over the kept windows and features summarize every kept flow.
+    remaining flows are aggregated over the span from the first kept window's
+    start to the last one's end: node and edge sets are the unions over the
+    kept windows and features summarize every kept flow.
     """
     records, _ = parse_flows(csv_path)
     if max_flows is not None:
         records = records[:max_flows]
     if not records:
         raise DataError(f"no usable flows in {csv_path}")
-    cfg = FeatureConfig(window_seconds=window_seconds)
     kept: list = []
-    for _, bucket in window(records, cfg):
+    spans: list = []
+    for bounds, bucket in window(records, window_seconds):
         devices = {f.src for f in bucket} | {f.dst for f in bucket}
         if len(devices) >= min_nodes:
             kept.extend(bucket)
+            spans.append(bounds)
     if not kept:
         raise DataError(
             f"every window has fewer than {min_nodes} devices; nothing to train on"
         )
-    span = FeatureConfig(window_seconds=int(max(f.timestamp for f in kept))
-                         + window_seconds)
-    return build_snapshot(kept, span)
+    return build_snapshot(kept, (spans[0][0], spans[-1][1]))
 
 
 class _Trained(NamedTuple):

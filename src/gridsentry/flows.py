@@ -70,6 +70,7 @@ _ALIASES = {
 _PAIRED = {"bytes": ("bytes", ("src_bytes", "dst_bytes")),
            "pkts": ("pkts", ("src_pkts", "dst_pkts"))}
 _REQUIRED = ("ts", "src", "dst", "proto", "bytes", "pkts", "dur", "label")
+_MAX_EXACT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,6 @@ class ParseStats:
             "self_flows_dropped": self.self_flows_dropped,
             "reasons": dict(sorted(self.reasons.items())),
         }
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Windowing settings for snapshot construction."""
-
-    window_seconds: int = 300
-
-    def __post_init__(self):
-        if self.window_seconds <= 0:
-            raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
 
 
 def _resolve_columns(fieldnames) -> dict:
@@ -160,7 +150,12 @@ def _text(row: dict, column, logical: str) -> str:
 
 
 def _number(row: dict, columns, logical: str) -> float:
-    """Non-negative numeric field, summing a ToN_IoT column pair."""
+    """Non-negative numeric field, summing a ToN_IoT column pair.
+
+    A value or total above 2**53, the largest integer a float64 holds
+    exactly, is skipped as invalid: no real count or timestamp is that
+    large, and per-node sums of smaller values cannot overflow.
+    """
     total = 0.0
     for name in columns if isinstance(columns, tuple) else (columns,):
         try:
@@ -169,9 +164,13 @@ def _number(row: dict, columns, logical: str) -> float:
             raise _Skip(f"non-numeric {logical}") from None
         if not math.isfinite(value):
             raise _Skip(f"non-numeric {logical}")
+        if value > _MAX_EXACT:
+            raise _Skip(f"invalid {logical}")
         total += value
     if total < 0:
         raise _Skip(f"negative {logical}")
+    if total > _MAX_EXACT:
+        raise _Skip(f"invalid {logical}")
     return total
 
 
@@ -274,17 +273,17 @@ def _parse_rows(reader: csv.DictReader) -> tuple[list[FlowRecord], ParseStats]:
 
 
 def window(
-    flows: list[FlowRecord], cfg: FeatureConfig
+    flows: list[FlowRecord], window_seconds: float
 ) -> list[tuple[tuple[float, float], list[FlowRecord]]]:
     """Bucket flows into half-open windows [k*delta, (k+1)*delta), sorted by start.
 
     Window boundaries are aligned to multiples of the window length, so the
     first window starts at floor(min_ts / delta) * delta. Empty windows are
-    omitted.
+    omitted, so no flows give no windows.
     """
-    if not flows:
-        raise ValueError("window needs at least one flow")
-    delta = float(cfg.window_seconds)
+    if window_seconds <= 0:
+        raise ValueError(f"window_seconds must be positive, got {window_seconds}")
+    delta = float(window_seconds)
     buckets: dict[int, list[FlowRecord]] = {}
     for flow in flows:
         buckets.setdefault(int(math.floor(flow.timestamp / delta)), []).append(flow)
@@ -307,18 +306,18 @@ def apply_zscore(features: np.ndarray, stats: tuple[np.ndarray, np.ndarray]) -> 
     return (np.asarray(features, dtype=np.float64) - mean) / std
 
 
-def build_snapshot(flows: list[FlowRecord], cfg: FeatureConfig) -> GraphSnapshot:
-    """Aggregate one window of flows into a device-level graph snapshot.
+def build_snapshot(flows: list[FlowRecord],
+                   bounds: tuple[float, float]) -> GraphSnapshot:
+    """Aggregate flows into a device-level graph snapshot of window ``bounds``.
 
-    Node order is the lexicographic sort of device identifiers, which makes
+    ``bounds`` is a ``(start, end)`` from :func:`window`, or a span of its
+    windows, and every flow must fall inside it. Node order is the lexicographic sort of device identifiers, which makes
     the construction independent of flow order. A device is labeled malicious
     when more than half of the flows touching it are attack flows.
     """
     if not flows:
         raise ValueError("build_snapshot needs at least one flow")
-    delta = float(cfg.window_seconds)
-    start = math.floor(min(f.timestamp for f in flows) / delta) * delta
-    end = start + delta
+    start, end = bounds
     for flow in flows:
         if not (start <= flow.timestamp < end):
             raise ValueError(

@@ -20,8 +20,8 @@ import numpy as np
 from . import codec, gsl
 from .errors import DataError, NumericError, load_json_object
 from .experiments import load_merged_snapshot, write_history_csv
-from .flows import (FeatureConfig, apply_zscore, build_snapshot,
-                    compute_zscore_stats, parse_flows, window)
+from .flows import (apply_zscore, build_snapshot, compute_zscore_stats,
+                    parse_flows, window)
 from .graphs import GraphSnapshot
 from .models import GnnParams, TrainConfig, model_logits, softmax
 from .numerics import require_matrix
@@ -57,7 +57,8 @@ class PipelineConfig:
         if self.gnn_kind not in ("gcn", "sage"):
             raise ValueError("pipeline gnn_kind must be 'gcn' or 'sage'")
         if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
+            raise ValueError(
+                f"window_seconds must be positive, got {self.window_seconds}")
         if not 0.0 <= self.score_threshold <= 1.0:
             raise ValueError("score_threshold must lie in [0, 1]")
         if not 0.0 <= self.isolate_threshold <= 1.0:
@@ -127,20 +128,25 @@ class DetectorBundle:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DetectorBundle":
+        """Rebuild a saved bundle; its settings get the pipeline config's checks."""
         if doc.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported bundle format_version {doc.get('format_version')!r}"
             )
+        stored = ("window_seconds", "score_threshold", "isolate_threshold",
+                  "detect_refine_steps", "gsl")
+        settings = codec.decode(PipelineConfig, {key: doc[key] for key in stored},
+                                "bundle")
         return cls(
             params=GnnParams.from_dict(doc["params"]),
-            gsl_cfg=codec.decode(gsl.GslConfig, doc["gsl"], "gsl"),
+            gsl_cfg=settings.gsl,
             zscore_mean=np.asarray(doc["zscore_mean"], dtype=np.float64),
             zscore_std=np.asarray(doc["zscore_std"], dtype=np.float64),
             feature_names=list(doc["feature_names"]),
-            window_seconds=int(doc["window_seconds"]),
-            score_threshold=float(doc["score_threshold"]),
-            isolate_threshold=float(doc["isolate_threshold"]),
-            detect_refine_steps=int(doc["detect_refine_steps"]),
+            window_seconds=settings.window_seconds,
+            score_threshold=settings.score_threshold,
+            isolate_threshold=settings.isolate_threshold,
+            detect_refine_steps=settings.detect_refine_steps,
             model_version=str(doc["model_version"]),
         )
 
@@ -303,22 +309,15 @@ def run_pipeline(csv_path, bundle_path, out_path, diag=None) -> dict:
     bundle = DetectorBundle.load(bundle_path)
     records, stats = parse_flows(csv_path)
 
-    windows = []
-    if records:
-        windows = window(records, FeatureConfig(window_seconds=bundle.window_seconds))
-
     processed = 0
     failed = 0
     alert_count = 0
     out = Path(out_path)
     failures: list[str] = []
     with open(out, "w", encoding="utf-8") as handle:
-        for bounds, bucket in windows:
+        for bounds, bucket in window(records, bundle.window_seconds):
             try:
-                snapshot = build_snapshot(
-                    bucket, FeatureConfig(window_seconds=bundle.window_seconds)
-                )
-                window_alerts = detect(snapshot, bundle)
+                window_alerts = detect(build_snapshot(bucket, bounds), bundle)
             except (ValueError, NumericError) as exc:  # logged, window skipped
                 failed += 1
                 failures.append(f"{type(exc).__name__}: window "

@@ -2,11 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from gridsentry import pipeline
+from gridsentry import codec, pipeline
 from gridsentry.cli import main
 from gridsentry.errors import NumericError
+from gridsentry.flows import FEATURE_NAMES, parse_flows, window
+from gridsentry.graphs import load_snapshot
+from gridsentry.gsl import GslConfig
+from gridsentry.models import init_params
 
 TINY_EXPERIMENT = {
     "sbm": {"n": 40, "classes": 2, "p_in": 0.3, "p_out": 0.05,
@@ -99,6 +104,32 @@ def test_ingest_zero_window_seconds_is_usage_error(tmp_path, flows_detect_csv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window_seconds", [60, 300])
+def test_snapshot_window_is_the_bucket_bounds(window_seconds, tmp_path,
+                                              flows_detect_csv):
+    out = tmp_path / "windows"
+    assert main(["ingest", "-i", str(flows_detect_csv), "-o", str(out),
+                 "--window-seconds", str(window_seconds)]) == 0
+    records, _ = parse_flows(flows_detect_csv)
+    want = [bounds for bounds, _ in window(records, window_seconds)]
+    got = [load_snapshot(path).window for path in sorted(out.iterdir())]
+    assert got == want and len(want) > 1
+
+
+def test_ingest_reads_window_seconds_from_pipeline_config(tmp_path,
+                                                          flows_detect_csv,
+                                                          capsys):
+    doc = codec.encode(pipeline.PipelineConfig(window_seconds=60,
+                                               detect_refine_steps=60))
+    cfg = _write_json(tmp_path / "pipeline.json", doc)
+    out = tmp_path / "windows"
+    assert main(["ingest", "-i", str(flows_detect_csv), "-o", str(out),
+                 "--config", cfg]) == 0
+    assert "wrote 8 window snapshot(s)" in capsys.readouterr().out
+    first = load_snapshot(out / "window_0000.json")
+    assert first.window == (600.0, 660.0)
+
+
 def test_ingest_missing_columns_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("ts,src_ip,proto\n")
@@ -188,6 +219,49 @@ def test_train_then_detect_flags_the_scanner(tmp_path, flows_train_csv,
     assert doc["recommended_action"] == "isolate"
 
 
+def _untrained_bundle(path, **edits):
+    bundle = pipeline.DetectorBundle(
+        params=init_params("gcn", len(FEATURE_NAMES)), gsl_cfg=GslConfig(),
+        zscore_mean=np.zeros(len(FEATURE_NAMES)),
+        zscore_std=np.ones(len(FEATURE_NAMES)),
+        feature_names=list(FEATURE_NAMES), window_seconds=300)
+    return _write_json(path, {**bundle.to_dict(), **edits})
+
+
+@pytest.mark.parametrize("edit", [
+    {"window_seconds": 0},
+    {"window_seconds": 2.5},
+    {"detect_refine_steps": -5},
+    {"score_threshold": 7.0},
+])
+def test_detect_rejects_bundle_with_bad_settings(edit, tmp_path,
+                                                 flows_detect_csv, capsys):
+    bundle = _untrained_bundle(tmp_path / "bundle.json", **edit)
+    out = tmp_path / "alerts.jsonl"
+    assert main(["detect", "-i", str(flows_detect_csv), "-b", bundle,
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert next(iter(edit)) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"gsl": {"outer_iters": 2.5}},
+    {"detect_refine_steps": 2.5},
+    {"seed": True},
+])
+def test_train_rejects_non_integer_count(bad, tmp_path, flows_train_csv,
+                                         capsys):
+    cfg = _write_json(tmp_path / "train.json", bad)
+    out = tmp_path / "model"
+    assert main(["train", "-i", str(flows_train_csv), "--config", cfg,
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be an integer" in err
+    assert not out.exists()
+
+
 def test_train_rejects_unknown_nested_key(tmp_path, flows_train_csv):
     cfg = _write_json(tmp_path / "train.json", {"gsl": {"alpha": 1.0}})
     assert main(["train", "-i", str(flows_train_csv), "--config", cfg,
@@ -255,6 +329,8 @@ def test_experiment_rejects_unknown_key(tmp_path):
     {"train_frac": 1.5},
     {"feature_sigma": -1},
     {"max_flows": -3},
+    {"runs": 1.5},
+    {"train": {"epochs": 5.0}},
 ])
 def test_experiment_rejects_bad_setting_before_running(bad, tmp_path, capsys):
     cfg = _write_json(tmp_path / "exp.json", {**TINY_EXPERIMENT, **bad})

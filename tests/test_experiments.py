@@ -1,6 +1,7 @@
 """Splits, metrics, the robustness grid runner, and report rendering."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gridsentry.experiments import (MODELS, CellResult, Confusion,
                                     metrics, render_report, report_to_json,
                                     report_to_markdown, run_experiment, split,
                                     write_history_csv)
+from gridsentry.flows import parse_flows, window
 from gridsentry.graphs import SbmSpec
 from gridsentry.gsl import GslConfig, ObjectiveParts
 from gridsentry.models import TrainConfig
@@ -255,6 +257,31 @@ def test_config_rejects_an_extra_key_at_every_level(top, path):
         cls.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"gsl": {"outer_iters": 2.5}}, "outer_iters must be an integer, got 2.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"score_threshold": "0.5"}, "score_threshold must be a number, got '0.5'"),
+    ({"train": {"lr": False}}, "lr must be a number, got False"),
+    ({"gnn_kind": 1}, "gnn_kind must be a string, got 1"),
+    ({"window_seconds": None}, "window_seconds must be an integer, got None"),
+])
+def test_config_rejects_a_value_of_the_wrong_json_type(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig.from_dict(doc)
+
+
+def test_config_keeps_values_as_given():
+    cfg = PipelineConfig.from_dict({"score_threshold": 1, "isolate_threshold": 0.75})
+    assert type(cfg.score_threshold) is int and cfg.isolate_threshold == 0.75
+    exp = ExperimentConfig.from_dict({"sbm": {"signal": 2}, "rates": [0, 0.5],
+                                      "models": ["GCN"], "max_flows": None})
+    assert type(exp.sbm.signal) is int and exp.rates == (0.0, 0.5)
+    with pytest.raises(ValueError, match="rates must be a number, got '0.1'"):
+        ExperimentConfig.from_dict({"sbm": {}, "rates": ["0.1"]})
+    with pytest.raises(ValueError, match="models must be a list"):
+        ExperimentConfig.from_dict({"sbm": {}, "models": "GCN"})
+
+
 PINNED_SETTINGS = {
     "models": ["DNN", "GCN", "GraphSAGE", "GSL-GCN", "GSL-GraphSAGE"],
     "rates": [0.0, 0.1, 0.5], "runs": 10, "base_seed": 0, "train_frac": 0.8,
@@ -363,6 +390,19 @@ def test_load_merged_snapshot_unions_kept_windows(flows_detect_csv):
     with pytest.raises(DataError, match="fewer than"):
         load_merged_snapshot(flows_detect_csv, window_seconds=300,
                              min_nodes=14)
+
+
+def test_load_merged_snapshot_spans_its_first_and_last_kept_window(
+        flows_detect_csv):
+    records, _ = parse_flows(flows_detect_csv)
+    spans = [bounds for bounds, _ in window(records, 60)]
+    merged = load_merged_snapshot(flows_detect_csv, window_seconds=60,
+                                  min_nodes=1)
+    assert merged.window == (spans[0][0], spans[-1][1]) == (600.0, 1140.0)
+    # at 300 s only the first window has 13 devices, so the span is that window
+    strict = load_merged_snapshot(flows_detect_csv, window_seconds=300,
+                                  min_nodes=13)
+    assert strict.window == (600.0, 900.0)
 
 
 def test_load_merged_snapshot_truncates_at_max_flows(flows_train_csv):

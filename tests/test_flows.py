@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridsentry.errors import DataError
-from gridsentry.flows import (FEATURE_NAMES, FeatureConfig, FlowRecord,
-                              apply_zscore, build_snapshot,
-                              compute_zscore_stats, parse_flows, window)
+from gridsentry.flows import (FEATURE_NAMES, FlowRecord, apply_zscore,
+                              build_snapshot, compute_zscore_stats,
+                              parse_flows, window)
 
 HEADER = "ts,src_ip,dst_ip,proto,src_port,dst_port,bytes,pkts,dur,label,attack_type"
 
@@ -36,7 +36,8 @@ def test_parse_single_flow():
 
 def test_single_flow_feature_vector():
     records, _ = _parse(_flow(10.0, "a", "b"))
-    snap = build_snapshot(records, FeatureConfig(window_seconds=300))
+    ((bounds, bucket),) = window(records, 300)
+    snap = build_snapshot(bucket, bounds)
     assert snap.node_ids == ["a", "b"]
     assert snap.feature_names == FEATURE_NAMES
     assert snap.window == (0.0, 300.0)
@@ -56,7 +57,7 @@ def test_majority_attack_labeling():
         _flow(2.0, "m", "b2", label=1, attack="scanning"),
         _flow(3.0, "b1", "b2", label=0),
     )
-    snap = build_snapshot(records, FeatureConfig())
+    snap = build_snapshot(records, (0.0, 300.0))
     assert snap.node_ids == ["b1", "b2", "m"]
     # b1 and b2 sit at exactly half attack flows, which stays benign
     assert list(snap.labels) == [0, 0, 1]
@@ -90,6 +91,9 @@ SKIP_RULES = [
     (HEADER, "1.0,a,b,tcp,1000,80,-5,10,2.0,0,", "negative bytes"),
     (HEADER, "1.0,a,b,tcp,1000,80,100,10,-0.5,0,", "negative dur"),
     (TON_HEADER, "1.0,a,b,udp,60,,3,2,1.5,0,", "missing bytes"),
+    (TON_HEADER, "1.0,a,b,udp,60,40,3,2,1e300,0,", "invalid dur"),
+    (TON_HEADER, "1.0,a,b,udp,9007199254740992,2,3,2,1.5,0,", "invalid bytes"),
+    (TON_HEADER, "1.0,a,b,udp,60,40,1e300,-1e300,1.5,0,", "invalid pkts"),
     (HEADER, "soon,a,b,tcp,1000,80,lots,10,2.0,0,", "non-numeric ts"),
     (HEADER, "1.0,a,b,tcp,1000,http,100,10,2.0,maybe,", "non-numeric dst_port"),
 ]
@@ -101,6 +105,26 @@ def test_skip_reason_for_each_rule():
         records, stats = parse_flows(io.StringIO(f"{header}\n{row}\n{good[header]}\n"))
         assert len(records) == 1, row
         assert stats.reasons == {reason: 1}, row
+
+
+def test_counts_that_would_overflow_are_skipped():
+    # Kept, these rows would overflow int() of the pair total and the
+    # per-node byte sums.
+    ton = "1.0,a,b,tcp,1e308,1e308,3,2,1.5,0,"
+    records, stats = parse_flows(io.StringIO(
+        f"{TON_HEADER}\n{ton}\n2.0,a,b,udp,60,40,3,2,1.5,0,\n"))
+    assert len(records) == 1 and stats.reasons == {"invalid bytes": 1}
+
+    records, stats = _parse(_flow(1.0, "a", "b", bytes_="1e308"),
+                            _flow(2.0, "a", "c", bytes_="1e308"),
+                            _flow(3.0, "a", "b"), _flow(4.0, "a", "c"))
+    assert len(records) == 2 and stats.reasons == {"invalid bytes": 2}
+    ((bounds, bucket),) = window(records, 300)
+    assert np.isfinite(build_snapshot(bucket, bounds).features).all()
+
+    # 2**53 itself is an exact float64 integer and is kept.
+    records, stats = _parse(_flow(1.0, "a", "b", bytes_=2**53))
+    assert records[0].bytes == 2**53 and stats.rows_skipped == 0
 
 
 def test_self_flows_dropped_separately():
@@ -191,7 +215,7 @@ def test_window_partition_and_alignment():
         _flow(300.0, "a", "b"),
         _flow(650.0, "a", "b"),
     )
-    buckets = window(records, FeatureConfig(window_seconds=300))
+    buckets = window(records, 300)
     spans = [span for span, _ in buckets]
     assert spans == [(0.0, 300.0), (300.0, 600.0), (600.0, 900.0)]
     counts = [len(group) for _, group in buckets]
@@ -200,15 +224,14 @@ def test_window_partition_and_alignment():
         assert all(start <= f.timestamp < end for f in group)
 
 
-def test_window_rejects_empty_input():
-    with pytest.raises(ValueError):
-        window([], FeatureConfig())
+def test_window_of_no_flows_is_empty():
+    assert window([], 300) == []
 
 
 def test_build_snapshot_rejects_window_spill():
     records, _ = _parse(_flow(1.0, "a", "b"), _flow(400.0, "a", "b"))
     with pytest.raises(ValueError):
-        build_snapshot(records, FeatureConfig(window_seconds=300))
+        build_snapshot(records, (0.0, 300.0))
 
 
 def test_byte_conservation_through_features():
@@ -217,7 +240,7 @@ def test_byte_conservation_through_features():
         _flow(2.0, "b", "c", bytes_=250),
         _flow(3.0, "c", "a", bytes_=600),
     )
-    snap = build_snapshot(records, FeatureConfig())
+    snap = build_snapshot(records, (0.0, 300.0))
     sent = np.expm1(snap.features[:, 0]).sum()
     recv = np.expm1(snap.features[:, 1]).sum()
     assert abs(sent - 1000.0) <= 1e-6 and abs(recv - 1000.0) <= 1e-6
@@ -230,17 +253,17 @@ def test_build_snapshot_is_flow_order_independent():
         _flow(3.0, "b", "c", proto="icmp", label=1),
         _flow(4.0, "a", "c", pkts=77),
     )
-    first = build_snapshot(records, FeatureConfig())
-    second = build_snapshot(list(reversed(records)), FeatureConfig())
+    first = build_snapshot(records, (0.0, 300.0))
+    second = build_snapshot(list(reversed(records)), (0.0, 300.0))
     assert first.node_ids == second.node_ids
     assert np.array_equal(first.adjacency, second.adjacency)
     assert np.array_equal(first.features, second.features)
     assert np.array_equal(first.labels, second.labels)
 
 
-def _flow_loop_reference(flows, cfg):
-    """The per-flow accumulation loop that build_snapshot once ran."""
-    delta = float(cfg.window_seconds)
+def _flow_loop_reference(flows, window_seconds):
+    """The per-flow accumulation loop, and window start, build_snapshot once ran."""
+    delta = float(window_seconds)
     start = math.floor(min(f.timestamp for f in flows) / delta) * delta
     node_ids = sorted({f.src for f in flows} | {f.dst for f in flows})
     index = {d: i for i, d in enumerate(node_ids)}
@@ -300,9 +323,10 @@ def test_build_snapshot_matches_flow_loop_reference():
             label=int(rng.random() < 0.4),
         ))
     assert len(flows) >= 300 and len({(f.src, f.dst) for f in flows}) < len(flows)
-    cfg = FeatureConfig(window_seconds=300)
-    node_ids, adjacency, features, labels, span = _flow_loop_reference(flows, cfg)
-    snap = build_snapshot(flows, cfg)
+    node_ids, adjacency, features, labels, span = _flow_loop_reference(flows, 300)
+    ((bounds, bucket),) = window(flows, 300)
+    assert bucket == flows
+    snap = build_snapshot(flows, bounds)
     assert snap.node_ids == node_ids and snap.window == span
     assert np.array_equal(snap.adjacency, adjacency)
     assert np.array_equal(snap.features, features)
@@ -325,9 +349,10 @@ def test_zscore_stats_and_application():
     assert np.allclose(scaled * std + mean, feats)
 
 
-def test_feature_config_validation():
-    with pytest.raises(ValueError):
-        FeatureConfig(window_seconds=0)
+def test_window_rejects_non_positive_length():
+    records, _ = _parse(_flow(1.0, "a", "b"))
+    with pytest.raises(ValueError, match="window_seconds must be positive, got 0"):
+        window(records, 0)
 
 
 def test_unopenable_path_is_data_error(tmp_path):

@@ -14,8 +14,8 @@ import pytest
 
 from gridsentry import numerics, pipeline
 from gridsentry.errors import DataError
-from gridsentry.flows import (FEATURE_NAMES, FeatureConfig, build_snapshot,
-                              parse_flows, window)
+from gridsentry.flows import (FEATURE_NAMES, build_snapshot, parse_flows,
+                              window)
 from gridsentry.graphs import GraphSnapshot, SbmSpec, sbm_generate
 from gridsentry.gsl import GslConfig
 from gridsentry.models import init_params
@@ -36,8 +36,8 @@ def trained(tmp_path_factory, flows_train_csv):
 @pytest.fixture(scope="module")
 def detect_windows(flows_detect_csv):
     records, _ = parse_flows(flows_detect_csv)
-    cfg = FeatureConfig(window_seconds=300)
-    return [build_snapshot(bucket, cfg) for _, bucket in window(records, cfg)]
+    return [build_snapshot(bucket, bounds)
+            for bounds, bucket in window(records, 300)]
 
 
 def test_config_validation():
