@@ -12,8 +12,10 @@ One binary with subcommands covering the whole workflow:
 
 Every command accepts --output. generate, attack, train and experiment also
 take --seed and --config, and ingest takes --config; flags override config
-file values. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure.
+file values. Exit codes: 0 success, 1 usage error (including an output
+path that cannot be written), 2 data error, 3 numeric failure. Commands that
+write a directory (ingest, train, experiment) create it before any parse or
+fit starts.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import attacks, codec, experiments, pipeline
@@ -77,6 +80,27 @@ def _require_output(args) -> str:
     return args.output
 
 
+@contextmanager
+def _writing(path):
+    """Report an OSError raised in the block as a usage error naming ``path``.
+
+    Inputs are read through loaders that raise DataError, so an OSError
+    here comes from creating or writing the output.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _output_dir(args) -> Path:
+    """The --output directory, created before any work starts."""
+    out = Path(_require_output(args))
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_generate(args) -> int:
     doc = _load_config(args.config)
     for flag in ("n", "p_in", "p_out", "feature_dim", "signal", "noise_sigma",
@@ -86,7 +110,8 @@ def cmd_generate(args) -> int:
             doc[flag] = value
     spec = _decode(SbmSpec, doc, "generate")
     snapshot = sbm_generate(spec)
-    save_snapshot(snapshot, _require_output(args))
+    with _writing(_require_output(args)):
+        save_snapshot(snapshot, args.output)
     print(f"wrote {snapshot.n_nodes}-node snapshot to {args.output}")
     return 0
 
@@ -96,13 +121,13 @@ def cmd_ingest(args) -> int:
     if args.window_seconds is not None:
         doc["window_seconds"] = args.window_seconds
     cfg = _decode(pipeline.PipelineConfig, doc, "pipeline")
+    out = _output_dir(args)
     records, stats = parse_flows(args.input)
     print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
-    out = Path(_require_output(args))
-    out.mkdir(parents=True, exist_ok=True)
     windows = window(records, cfg.window_seconds)
-    for k, (bounds, bucket) in enumerate(windows):
-        save_snapshot(build_snapshot(bucket, bounds), out / f"window_{k:04d}.json")
+    with _writing(out):
+        for k, (bounds, bucket) in enumerate(windows):
+            save_snapshot(build_snapshot(bucket, bounds), out / f"window_{k:04d}.json")
     print(f"wrote {len(windows)} window snapshot(s) to {out}")
     return 0
 
@@ -121,8 +146,9 @@ def cmd_attack(args) -> int:
     snapshot = load_snapshot(args.input)
     perturbed, receipt = attacks.apply(snapshot, spec, phase)
     out = _require_output(args)
-    save_snapshot(perturbed, out)
-    receipt.save(str(out) + ".receipt.json")
+    with _writing(out):
+        save_snapshot(perturbed, out)
+        receipt.save(str(out) + ".receipt.json")
     if receipt.warning:
         print(f"warning: {receipt.warning}", file=sys.stderr)
     print(
@@ -137,7 +163,9 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     cfg = _decode(pipeline.PipelineConfig, doc, "pipeline")
-    bundle, state = pipeline.train_pipeline(args.input, cfg, _require_output(args))
+    out = _output_dir(args)
+    with _writing(out):
+        bundle, state = pipeline.train_pipeline(args.input, cfg, out)
     final = state.objective_history[-1].total
     print(
         f"trained {bundle.model_version} on {args.input}; "
@@ -147,7 +175,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    summary = pipeline.run_pipeline(args.input, args.bundle, _require_output(args))
+    with _writing(_require_output(args)):
+        summary = pipeline.run_pipeline(args.input, args.bundle, args.output)
     print(
         f"processed {summary['windows_processed']} window(s), "
         f"emitted {summary['alerts']} alert(s) to {args.output}"
@@ -162,22 +191,22 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         doc["base_seed"] = args.seed
     cfg = _decode(experiments.ExperimentConfig, doc, "experiment")
+    out = _output_dir(args)
     result = experiments.run_experiment(cfg)
-    out = Path(_require_output(args))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        experiments.report_to_json(result.report), encoding="utf-8"
-    )
-    (out / "report.md").write_text(
-        experiments.report_to_markdown(result.report) + "\n", encoding="utf-8"
-    )
-    history_dir = out / "history"
-    history_dir.mkdir(exist_ok=True)
-    for (model, rate, run), history in sorted(result.histories.items()):
-        slug = model.lower().replace("-", "_")
-        experiments.write_history_csv(
-            history, history_dir / f"{slug}_rate{rate:g}_run{run}.csv"
+    with _writing(out):
+        (out / "report.json").write_text(
+            experiments.report_to_json(result.report), encoding="utf-8"
         )
+        (out / "report.md").write_text(
+            experiments.report_to_markdown(result.report) + "\n", encoding="utf-8"
+        )
+        history_dir = out / "history"
+        history_dir.mkdir(exist_ok=True)
+        for (model, rate, run), history in sorted(result.histories.items()):
+            slug = model.lower().replace("-", "_")
+            experiments.write_history_csv(
+                history, history_dir / f"{slug}_rate{rate:g}_run{run}.csv"
+            )
     print(f"wrote report for {len(result.report.cells)} cells to {out}")
     return 0
 
@@ -187,8 +216,9 @@ def cmd_report(args) -> int:
                               experiments.MetricsReport.from_dict)
     text = experiments.render_report(report, args.format)
     if args.output:
-        Path(args.output).write_text(text + ("" if text.endswith("\n") else "\n"),
-                                     encoding="utf-8")
+        with _writing(args.output):
+            Path(args.output).write_text(
+                text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
     else:
         print(text)
     return 0

@@ -5,12 +5,17 @@ Matrices throughout this package are dense two-dimensional float64 ndarrays
 All randomness flows through :func:`make_rng`, a seeded PCG64 generator: the
 same seed reproduces the identical stream within one build.
 
+Dense problems are capped at a side of 2,000 (``_MAX_SVD_SIDE``), where one
+float64 matrix takes 32 MB: :func:`require_square` raises ValueError naming
+the dense ceiling above it. ``gsl.fit`` and ``gsl.refine_structure`` check
+the observed adjacency that way when they start, and every factorization
+checks its input again.
+
 The structure matrices the optimizer works on are symmetric, so the spectral
-operators it calls, :func:`svt` and :func:`nuclear_norm`, factor with the
-symmetric eigensolvers (LAPACK syevd) instead of a general SVD. They reject
-an input that is not symmetric instead of symmetrizing it. Every
-factorization is capped at a side of 2,000 (``_MAX_SVD_SIDE``), where one
-dense float64 matrix takes 32 MB; larger inputs raise ValueError.
+operators of the opt-in nuclear-norm prior, :func:`svt` and
+:func:`nuclear_norm`, factor with the symmetric eigensolvers (LAPACK syevd)
+instead of a general SVD. They reject an input that is not symmetric instead
+of symmetrizing it.
 """
 
 from __future__ import annotations
@@ -106,8 +111,8 @@ def soft_threshold(m, tau: float) -> np.ndarray:
     return np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
 
 
-def _require_symmetric(m, name: str) -> np.ndarray:
-    """A finite, square, symmetric matrix within the dense ceiling, or ValueError."""
+def require_square(m, name: str = "matrix") -> np.ndarray:
+    """A finite, square matrix within the dense ceiling, or ValueError."""
     arr = require_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
@@ -115,6 +120,12 @@ def _require_symmetric(m, name: str) -> np.ndarray:
         raise ValueError(
             f"{name} side {arr.shape[0]} is above the dense ceiling of {_MAX_SVD_SIDE}"
         )
+    return arr
+
+
+def _require_symmetric(m, name: str) -> np.ndarray:
+    """A finite, square, symmetric matrix within the dense ceiling, or ValueError."""
+    arr = require_square(m, name)
     asym = float(np.abs(arr - arr.T).max(initial=0.0))
     if asym > _SYMMETRY_RTOL * max(float(np.abs(arr).max(initial=0.0)), 1.0):
         raise ValueError(f"{name} must be symmetric, got max|m - m^T| = {asym:.3e}")

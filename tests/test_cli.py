@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from gridsentry import codec, pipeline
+from gridsentry import cli, codec, experiments, pipeline
 from gridsentry.cli import main
 from gridsentry.errors import NumericError
 from gridsentry.flows import FEATURE_NAMES, parse_flows, window
-from gridsentry.graphs import load_snapshot
+from gridsentry.graphs import SbmSpec, load_snapshot, save_snapshot, sbm_generate
 from gridsentry.gsl import GslConfig
 from gridsentry.models import init_params
 
@@ -422,3 +422,42 @@ def test_experiment_missing_csv_is_data_error(tmp_path, capsys):
                       {"csv_path": str(tmp_path / "missing.csv"), "runs": 1})
     assert main(["experiment", "--config", cfg, "-o", str(tmp_path / "r")]) == 2
     assert "data error: cannot read flow file" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+@pytest.mark.parametrize("command", ["generate", "ingest", "attack", "train",
+                                     "detect", "experiment", "report"])
+def test_unwritable_output_is_usage_error(command, tmp_path, flows_train_csv,
+                                          flows_detect_csv, monkeypatch, capsys):
+    missing = tmp_path / "missing_dir" / "out"
+    regular = tmp_path / "regular_file"  # stands where a directory must go
+    regular.write_text("", encoding="utf-8")
+    snap = tmp_path / "snap.json"
+    save_snapshot(sbm_generate(SbmSpec(n=20, p_in=0.4, p_out=0.05)), snap)
+    report = _write_json(tmp_path / "report.json", experiments.MetricsReport(
+        config={}, seeds=[], cells=[]).to_dict())
+    argv, out = {
+        "generate": (["generate", "--n", "20", "--p-in", "0.4", "--p-out", "0.05"],
+                     missing),
+        "ingest": (["ingest", "-i", str(flows_detect_csv)], regular),
+        "attack": (["attack", "-i", str(snap), "--rate", "0.1"], missing),
+        "train": (["train", "-i", str(flows_train_csv)], regular),
+        "detect": (["detect", "-i", str(flows_detect_csv),
+                    "-b", _untrained_bundle(tmp_path / "bundle.json")], missing),
+        "experiment": (["experiment", "--config",
+                        _write_json(tmp_path / "exp.json", TINY_EXPERIMENT)], regular),
+        "report": (["report", "-i", report], missing),
+    }[command]
+    # The commands that write a directory check it before any parse or fit.
+    monkeypatch.setattr(cli, "parse_flows", _must_not_run)
+    monkeypatch.setattr(pipeline, "train_pipeline", _must_not_run)
+    monkeypatch.setattr(experiments, "run_experiment", _must_not_run)
+
+    assert main(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err

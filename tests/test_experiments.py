@@ -287,7 +287,7 @@ PINNED_SETTINGS = {
     "rates": [0.0, 0.1, 0.5], "runs": 10, "base_seed": 0, "train_frac": 0.8,
     "attack_kind": "poisoning", "structure_mode": "dice", "feature_sigma": 0.5,
     "feature_fraction": None, "window_seconds": 300,
-    "gsl": {"alpha_nuclear": 0.25, "alpha_l1": 0.0005, "beta_smooth": 0.5,
+    "gsl": {"alpha_nuclear": 0.0, "alpha_l1": 0.0005, "beta_smooth": 0.5,
             "lambda_prox": 0.15, "eta_s": 0.2, "inner_theta_steps": 5,
             "outer_iters": 100, "seed": 0},
     "train": {"epochs": 200, "lr": 0.01, "beta1": 0.9, "beta2": 0.999,

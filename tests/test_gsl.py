@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gridsentry import gsl, models
+from gridsentry import gsl, models, numerics
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.experiments import split, write_history_csv
 from gridsentry.graphs import sbm_generate
@@ -308,6 +310,83 @@ def test_refine_structure_is_label_free_and_valid(sbm12):
     assert not np.array_equal(out, sbm12.adjacency)
 
 
+def _step_loop(a, signal, cfg, steps):
+    """``steps`` label-free structure steps, one ``structure_step`` at a time."""
+    state = GslState(s=a.copy(), a=a, theta=None, signal=signal)
+    smooth_grad = cfg.beta_smooth * gsl._half_sq_dists(signal)
+    for _ in range(steps):
+        state.s = structure_step(state, None, None, None, cfg,
+                                 smooth_grad=smooth_grad)
+    return state.s
+
+
+@given(data=st.data())
+def test_closed_form_refinement_matches_the_step_loop(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    upper = np.triu(rng.random((n, n)) < data.draw(st.floats(0.0, 1.0)), 1)
+    a = (upper | upper.T).astype(float)
+    p = rng.random(n)
+    p[rng.random(n) < 0.2] = rng.integers(0, 2)  # some beliefs at 0 or 1
+    beliefs = np.column_stack([1.0 - p, p])
+    eta, lam = data.draw(st.one_of(
+        st.tuples(st.floats(0.0, 1.0), st.just(0.0)),              # r = 1
+        st.sampled_from([(0.5, 1.0), (1.0, 0.5), (0.25, 2.0)]),     # r = 0
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0)).filter(
+            lambda pair: 2.0 * pair[0] * pair[1] <= 1.0),
+    ), label="eta_s, lambda_prox")
+    cfg = GslConfig(eta_s=eta, lambda_prox=lam,
+                    alpha_l1=data.draw(st.floats(0.0, 0.5), label="alpha_l1"),
+                    beta_smooth=data.draw(st.floats(0.0, 5.0), label="beta"))
+    steps = data.draw(st.integers(0, 80), label="steps")
+
+    out = gsl._refine_in_closed_form(a, beliefs, cfg, steps)
+    assert np.abs(out - _step_loop(a, beliefs, cfg, steps)).max(initial=0.0) <= 1e-12
+    assert np.array_equal(out, out.T)
+    assert np.all(np.diagonal(out) == 0.0)
+    assert out.min(initial=0.0) >= 0.0 and out.max(initial=0.0) <= 1.0
+
+
+@pytest.mark.parametrize("cfg", [GslConfig(alpha_nuclear=0.25),
+                                 GslConfig(eta_s=0.5, lambda_prox=1.5)],
+                         ids=["nuclear-prior", "oscillating-step"])
+def test_refine_structure_keeps_the_step_loop(cfg, sbm12):
+    theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
+    beliefs = class_beliefs(theta, sbm12.adjacency, sbm12.features)
+    out = refine_structure(sbm12.adjacency, sbm12.features, theta, cfg, steps=7)
+    assert np.array_equal(out, _step_loop(sbm12.adjacency, beliefs, cfg, 7))
+
+
+@pytest.mark.parametrize("steps", [1, 20, 60])
+def test_refine_structure_in_closed_form_by_default(steps, sbm12):
+    theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
+    beliefs = class_beliefs(theta, sbm12.adjacency, sbm12.features)
+    out = refine_structure(sbm12.adjacency, sbm12.features, theta, GslConfig(),
+                           steps=steps)
+    loop = _step_loop(sbm12.adjacency, beliefs, GslConfig(), steps)
+    assert np.abs(out - loop).max() <= 1e-12
+
+
+def test_refine_structure_needs_an_adjacency(sbm12):
+    theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
+    lopsided = sbm12.adjacency.copy()
+    lopsided[0, 1] = 0.5 * lopsided[1, 0] + 0.25
+    with pytest.raises(ValueError, match="symmetric"):
+        refine_structure(lopsided, sbm12.features, theta, GslConfig(), steps=5)
+
+
+def test_fit_and_refine_check_the_dense_ceiling(sbm12, monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_SVD_SIDE", 11)
+    mask = np.ones(12, dtype=bool)
+    with pytest.raises(ValueError, match="dense ceiling"):
+        fit(sbm12.adjacency, sbm12.features, sbm12.labels, "gcn",
+            GslConfig(outer_iters=1), TrainConfig(), mask, seed=7)
+    theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
+    with pytest.raises(ValueError, match="dense ceiling"):
+        refine_structure(sbm12.adjacency, sbm12.features, theta, GslConfig(),
+                         steps=5)
+
+
 def test_fit_prepares_each_structure_once(sbm60, masks60, monkeypatch):
     calls = _count_preparations(monkeypatch, gsl)
     train_mask, _ = masks60
@@ -326,7 +405,8 @@ def test_structure_step_rejects_a_propagation_of_another_matrix():
 
 # Objective histories of 5 outer iterations on the 60-node fixture, as
 # write_history_csv prints them. Pinned so that a change to any step of fit
-# (forward, gradients, beliefs, structure step, objective) shows here.
+# (forward, gradients, beliefs, structure step, objective) shows here. These
+# pin the opt-in nuclear-norm prior at alpha_nuclear = 0.25.
 FIT_HISTORY_CSV = {
     "gcn": (
         "iteration,total,task,nuclear,l1,smooth,prox\n"
@@ -349,12 +429,46 @@ FIT_HISTORY_CSV = {
 }
 
 
-@pytest.mark.parametrize("kind", ["gcn", "sage"])
-def test_fit_history_is_pinned(kind, sbm60, masks60, tmp_path):
+def _history_csv(kind, cfg, sbm60, masks60, path):
     train_mask, _ = masks60
     _, _, state = fit(sbm60.adjacency, sbm60.features, sbm60.labels, kind,
-                      GslConfig(outer_iters=5), TrainConfig(), train_mask,
-                      seed=7)
-    path = tmp_path / "history.csv"
+                      cfg, TrainConfig(), train_mask, seed=7)
     write_history_csv(state.objective_history, path)
-    assert path.read_text() == FIT_HISTORY_CSV[kind]
+    return path.read_text()
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage"])
+def test_fit_history_is_pinned(kind, sbm60, masks60, tmp_path):
+    cfg = GslConfig(alpha_nuclear=0.25, outer_iters=5)
+    assert _history_csv(kind, cfg, sbm60, masks60, tmp_path / "history.csv") \
+        == FIT_HISTORY_CSV[kind]
+
+
+# The same histories under the default config, where the prior is off.
+DEFAULT_FIT_HISTORY_CSV = {
+    "gcn": (
+        "iteration,total,task,nuclear,l1,smooth,prox\n"
+        "0,22.7705641703,0.726707795525,0,0.24,21.8038563748,0\n"
+        "1,20.2801040489,0.40327265784,0,0.23780356087,19.5741724064,0.0648554237873\n"
+        "2,18.2720300946,0.213220847369,0,0.235735162354,17.5782219144,0.244852170484\n"
+        "3,16.5693373114,0.103764085263,0,0.233784151288,15.7114887383,0.520300336558\n"
+        "4,15.0873003018,0.0457543964825,0,0.231943953958,13.9360085514,0.873593399919\n"
+        "5,13.7838247205,0.0197730296548,0,0.230208799467,12.2447663424,1.28907654901\n"
+    ),
+    "sage": (
+        "iteration,total,task,nuclear,l1,smooth,prox\n"
+        "0,22.7551623523,0.711061143235,0,0.24,21.8041012091,0\n"
+        "1,19.9808819707,0.0784296579256,0,0.237816918581,19.5996411093,0.0649942848533\n"
+        "2,18.085953563,0.00772302501753,0,0.235743249803,17.5979209415,0.244566346642\n"
+        "3,16.4706566318,0.00146873611041,0,0.233788020151,15.7167370871,0.518662788383\n"
+        "4,15.0318078274,0.000519851533717,0,0.231947750947,13.9295984938,0.869741731183\n"
+        "5,13.7508140459,0.00026988613811,0,0.230216307623,12.2378653375,1.28246251463\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage"])
+def test_default_fit_history_is_pinned(kind, sbm60, masks60, tmp_path):
+    cfg = GslConfig(outer_iters=5)
+    assert _history_csv(kind, cfg, sbm60, masks60, tmp_path / "history.csv") \
+        == DEFAULT_FIT_HISTORY_CSV[kind]
