@@ -122,9 +122,9 @@ def cmd_ingest(args) -> int:
         doc["window_seconds"] = args.window_seconds
     cfg = _decode(pipeline.PipelineConfig, doc, "pipeline")
     out = _output_dir(args)
-    records, stats = parse_flows(args.input)
+    flows, stats = parse_flows(args.input)
     print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
-    windows = window(records, cfg.window_seconds)
+    windows = window(flows, cfg.window_seconds)
     with _writing(out):
         for k, (bounds, bucket) in enumerate(windows):
             save_snapshot(build_snapshot(bucket, bounds), out / f"window_{k:04d}.json")

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import attacks, codec, gsl
 from .errors import DataError
-from .flows import (apply_zscore, build_snapshot, compute_zscore_stats,
-                    parse_flows, window)
+from .flows import (FlowTable, apply_zscore, build_snapshot,
+                    compute_zscore_stats, parse_flows, window)
 from .graphs import GraphSnapshot, SbmSpec, sbm_generate
 from .models import GnnParams, TrainConfig, model_logits, predict, train
 from .numerics import make_rng
@@ -254,23 +254,22 @@ def load_merged_snapshot(csv_path, window_seconds: int = 300, min_nodes: int = 1
     start to the last one's end: node and edge sets are the unions over the
     kept windows and features summarize every kept flow.
     """
-    records, _ = parse_flows(csv_path)
+    flows, _ = parse_flows(csv_path)
     if max_flows is not None:
-        records = records[:max_flows]
-    if not records:
+        flows = flows[:max_flows]
+    if not len(flows):
         raise DataError(f"no usable flows in {csv_path}")
-    kept: list = []
+    kept: list[FlowTable] = []
     spans: list = []
-    for bounds, bucket in window(records, window_seconds):
-        devices = {f.src for f in bucket} | {f.dst for f in bucket}
-        if len(devices) >= min_nodes:
-            kept.extend(bucket)
+    for bounds, bucket in window(flows, window_seconds):
+        if len(set(bucket.src) | set(bucket.dst)) >= min_nodes:
+            kept.append(bucket)
             spans.append(bounds)
     if not kept:
         raise DataError(
             f"every window has fewer than {min_nodes} devices; nothing to train on"
         )
-    return build_snapshot(kept, (spans[0][0], spans[-1][1]))
+    return build_snapshot(FlowTable.concat(kept), (spans[0][0], spans[-1][1]))
 
 
 class _Trained(NamedTuple):

@@ -1,4 +1,7 @@
-"""Flow-record ingestion: CSV parsing, time windowing, graph construction.
+"""Flow ingestion: CSV parsing, time windowing, graph construction.
+
+Parsed flows live in one columnar :class:`FlowTable`, which :func:`window`
+splits and :func:`build_snapshot` aggregates without a per-flow object.
 
 Input CSVs carry one network flow per row. Columns are resolved by name
 against a documented mapping; the generic names come first and the ToN_IoT
@@ -22,16 +25,18 @@ type     attack_type         type
 
 Ports and attack type are optional; everything else must be present or
 parsing fails hard listing the missing logical fields. Malformed rows are
-skipped and counted per reason; if more than half of the data rows are
-skipped the dataset is rejected as unusable.
+skipped and counted under the first field, in table order, that fails; if
+more than half of the data rows are skipped the dataset is rejected as
+unusable.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +45,7 @@ from .errors import DataError
 from .graphs import GraphSnapshot
 
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
+_PROTOCOL_NAMES = {p: p for p in PROTOCOLS}
 
 # Per-device feature layout, in column order.
 FEATURE_NAMES = [
@@ -71,23 +77,52 @@ _PAIRED = {"bytes": ("bytes", ("src_bytes", "dst_bytes")),
            "pkts": ("pkts", ("src_pkts", "dst_pkts"))}
 _REQUIRED = ("ts", "src", "dst", "proto", "bytes", "pkts", "dur", "label")
 _MAX_EXACT = 2.0**53
+# Rows read and checked together: enough to make the per-column work cheap,
+# few enough that a block's cell strings take little memory. Blocks of 1,024
+# or 4,096 rows parsed no faster on the benchmark and left the grid's peak
+# RSS about 1 MB higher.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
-class FlowRecord:
-    """One parsed network flow between two devices."""
+class FlowTable:
+    """Parsed network flows between devices, as equal-length columns.
 
-    timestamp: float
-    src: str
-    dst: str
-    protocol: str
-    src_port: int
-    dst_port: int
-    bytes: int
-    packets: int
-    duration: float
-    label: int
-    attack_type: str = ""
+    Row ``i`` of every column is one flow. ``table[idx]`` selects rows by a
+    slice, an index array or a boolean mask.
+    """
+
+    timestamp: np.ndarray    # float64
+    src: np.ndarray          # str objects
+    dst: np.ndarray          # str objects
+    protocol: np.ndarray     # str objects, one of PROTOCOLS
+    src_port: np.ndarray     # int64
+    dst_port: np.ndarray     # int64
+    bytes: np.ndarray        # int64
+    packets: np.ndarray      # int64
+    duration: np.ndarray     # float64
+    label: np.ndarray        # int64, 0 or 1
+    attack_type: np.ndarray  # str objects, "" when absent
+
+    def __post_init__(self):
+        if len({len(column) for column in self._columns().values()}) > 1:
+            raise ValueError("FlowTable columns differ in length")
+
+    def _columns(self) -> dict[str, np.ndarray]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, rows) -> "FlowTable":
+        return FlowTable(**{name: column[rows]
+                            for name, column in self._columns().items()})
+
+    @classmethod
+    def concat(cls, tables: list["FlowTable"]) -> "FlowTable":
+        """The rows of ``tables``, in order; ``tables`` must not be empty."""
+        return cls(**{f.name: np.concatenate([getattr(t, f.name) for t in tables])
+                      for f in fields(cls)})
 
 
 @dataclass
@@ -97,9 +132,9 @@ class ParseStats:
     self_flows_dropped: int = 0
     reasons: dict[str, int] = field(default_factory=dict)
 
-    def skip(self, reason: str) -> None:
-        self.rows_skipped += 1
-        self.reasons[reason] = self.reasons.get(reason, 0) + 1
+    def skip(self, reason: str, count: int) -> None:
+        self.rows_skipped += count
+        self.reasons[reason] = self.reasons.get(reason, 0) + count
 
     def to_dict(self) -> dict:
         return {
@@ -132,75 +167,8 @@ def _resolve_columns(fieldnames) -> dict:
     return resolved
 
 
-class _Skip(Exception):
-    """A malformed row; the message is the reason it is counted under."""
-
-
-def _cell(row: dict, column) -> str:
-    """Stripped cell text; empty for an absent column, short row or blank cell."""
-    value = row.get(column) if column is not None else None
-    return value.strip() if value else ""
-
-
-def _text(row: dict, column, logical: str) -> str:
-    value = _cell(row, column)
-    if not value:
-        raise _Skip(f"missing {logical}")
-    return value
-
-
-def _number(row: dict, columns, logical: str) -> float:
-    """Non-negative numeric field, summing a ToN_IoT column pair.
-
-    A value or total above 2**53, the largest integer a float64 holds
-    exactly, is skipped as invalid: no real count or timestamp is that
-    large, and per-node sums of smaller values cannot overflow.
-    """
-    total = 0.0
-    for name in columns if isinstance(columns, tuple) else (columns,):
-        try:
-            value = float(_text(row, name, logical))
-        except ValueError:
-            raise _Skip(f"non-numeric {logical}") from None
-        if not math.isfinite(value):
-            raise _Skip(f"non-numeric {logical}")
-        if value > _MAX_EXACT:
-            raise _Skip(f"invalid {logical}")
-        total += value
-    if total < 0:
-        raise _Skip(f"negative {logical}")
-    if total > _MAX_EXACT:
-        raise _Skip(f"invalid {logical}")
-    return total
-
-
-def _port(row: dict, column, logical: str) -> int:
-    """Port number; an absent column or empty cell reads 0."""
-    text = _cell(row, column)
-    if not text:
-        return 0
-    try:
-        port = int(float(text))
-    except (ValueError, OverflowError):  # not a number, NaN or infinite
-        raise _Skip(f"non-numeric {logical}") from None
-    if not 0 <= port <= 65535:
-        raise _Skip(f"invalid {logical}")
-    return port
-
-
-def _label(row: dict, column) -> int:
-    text = _text(row, column, "label")
-    try:
-        value = float(text)
-    except ValueError:
-        raise _Skip("non-numeric label") from None
-    if value not in (0.0, 1.0):
-        raise _Skip("invalid label")
-    return int(value)
-
-
-def parse_flows(source) -> tuple[list[FlowRecord], ParseStats]:
-    """Parse a CSV path or stream into flow records plus parse statistics.
+def parse_flows(source) -> tuple[FlowTable, ParseStats]:
+    """Parse a CSV path or stream into a flow table plus parse statistics.
 
     Self-flows (src == dst) are dropped and counted separately from skips.
     A path that cannot be opened, and input that is not UTF-8 text or not
@@ -218,78 +186,180 @@ def parse_flows(source) -> tuple[list[FlowRecord], ParseStats]:
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
     try:
-        return _parse_rows(csv.DictReader(source))
+        return _parse_rows(csv.reader(source))
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"input is not readable as CSV: {exc}") from exc
 
 
-def _parse_rows(reader: csv.DictReader) -> tuple[list[FlowRecord], ParseStats]:
-    columns = _resolve_columns(reader.fieldnames)
+def _parse_rows(reader) -> tuple[FlowTable, ParseStats]:
+    """Read the header line, then the rows in blocks of ``_BLOCK_ROWS``.
+
+    The first line is the header even when it is blank. A name given to two
+    columns means the last of them.
+    """
+    header = next(reader, None)
+    columns = _resolve_columns(header)
+    used = {name for names in columns.values()
+            for name in (names if isinstance(names, tuple) else (names,))}
+    position = {name: k for k, name in enumerate(header) if name in used}
     stats = ParseStats()
-    records: list[FlowRecord] = []
-
-    for row in reader:
-        stats.rows_total += 1
-        try:
-            ts = _number(row, columns["ts"], "ts")
-            src = _text(row, columns["src"], "src")
-            dst = _text(row, columns["dst"], "dst")
-            proto = _text(row, columns["proto"], "proto").lower()
-            src_port = _port(row, columns.get("src_port"), "src_port")
-            dst_port = _port(row, columns.get("dst_port"), "dst_port")
-            nbytes = _number(row, columns["bytes"], "bytes")
-            pkts = _number(row, columns["pkts"], "pkts")
-            dur = _number(row, columns["dur"], "dur")
-            label = _label(row, columns["label"])
-        except _Skip as skip:
-            stats.skip(str(skip))
-            continue
-        if src == dst:
-            stats.self_flows_dropped += 1
-            continue
-        records.append(
-            FlowRecord(
-                timestamp=ts,
-                src=src,
-                dst=dst,
-                protocol=proto if proto in PROTOCOLS else "other",
-                src_port=src_port,
-                dst_port=dst_port,
-                bytes=int(nbytes),
-                packets=int(pkts),
-                duration=dur,
-                label=label,
-                attack_type=_cell(row, columns.get("type")),
-            )
-        )
-
+    blocks = []
+    while True:
+        rows = list(islice(reader, _BLOCK_ROWS))
+        blocks.append(_parse_block(rows, columns, position, stats))
+        if len(rows) < _BLOCK_ROWS:
+            break
     if stats.rows_total and stats.rows_skipped / stats.rows_total > 0.5:
         raise DataError(
             f"dataset unusable: {stats.rows_skipped} of {stats.rows_total} rows skipped"
         )
-    return records, stats
+    return FlowTable.concat(blocks), stats
 
 
-def window(
-    flows: list[FlowRecord], window_seconds: float
-) -> list[tuple[tuple[float, float], list[FlowRecord]]]:
+def _floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``float()`` of every cell: the values, with NaN where it raised, and
+    masks of the cells that are empty and of the cells it raised on."""
+    n = len(cells)
+    try:
+        values = np.fromiter(map(float, cells), np.float64, n)
+        return values, np.zeros(n, bool), np.zeros(n, bool)
+    except ValueError:  # some cell is not a number: find which
+        pass
+    values = np.full(n, np.nan)
+    empty, failed = np.zeros(n, bool), np.zeros(n, bool)
+    for k, cell in enumerate(cells):
+        try:
+            values[k] = float(cell)
+        except ValueError:
+            failed[k] = True
+            empty[k] = not cell
+    return values, empty, failed
+
+
+def _parse_block(rows: list[list[str]], columns: dict, position: dict,
+                 stats: ParseStats) -> FlowTable:
+    """Check and convert one block of rows; the kept flows become a table.
+
+    A row is skipped under the first rule it breaks, in the order of the
+    fields ts, src, dst, proto, src_port, dst_port, bytes, pkts, dur, label.
+    Each rule is a mask over the block: ``reject`` counts the rows it is the
+    first to catch. A masked-out row's value is replaced before any cast or
+    sum, so a rejected cell never reaches the arithmetic.
+    """
+    width = max(position.values()) + 1
+    if min(map(len, rows), default=width) < width:
+        # Blank lines are not rows; a short row reads "" past its end.
+        rows = [row + [""] * (width - len(row)) for row in rows if row]
+    n = len(rows)
+    stats.rows_total += n
+    cells_by_column = list(zip(*rows)) or [()] * width
+    ok = np.ones(n, bool)
+
+    def cells(name) -> list[str]:
+        return list(map(str.strip, cells_by_column[position[name]]))
+
+    def reject(reason: str, mask: np.ndarray) -> None:
+        hit = mask & ok
+        count = int(np.count_nonzero(hit))
+        if count:
+            stats.skip(reason, count)
+            ok[hit] = False
+
+    def text(logical: str, convert=sys.intern) -> np.ndarray:
+        values = np.array(list(map(convert, cells(columns[logical]))), dtype=object)
+        reject(f"missing {logical}", values == "")
+        return values
+
+    def number(logical: str) -> np.ndarray:
+        """A non-negative value, or the sum of a ToN_IoT column pair.
+
+        A value or total above 2**53, the largest integer a float64 holds
+        exactly, is invalid: no real count or timestamp is that large, and
+        per-node sums of smaller values cannot overflow.
+        """
+        names = columns[logical]
+        total = 0.0  # so -0.0 reads 0.0
+        for name in names if isinstance(names, tuple) else (names,):
+            values, empty, _ = _floats(cells(name))
+            reject(f"missing {logical}", empty)
+            reject(f"non-numeric {logical}", ~np.isfinite(values))
+            reject(f"invalid {logical}", values > _MAX_EXACT)
+            # A cell far below zero makes any total negative; clipping it
+            # keeps the sum of two such cells from overflowing.
+            total = total + np.where(ok, np.maximum(values, -2 * _MAX_EXACT), 0.0)
+        reject(f"negative {logical}", total < 0)
+        reject(f"invalid {logical}", total > _MAX_EXACT)
+        return total
+
+    def port(logical: str) -> np.ndarray:
+        """Port number; an absent column or empty cell reads 0."""
+        if logical not in columns:
+            return np.zeros(n, np.int64)
+        values, empty, _ = _floats(cells(columns[logical]))
+        values[empty] = 0.0
+        reject(f"non-numeric {logical}", ~np.isfinite(values))
+        # int() truncates toward zero, so (-1, 65536) holds the ports 0..65535.
+        reject(f"invalid {logical}", ~((values > -1) & (values < 65536)))
+        return np.where(ok, values, 0.0).astype(np.int64)
+
+    ts = number("ts")
+    src = text("src")
+    dst = text("dst")
+    protocol = text("proto", str.lower)
+    src_port = port("src_port")
+    dst_port = port("dst_port")
+    nbytes = number("bytes")
+    pkts = number("pkts")
+    dur = number("dur")
+    label, empty, failed = _floats(cells(columns["label"]))
+    reject("missing label", empty)
+    reject("non-numeric label", failed)
+    reject("invalid label", (label != 0) & (label != 1))
+
+    self_flow = ok & (src == dst)
+    stats.self_flows_dropped += int(np.count_nonzero(self_flow))
+    keep = ok & ~self_flow
+    attack_type = (np.array(list(map(sys.intern, cells(columns["type"]))), dtype=object)
+                   if "type" in columns else np.full(n, "", dtype=object))
+    return FlowTable(
+        timestamp=ts[keep],
+        src=src[keep],
+        dst=dst[keep],
+        protocol=np.array(list(map(_PROTOCOL_NAMES.get, protocol[keep],
+                                   repeat("other"))), dtype=object),
+        src_port=src_port[keep],
+        dst_port=dst_port[keep],
+        bytes=nbytes[keep].astype(np.int64),
+        packets=pkts[keep].astype(np.int64),
+        duration=dur[keep],
+        label=(label[keep] == 1).astype(np.int64),
+        attack_type=attack_type[keep],
+    )
+
+
+def window(flows: FlowTable,
+           window_seconds: float) -> list[tuple[tuple[float, float], FlowTable]]:
     """Bucket flows into half-open windows [k*delta, (k+1)*delta), sorted by start.
 
     Window boundaries are aligned to multiples of the window length, so the
-    first window starts at floor(min_ts / delta) * delta. Empty windows are
-    omitted, so no flows give no windows.
+    first window starts at floor(min_ts / delta) * delta. Flows keep their
+    order within a window. Empty windows are omitted, so no flows give no
+    windows.
     """
     if window_seconds <= 0:
         raise ValueError(f"window_seconds must be positive, got {window_seconds}")
+    if not len(flows):
+        return []
     delta = float(window_seconds)
-    buckets: dict[int, list[FlowRecord]] = {}
-    for flow in flows:
-        buckets.setdefault(int(math.floor(flow.timestamp / delta)), []).append(flow)
-    return [
-        ((k * delta, (k + 1) * delta), buckets[k]) for k in sorted(buckets)
-    ]
+    keys = np.floor(flows.timestamp / delta)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return [((k * delta, (k + 1) * delta), flows[rows])
+            for k, rows in zip(map(int, keys[starts].tolist()),
+                               np.split(order, starts[1:]))]
 
 
 def compute_zscore_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,32 +376,34 @@ def apply_zscore(features: np.ndarray, stats: tuple[np.ndarray, np.ndarray]) -> 
     return (np.asarray(features, dtype=np.float64) - mean) / std
 
 
-def build_snapshot(flows: list[FlowRecord],
+def build_snapshot(flows: FlowTable,
                    bounds: tuple[float, float]) -> GraphSnapshot:
     """Aggregate flows into a device-level graph snapshot of window ``bounds``.
 
     ``bounds`` is a ``(start, end)`` from :func:`window`, or a span of its
-    windows, and every flow must fall inside it. Node order is the lexicographic sort of device identifiers, which makes
-    the construction independent of flow order. A device is labeled malicious
-    when more than half of the flows touching it are attack flows.
+    windows, and every flow must fall inside it. Node order is the
+    lexicographic sort of device identifiers, which makes the construction
+    independent of flow order. A device is labeled malicious when more than
+    half of the flows touching it are attack flows.
     """
-    if not flows:
+    if not len(flows):
         raise ValueError("build_snapshot needs at least one flow")
     start, end = bounds
-    for flow in flows:
-        if not (start <= flow.timestamp < end):
-            raise ValueError(
-                f"flow at t={flow.timestamp} falls outside window [{start}, {end})"
-            )
+    outside = (flows.timestamp < start) | (flows.timestamp >= end)
+    if outside.any():
+        first = float(flows.timestamp[np.argmax(outside)])
+        raise ValueError(
+            f"flow at t={first} falls outside window [{start}, {end})"
+        )
 
-    node_ids = sorted({f.src for f in flows} | {f.dst for f in flows})
-    index = {d: i for i, d in enumerate(node_ids)}
-    n = len(node_ids)
-    src = np.array([index[f.src] for f in flows], dtype=np.intp)
-    dst = np.array([index[f.dst] for f in flows], dtype=np.intp)
     # Both endpoints of every flow, in flow order: each node adds its terms in
     # the order of the flows, so float sums do not depend on the method.
-    ends = np.column_stack([src, dst]).ravel()
+    endpoints = np.column_stack([flows.src, flows.dst]).ravel().tolist()
+    node_ids = sorted(set(endpoints))
+    index = {d: i for i, d in enumerate(node_ids)}
+    n = len(node_ids)
+    ends = np.fromiter(map(index.__getitem__, endpoints), np.intp, len(endpoints))
+    src, dst = ends[0::2], ends[1::2]
 
     def per_node(nodes, weights=None):
         return np.bincount(nodes, weights, minlength=n)
@@ -339,9 +411,8 @@ def build_snapshot(flows: list[FlowRecord],
     def per_end(values):
         return per_node(ends, np.repeat(values, 2))
 
-    nbytes = np.array([f.bytes for f in flows], dtype=np.float64)
-    pkts = np.array([f.packets for f in flows], dtype=np.float64)
-    protocols = np.array([f.protocol for f in flows])
+    nbytes = flows.bytes.astype(np.float64)
+    pkts = flows.packets.astype(np.float64)
     adjacency = np.zeros((n, n))
     adjacency[src, dst] = adjacency[dst, src] = 1.0
 
@@ -354,13 +425,13 @@ def build_snapshot(flows: list[FlowRecord],
             np.log1p(per_node(src, pkts)),
             np.log1p(per_node(dst, pkts)),
             np.log1p(touch),
-            *(per_end(protocols == p) / touch for p in ("tcp", "udp", "icmp")),
+            *(per_end(flows.protocol == p) / touch for p in ("tcp", "udp", "icmp")),
             np.log1p(adjacency.sum(axis=1)),
-            per_end([f.duration for f in flows]) / touch,
+            per_end(flows.duration) / touch,
         ]
     )
 
-    labels = (per_end([f.label for f in flows]) / touch > 0.5).astype(np.int64)
+    labels = (per_end(flows.label) / touch > 0.5).astype(np.int64)
     return GraphSnapshot(
         node_ids=node_ids,
         adjacency=adjacency,

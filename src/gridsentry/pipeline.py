@@ -298,7 +298,8 @@ def run_pipeline(csv_path, bundle_path, out_path, diag=None) -> dict:
     """Replay a flow CSV through the detector, one window at a time.
 
     Alerts are appended to ``out_path`` as JSON lines ordered by window start
-    and then device id. A summary JSON object lands on the diagnostic stream.
+    and then device id; an unwritable ``out_path`` fails before the CSV is
+    read. A summary JSON object lands on the diagnostic stream.
     A window that fails to build or score with a ValueError (bad values, or
     a window above the dense ceiling of ``numerics``) or a NumericError is
     logged under its exception class and skipped; any other exception
@@ -307,15 +308,17 @@ def run_pipeline(csv_path, bundle_path, out_path, diag=None) -> dict:
     """
     diag = diag if diag is not None else sys.stderr
     bundle = DetectorBundle.load(bundle_path)
-    records, stats = parse_flows(csv_path)
+    # An unwritable output fails here, before any flow is read; appending
+    # leaves an existing file as it is if the CSV then fails to parse.
+    open(out_path, "a", encoding="utf-8").close()
+    flows, stats = parse_flows(csv_path)
 
     processed = 0
     failed = 0
     alert_count = 0
-    out = Path(out_path)
     failures: list[str] = []
-    with open(out, "w", encoding="utf-8") as handle:
-        for bounds, bucket in window(records, bundle.window_seconds):
+    with open(out_path, "w", encoding="utf-8") as handle:
+        for bounds, bucket in window(flows, bundle.window_seconds):
             try:
                 window_alerts = detect(build_snapshot(bucket, bounds), bundle)
             except (ValueError, NumericError) as exc:  # logged, window skipped

@@ -410,11 +410,14 @@ def test_detect_missing_flow_file_is_data_error(tmp_path, flows_train_csv,
     assert main(["train", "-i", str(flows_train_csv), "--config", cfg,
                  "-o", str(out_dir)]) == 0
     capsys.readouterr()
+    alerts = tmp_path / "alerts.jsonl"
+    alerts.write_text("kept\n", encoding="utf-8")
     code = main(["detect", "-i", str(tmp_path / "missing.csv"),
-                 "-b", str(out_dir / "bundle.json"),
-                 "-o", str(tmp_path / "alerts.jsonl")])
+                 "-b", str(out_dir / "bundle.json"), "-o", str(alerts)])
     assert code == 2
     assert "data error: cannot read flow file" in capsys.readouterr().err
+    # A run that reads no flows leaves an earlier output as it was.
+    assert alerts.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_experiment_missing_csv_is_data_error(tmp_path, capsys):
@@ -453,6 +456,7 @@ def test_unwritable_output_is_usage_error(command, tmp_path, flows_train_csv,
     }[command]
     # The commands that write a directory check it before any parse or fit.
     monkeypatch.setattr(cli, "parse_flows", _must_not_run)
+    monkeypatch.setattr(pipeline, "parse_flows", _must_not_run)
     monkeypatch.setattr(pipeline, "train_pipeline", _must_not_run)
     monkeypatch.setattr(experiments, "run_experiment", _must_not_run)
 

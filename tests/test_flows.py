@@ -1,17 +1,21 @@
 """Flow CSV parsing, windowing, per-device features, and standardization."""
 
+import csv
 import io
 import math
+from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsentry import flows as flows_module
 from gridsentry.errors import DataError
-from gridsentry.flows import (FEATURE_NAMES, FlowRecord, apply_zscore,
-                              build_snapshot, compute_zscore_stats,
-                              parse_flows, window)
+from gridsentry.flows import (FEATURE_NAMES, PROTOCOLS, FlowTable, ParseStats,
+                              apply_zscore, build_snapshot,
+                              compute_zscore_stats, parse_flows, window)
 
 HEADER = "ts,src_ip,dst_ip,proto,src_port,dst_port,bytes,pkts,dur,label,attack_type"
 
@@ -25,13 +29,152 @@ def _flow(ts, src, dst, proto="tcp", bytes_=100, pkts=10, dur=2.0, label=0,
     return f"{ts},{src},{dst},{proto},1000,80,{bytes_},{pkts},{dur},{label},{attack}"
 
 
+# -- the per-row parser, kept as the reference the columnar one must match --
+
+_Row = namedtuple("_Row", [f.name for f in fields(FlowTable)])
+_OBJECT_COLUMNS = {"src", "dst", "protocol", "attack_type"}
+_FLOAT_COLUMNS = {"timestamp", "duration"}
+
+
+def _dtype(name):
+    if name in _OBJECT_COLUMNS:
+        return object
+    return np.float64 if name in _FLOAT_COLUMNS else np.int64
+
+
+def _rows(table):
+    return [_Row(*row) for row in zip(*(getattr(table, name) for name in _Row._fields))]
+
+
+def _table(rows):
+    columns = list(zip(*rows)) or [()] * len(_Row._fields)
+    return FlowTable(**{name: np.array(column, dtype=_dtype(name))
+                        for name, column in zip(_Row._fields, columns)})
+
+
+class _Skip(Exception):
+    """A malformed row; the message is the reason it is counted under."""
+
+
+def _cell(row, column):
+    """Stripped cell text; empty for an absent column, short row or blank cell."""
+    value = row.get(column) if column is not None else None
+    return value.strip() if value else ""
+
+
+def _text(row, column, logical):
+    value = _cell(row, column)
+    if not value:
+        raise _Skip(f"missing {logical}")
+    return value
+
+
+def _number(row, columns, logical):
+    total = 0.0
+    for name in columns if isinstance(columns, tuple) else (columns,):
+        try:
+            value = float(_text(row, name, logical))
+        except ValueError:
+            raise _Skip(f"non-numeric {logical}") from None
+        if not math.isfinite(value):
+            raise _Skip(f"non-numeric {logical}")
+        if value > 2.0**53:
+            raise _Skip(f"invalid {logical}")
+        total += value
+    if total < 0:
+        raise _Skip(f"negative {logical}")
+    if total > 2.0**53:
+        raise _Skip(f"invalid {logical}")
+    return total
+
+
+def _port(row, column, logical):
+    text = _cell(row, column)
+    if not text:
+        return 0
+    try:
+        port = int(float(text))
+    except (ValueError, OverflowError):
+        raise _Skip(f"non-numeric {logical}") from None
+    if not 0 <= port <= 65535:
+        raise _Skip(f"invalid {logical}")
+    return port
+
+
+def _label(row, column):
+    text = _text(row, column, "label")
+    try:
+        value = float(text)
+    except ValueError:
+        raise _Skip("non-numeric label") from None
+    if value not in (0.0, 1.0):
+        raise _Skip("invalid label")
+    return int(value)
+
+
+def _reference_parse(text):
+    """Parse CSV text one ``DictReader`` row at a time into ``_Row`` tuples."""
+    reader = csv.DictReader(io.StringIO(text))
+    columns = flows_module._resolve_columns(reader.fieldnames)
+    stats = ParseStats()
+    rows = []
+    for row in reader:
+        stats.rows_total += 1
+        try:
+            ts = _number(row, columns["ts"], "ts")
+            src = _text(row, columns["src"], "src")
+            dst = _text(row, columns["dst"], "dst")
+            proto = _text(row, columns["proto"], "proto").lower()
+            src_port = _port(row, columns.get("src_port"), "src_port")
+            dst_port = _port(row, columns.get("dst_port"), "dst_port")
+            nbytes = _number(row, columns["bytes"], "bytes")
+            pkts = _number(row, columns["pkts"], "pkts")
+            dur = _number(row, columns["dur"], "dur")
+            label = _label(row, columns["label"])
+        except _Skip as skip:
+            stats.skip(str(skip), 1)
+            continue
+        if src == dst:
+            stats.self_flows_dropped += 1
+            continue
+        rows.append(_Row(ts, src, dst, proto if proto in PROTOCOLS else "other",
+                         src_port, dst_port, int(nbytes), int(pkts), dur, label,
+                         _cell(row, columns.get("type"))))
+    if stats.rows_total and stats.rows_skipped / stats.rows_total > 0.5:
+        raise DataError(
+            f"dataset unusable: {stats.rows_skipped} of {stats.rows_total} rows skipped"
+        )
+    return rows, stats
+
+
+def _outcome(parse, text):
+    """What a parser makes of ``text``: rows and stats, or its DataError.
+
+    Floats are compared by their hex form, which tells -0.0 from 0.0.
+    """
+    try:
+        rows, stats = parse(text)
+    except DataError as exc:
+        return str(exc)
+    return ([row._replace(timestamp=row.timestamp.hex(), duration=row.duration.hex())
+             for row in rows], stats.to_dict())
+
+
+def _columnar_parse(text):
+    table, stats = parse_flows(io.StringIO(text))
+    for name in _Row._fields:
+        column = getattr(table, name)
+        assert column.dtype == _dtype(name) and column.shape == (len(table),)
+    return _rows(table), stats
+
+
 def test_parse_single_flow():
     records, stats = _parse(_flow(10.0, "a", "b"))
     assert stats.rows_total == 1 and stats.rows_skipped == 0
-    (rec,) = records
-    assert (rec.src, rec.dst, rec.protocol) == ("a", "b", "tcp")
-    assert (rec.bytes, rec.packets) == (100, 10)
-    assert rec.duration == 2.0 and rec.label == 0
+    assert len(records) == 1
+    assert (records.src[0], records.dst[0], records.protocol[0]) == ("a", "b", "tcp")
+    assert (records.bytes[0], records.packets[0]) == (100, 10)
+    assert records.duration[0] == 2.0 and records.label[0] == 0
 
 
 def test_single_flow_feature_vector():
@@ -73,10 +216,16 @@ def test_skip_reasons_are_counted():
     assert len(records) == 2
     assert stats.reasons == {"non-numeric bytes": 1, "invalid label": 1}
 
+    # A blank line is no row; a long row's extra cells are ignored.
+    records, stats = _parse(_flow(1.0, "a", "b"), "", _flow(2.0, "b", "c") + ",x,y")
+    assert len(records) == 2 and stats.rows_total == 2 and stats.rows_skipped == 0
+
 
 TON_HEADER = "ts,src_ip,dst_ip,proto,src_bytes,dst_bytes,src_pkts,dst_pkts,duration,label,type"
+# src_ip twice: the last column of a name is the one read.
+DUP_HEADER = HEADER + ",src_ip"
 
-# (header, bad row, reason) for every skip rule; the last two rows break two
+# (header, bad row, reason) for every skip rule; the last three rows break two
 # rules at once and are counted under the field read first.
 SKIP_RULES = [
     (HEADER, ",a,b,tcp,1000,80,100,10,2.0,0,", "missing ts"),
@@ -94,13 +243,20 @@ SKIP_RULES = [
     (TON_HEADER, "1.0,a,b,udp,60,40,3,2,1e300,0,", "invalid dur"),
     (TON_HEADER, "1.0,a,b,udp,9007199254740992,2,3,2,1.5,0,", "invalid bytes"),
     (TON_HEADER, "1.0,a,b,udp,60,40,1e300,-1e300,1.5,0,", "invalid pkts"),
+    (TON_HEADER, "1.0,a,b,udp,-1e308,-1e308,3,2,1.5,0,", "negative bytes"),
+    # A short row reads "" past its end.
+    (HEADER, "1.0,a,b,tcp,1000,80,100,10", "missing dur"),
+    (DUP_HEADER, "1.0,a,b,tcp,1000,80,100,10,2.0,0,", "missing src"),
     (HEADER, "soon,a,b,tcp,1000,80,lots,10,2.0,0,", "non-numeric ts"),
     (HEADER, "1.0,a,b,tcp,1000,http,100,10,2.0,maybe,", "non-numeric dst_port"),
+    (HEADER, "1.0,,,tcp,1000,80,100,10,2.0,0,", "missing src"),
 ]
 
 
 def test_skip_reason_for_each_rule():
-    good = {HEADER: _flow(2.0, "a", "b"), TON_HEADER: "2.0,a,b,udp,60,40,3,2,1.5,0,"}
+    # The good DUP_HEADER row is a self-flow if its first src_ip is read.
+    good = {HEADER: _flow(2.0, "a", "b"), TON_HEADER: "2.0,a,b,udp,60,40,3,2,1.5,0,",
+            DUP_HEADER: _flow(2.0, "b", "b") + ",a"}
     for header, row, reason in SKIP_RULES:
         records, stats = parse_flows(io.StringIO(f"{header}\n{row}\n{good[header]}\n"))
         assert len(records) == 1, row
@@ -124,7 +280,7 @@ def test_counts_that_would_overflow_are_skipped():
 
     # 2**53 itself is an exact float64 integer and is kept.
     records, stats = _parse(_flow(1.0, "a", "b", bytes_=2**53))
-    assert records[0].bytes == 2**53 and stats.rows_skipped == 0
+    assert records.bytes[0] == 2**53 and stats.rows_skipped == 0
 
 
 def test_self_flows_dropped_separately():
@@ -136,6 +292,9 @@ def test_self_flows_dropped_separately():
 def test_missing_columns_fail_hard():
     with pytest.raises(DataError, match="dst"):
         parse_flows(io.StringIO("ts,src_ip,proto,bytes,pkts,dur,label\n"))
+    # A blank first line is the header.
+    with pytest.raises(DataError, match="missing required columns for: ts, src"):
+        parse_flows(io.StringIO(f"\n{HEADER}\n{_flow(1.0, 'a', 'b')}\n"))
 
 
 def test_majority_skipped_rejects_dataset():
@@ -149,7 +308,7 @@ def test_majority_skipped_rejects_dataset():
 
 def test_empty_csv_with_header_is_fine():
     records, stats = _parse()
-    assert records == [] and stats.rows_total == 0
+    assert len(records) == 0 and stats.rows_total == 0
 
 
 def test_invalid_port_skips_row():
@@ -195,17 +354,72 @@ def test_parse_flows_on_arbitrary_bytes_returns_or_raises_data_error(data):
 
 def test_unknown_protocol_maps_to_other():
     records, _ = _parse(_flow(1.0, "a", "b", proto="gre"))
-    assert records[0].protocol == "other"
+    assert records.protocol[0] == "other"
 
 
 def test_ton_iot_column_names():
     header = "ts,src_ip,dst_ip,proto,src_bytes,dst_bytes,src_pkts,dst_pkts,duration,label,type"
     row = "5.0,a,b,udp,60,40,3,2,1.5,1,backdoor"
     records, stats = parse_flows(io.StringIO(header + "\n" + row + "\n"))
-    (rec,) = records
-    assert rec.bytes == 100 and rec.packets == 5
-    assert rec.duration == 1.5 and rec.attack_type == "backdoor"
-    assert rec.src_port == 0 and rec.dst_port == 0
+    assert len(records) == 1
+    assert records.bytes[0] == 100 and records.packets[0] == 5
+    assert records.duration[0] == 1.5 and records.attack_type[0] == "backdoor"
+    assert records.src_port[0] == 0 and records.dst_port[0] == 0
+
+
+TRICKY_CELLS = ["", " 3 ", "nan", "inf", "-inf", "1e308", "-1e308",
+                "9007199254740993", "9007199254740992", "-0.5", "-0.0", "1_0",
+                "65535.9", "65536", "-1", "gre", "TCP", " udp ", "0", "1", "2.5",
+                "x", '"1,0"']
+# Good values per column name; src and dst are drawn so self-flows occur.
+GOOD_CELLS = {"ts": ["0", "1.5", "299.9", "300", "1e3"], "src_ip": ["a", "b", "c"],
+              "dst_ip": ["a", "b", "c"], "proto": ["tcp", "udp", "icmp"],
+              "src_port": ["1000", ""], "dst_port": ["80", "502"],
+              "bytes": ["100", "0"], "pkts": ["10", "1"], "dur": ["2.0", "0.5"],
+              "duration": ["1.5"], "label": ["0", "1"], "attack_type": ["", "scan"],
+              "type": ["backdoor", ""], "src_bytes": ["60"], "dst_bytes": ["40"],
+              "src_pkts": ["3"], "dst_pkts": ["2"]}
+HEADERS = [HEADER, TON_HEADER, DUP_HEADER, "ts,src_ip,dst_ip,proto,bytes,pkts,dur,label"]
+
+
+@st.composite
+def _flow_csv(draw):
+    names = draw(st.sampled_from(HEADERS)).split(",")
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(st.sampled_from(GOOD_CELLS[name])) for name in names]
+        for _ in range(draw(st.integers(0, 2))):
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(TRICKY_CELLS))
+        # Blank, short and long rows.
+        cells = cells[:draw(st.sampled_from([len(cells)] * 6 + [0, 8, 11, 13]))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(_flow_csv(), st.sampled_from([1, 2, 3, flows_module._BLOCK_ROWS]))
+def test_columnar_parse_matches_per_row_reference(text, block_rows):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows_module, "_BLOCK_ROWS", block_rows)
+        assert _outcome(_columnar_parse, text) == _outcome(_reference_parse, text)
+
+
+def test_columnar_parse_matches_reference_across_a_block_boundary():
+    block = flows_module._BLOCK_ROWS
+    lines = [HEADER] + [_flow(float(k), f"d{k % 50}", f"d{k % 7 + 50}")
+                        for k in range(2 * block + 100)]
+    # Skipped rows on both sides of the first block boundary, a self-flow,
+    # and two blocks that end on a blank line.
+    for k in (block - 2, block - 1, block + 1, block + 2):
+        lines[k] = f"{k}.0,a,b,tcp,1000,80,-5,10,2.0,0,"
+    lines[block] = ""
+    lines[block + 3] = _flow(1.0, "a", "a")
+    lines[2 * block] = ""
+    text = "\n".join(lines) + "\n"
+    assert _outcome(_columnar_parse, text) == _outcome(_reference_parse, text)
+    _, stats = parse_flows(io.StringIO(text))
+    assert stats.rows_total == 2 * block + 98
+    assert stats.reasons == {"negative bytes": 4} and stats.self_flows_dropped == 1
 
 
 def test_window_partition_and_alignment():
@@ -221,11 +435,12 @@ def test_window_partition_and_alignment():
     counts = [len(group) for _, group in buckets]
     assert counts == [2, 1, 1]
     for (start, end), group in buckets:
-        assert all(start <= f.timestamp < end for f in group)
+        assert all(start <= t < end for t in group.timestamp)
 
 
 def test_window_of_no_flows_is_empty():
-    assert window([], 300) == []
+    records, _ = _parse()
+    assert window(records, 300) == []
 
 
 def test_build_snapshot_rejects_window_spill():
@@ -254,7 +469,7 @@ def test_build_snapshot_is_flow_order_independent():
         _flow(4.0, "a", "c", pkts=77),
     )
     first = build_snapshot(records, (0.0, 300.0))
-    second = build_snapshot(list(reversed(records)), (0.0, 300.0))
+    second = build_snapshot(records[::-1], (0.0, 300.0))
     assert first.node_ids == second.node_ids
     assert np.array_equal(first.adjacency, second.adjacency)
     assert np.array_equal(first.features, second.features)
@@ -310,7 +525,7 @@ def test_build_snapshot_matches_flow_loop_reference():
         j = int(rng.integers(0, 30))
         if i == j:
             continue
-        flows.append(FlowRecord(
+        flows.append(_Row(
             timestamp=float(rng.uniform(0.0, 300.0)),
             src=devices[i],
             dst=devices[j],
@@ -321,12 +536,14 @@ def test_build_snapshot_matches_flow_loop_reference():
             packets=int(rng.integers(0, 10**5)),
             duration=float(rng.exponential(3.0)),
             label=int(rng.random() < 0.4),
+            attack_type="",
         ))
     assert len(flows) >= 300 and len({(f.src, f.dst) for f in flows}) < len(flows)
     node_ids, adjacency, features, labels, span = _flow_loop_reference(flows, 300)
-    ((bounds, bucket),) = window(flows, 300)
-    assert bucket == flows
-    snap = build_snapshot(flows, bounds)
+    table = _table(flows)
+    ((bounds, bucket),) = window(table, 300)
+    assert _rows(bucket) == flows
+    snap = build_snapshot(table, bounds)
     assert snap.node_ids == node_ids and snap.window == span
     assert np.array_equal(snap.adjacency, adjacency)
     assert np.array_equal(snap.features, features)
