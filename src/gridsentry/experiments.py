@@ -252,11 +252,11 @@ def load_merged_snapshot(csv_path, window_seconds: int = 300, min_nodes: int = 1
     Windows with fewer than ``min_nodes`` devices are dropped, then all
     remaining flows are aggregated over the span from the first kept window's
     start to the last one's end: node and edge sets are the unions over the
-    kept windows and features summarize every kept flow.
+    kept windows and features summarize every kept flow. With ``max_flows``,
+    only the first ``max_flows`` usable flows are read (``parse_flows``'
+    ``limit``).
     """
-    flows, _ = parse_flows(csv_path)
-    if max_flows is not None:
-        flows = flows[:max_flows]
+    flows, _ = parse_flows(csv_path, limit=max_flows)
     if not len(flows):
         raise DataError(f"no usable flows in {csv_path}")
     kept: list[FlowTable] = []

@@ -32,12 +32,14 @@ unusable.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -167,49 +169,69 @@ def _resolve_columns(fieldnames) -> dict:
     return resolved
 
 
-def parse_flows(source) -> tuple[FlowTable, ParseStats]:
+def parse_flows(source, limit: Optional[int] = None) -> tuple[FlowTable, ParseStats]:
     """Parse a CSV path or stream into a flow table plus parse statistics.
 
     Self-flows (src == dst) are dropped and counted separately from skips.
-    A path that cannot be opened, and input that is not UTF-8 text or not
-    readable as CSV, raise DataError.
+    With a ``limit``, reading stops at the row that brings the ``limit``-th
+    kept flow: the table is the first ``limit`` flows of the whole parse,
+    and the statistics, the more-than-half-skipped rule included, cover only
+    the rows read. A path that cannot be opened, and input that is not UTF-8
+    text or not readable as CSV, raise DataError.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     if isinstance(source, (str, Path)):
         try:
             handle = open(source, "r", encoding="utf-8", newline="")
         except OSError as exc:
             raise DataError(f"cannot read flow file {source}: {exc}") from exc
         with handle:
-            return parse_flows(handle)
+            return parse_flows(handle, limit)
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
     try:
-        return _parse_rows(csv.reader(source))
+        return _parse_rows(csv.reader(source), limit)
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise DataError(f"input is not readable as CSV: {exc}") from exc
 
 
-def _parse_rows(reader) -> tuple[FlowTable, ParseStats]:
+def _parse_rows(reader, limit: Optional[int]) -> tuple[FlowTable, ParseStats]:
     """Read the header line, then the rows in blocks of ``_BLOCK_ROWS``.
 
     The first line is the header even when it is blank. A name given to two
-    columns means the last of them.
+    columns means the last of them. Blank lines are not rows; a short row
+    reads "" past its end. A block that reaches ``limit`` before its last
+    row is parsed again up to the row that brings the ``limit``-th kept flow.
     """
     header = next(reader, None)
     columns = _resolve_columns(header)
     used = {name for names in columns.values()
             for name in (names if isinstance(names, tuple) else (names,))}
     position = {name: k for k, name in enumerate(header) if name in used}
+    width = max(position.values()) + 1
     stats = ParseStats()
     blocks = []
+    kept = 0
     while True:
-        rows = list(islice(reader, _BLOCK_ROWS))
-        blocks.append(_parse_block(rows, columns, position, stats))
-        if len(rows) < _BLOCK_ROWS:
+        read = list(islice(reader, _BLOCK_ROWS))
+        rows = read
+        if min(map(len, rows), default=width) < width:
+            rows = [row + [""] * (width - len(row)) for row in rows if row]
+        before = copy.deepcopy(stats) if limit is not None else None
+        block, keep = _parse_block(rows, columns, position, stats)
+        if limit is not None and kept + len(block) >= limit:
+            cut = int(np.flatnonzero(keep)[limit - kept - 1]) + 1
+            if cut < len(rows):
+                stats = before
+                block, _ = _parse_block(rows[:cut], columns, position, stats)
+        blocks.append(block)
+        kept += len(block)
+        if len(read) < _BLOCK_ROWS or kept == limit:
             break
     if stats.rows_total and stats.rows_skipped / stats.rows_total > 0.5:
         raise DataError(
@@ -239,8 +261,11 @@ def _floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _parse_block(rows: list[list[str]], columns: dict, position: dict,
-                 stats: ParseStats) -> FlowTable:
+                 stats: ParseStats) -> tuple[FlowTable, np.ndarray]:
     """Check and convert one block of rows; the kept flows become a table.
+
+    Returns the table and the mask of the rows kept. Every row must reach
+    the last column read.
 
     A row is skipped under the first rule it breaks, in the order of the
     fields ts, src, dst, proto, src_port, dst_port, bytes, pkts, dur, label.
@@ -248,13 +273,9 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
     first to catch. A masked-out row's value is replaced before any cast or
     sum, so a rejected cell never reaches the arithmetic.
     """
-    width = max(position.values()) + 1
-    if min(map(len, rows), default=width) < width:
-        # Blank lines are not rows; a short row reads "" past its end.
-        rows = [row + [""] * (width - len(row)) for row in rows if row]
     n = len(rows)
     stats.rows_total += n
-    cells_by_column = list(zip(*rows)) or [()] * width
+    cells_by_column = list(zip(*rows)) or [()] * (max(position.values()) + 1)
     ok = np.ones(n, bool)
 
     def cells(name) -> list[str]:
@@ -336,7 +357,7 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
         duration=dur[keep],
         label=(label[keep] == 1).astype(np.int64),
         attack_type=attack_type[keep],
-    )
+    ), keep
 
 
 def window(flows: FlowTable,

@@ -15,6 +15,13 @@ and one structure step is a gradient step on the smooth terms followed by the
 two proximal maps and a projection back onto symmetric [0, 1] matrices with a
 zero diagonal.
 
+The task and smoothness gradients both have low rank (``models._gradients``
+returns the task gradient as factors), so a step multiplies one pair of
+n x k factors, with k a few dozen, instead of building the chain rule in
+n x n temporaries; only the anchor term is a full matrix. Without
+the low-rank prior, the proximal maps and the projection are one in-place
+clamp (see ``structure_step``).
+
 Z defaults to the node features, the classic feature-smoothness prior. ``fit``
 and ``refine_structure`` measure smoothness on class beliefs instead (see
 ``class_beliefs``): an edge whose endpoints are believed to sit in different
@@ -27,9 +34,10 @@ The low-rank prior (the nuclear norm of Pro-GNN; Jin et al., KDD 2020) is
 opt-in: ``alpha_nuclear`` defaults to 0. The belief-smoothness and anchor
 terms do the separating, and on the package's fixtures the prior bought no
 measurable accuracy while its eigendecompositions took about half of a
-robustness grid's time and most of detection's. With it off, no eigensolver runs, and the label-free refinement at detect time
-acts on each entry alone, so ``refine_structure`` takes all its steps in one
-closed-form pass (see ``_refine_in_closed_form``).
+robustness grid's time and most of detection's. With it off, no
+eigensolver runs, and the label-free refinement at detect time acts on each
+entry alone, so ``refine_structure`` takes all its steps in one closed-form
+pass (see ``_refine_in_closed_form``).
 """
 
 from __future__ import annotations
@@ -41,9 +49,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NumericError
-from .graphs import _check_adjacency, smoothness
-from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _prepare,
-                     _Propagation, adam_step, backward, init_params,
+from .graphs import _check_adjacency
+from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _gradients,
+                     _prepare, _Propagation, adam_step, backward, init_params,
                      masked_cross_entropy, model_logits, own_logits, softmax)
 from .numerics import (nuclear_norm, require_matrix, require_square,
                        soft_threshold, svt, symmetrize_clamp)
@@ -127,22 +135,34 @@ class GslState:
 
 def objective(s, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
               mask, a: np.ndarray, cfg: GslConfig,
-              signal: Optional[np.ndarray] = None) -> ObjectiveParts:
+              signal: Optional[np.ndarray] = None,
+              task: Optional[float] = None) -> ObjectiveParts:
     """Evaluate every objective term; weights of zero skip their computation.
 
     ``s`` is the structure matrix, raw or prepared for ``theta``'s kind
-    (``models._prepare``). The smoothness term is measured on ``signal``, the
-    features when omitted.
+    (``models._prepare``), and must be an adjacency: symmetric, zero
+    diagonal, finite entries in [0, 1]. The smoothness term is measured on
+    ``signal``, the features when omitted, as sum_i d_i ||z_i||^2 -
+    sum(Z * (S Z)) with d the degrees, which is tr(Z^T L Z) without forming
+    the Laplacian L. ``task`` is the task loss at ``s`` and ``theta`` when the
+    caller already holds it (``backward`` returns the same value); otherwise a
+    forward pass computes it.
     """
     signal = x if signal is None else signal
-    task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
+    if task is None:
+        task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
     if isinstance(s, _Propagation):
         s = s.s
+    s = _check_adjacency(require_matrix(s, "structure matrix"), "structure matrix")
     nuclear = 0.0
     if cfg.alpha_nuclear > 0:
         nuclear = cfg.alpha_nuclear * nuclear_norm(s)
-    l1 = cfg.alpha_l1 * float(np.abs(s).sum()) if cfg.alpha_l1 > 0 else 0.0
-    smooth = cfg.beta_smooth * smoothness(s, signal) if cfg.beta_smooth > 0 else 0.0
+    l1 = cfg.alpha_l1 * float(s.sum()) if cfg.alpha_l1 > 0 else 0.0
+    smooth = 0.0
+    if cfg.beta_smooth > 0:
+        sq = np.einsum("ij,ij->i", signal, signal)
+        smooth = cfg.beta_smooth * float(s.sum(axis=1) @ sq
+                                         - np.einsum("ij,ij->", signal, s @ signal))
     prox = cfg.lambda_prox * float(((s - a) ** 2).sum()) if cfg.lambda_prox > 0 else 0.0
     total = task + nuclear + l1 + smooth + prox
     if not math.isfinite(total):
@@ -169,11 +189,11 @@ def _fit_logistic(features: np.ndarray, targets: np.ndarray,
                   iters: int = 25, ridge: float = 1.0) -> np.ndarray:
     """Ridge-penalized logistic regression by at most ``iters`` Newton steps."""
     coef = np.zeros(features.shape[1])
+    ridge_eye = ridge * np.eye(features.shape[1])
     for _ in range(iters):
         p = _sigmoid(features @ coef)
         grad = features.T @ (p - targets) + ridge * coef
-        hess = (features * (p * (1.0 - p))[:, None]).T @ features \
-            + ridge * np.eye(features.shape[1])
+        hess = (features * (p * (1.0 - p))[:, None]).T @ features + ridge_eye
         step = np.linalg.solve(hess, grad)
         coef = coef - step
         if np.abs(step).max() <= 1e-12:
@@ -182,7 +202,8 @@ def _fit_logistic(features: np.ndarray, targets: np.ndarray,
 
 
 def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
-                  labels: Optional[np.ndarray] = None, mask=None) -> np.ndarray:
+                  labels: Optional[np.ndarray] = None, mask=None, *,
+                  vote: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-node class probabilities, the signal ``fit`` and refinement smooth.
 
     The classifier's reading of each node's own features (the model applied
@@ -192,7 +213,8 @@ def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
     logit margin with the label vote of its labelled neighbours in ``a``,
     sum_j a_ij (2 y_j - 1). The combination is a logistic regression fitted
     on the masked nodes, so strong features outweigh a poisoned neighbourhood
-    and weak features defer to it.
+    and weak features defer to it. A caller that asks repeatedly about one
+    ``a`` and mask can pass the vote it already holds as ``vote``.
     """
     if mask is None:
         return softmax(own_logits(theta, x))
@@ -201,57 +223,88 @@ def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
     p = labels.astype(np.float64)
     if not m.all():
         own = own_logits(theta, x)
-        vote = a[:, m] @ (2.0 * labels[m] - 1.0)
+        if vote is None:
+            vote = _label_vote(a, labels, m)
         evidence = np.column_stack([own[:, 1] - own[:, 0], vote, np.ones(len(m))])
         coef = _fit_logistic(evidence[m], p[m])
         p[~m] = _sigmoid(evidence[~m] @ coef)
     return np.column_stack([1.0 - p, p])
 
 
-def _structure_gradient(state: GslState, x: np.ndarray, labels: Optional[np.ndarray],
-                        mask, cfg: GslConfig, propagation: Optional[_Propagation],
-                        smooth_grad: Optional[np.ndarray]) -> np.ndarray:
-    """Gradient of the smooth objective terms at ``state.s``; see ``structure_step``."""
-    s, a = state.s, state.a
-    if propagation is not None and propagation.s is not s:
-        raise ValueError("propagation was prepared from another structure matrix")
-    if smooth_grad is None:
-        signal = x if state.signal is None else state.signal
-        smooth_grad = cfg.beta_smooth * _half_sq_dists(signal)
-    grad_task = None
-    if mask is None:
-        grad = smooth_grad + 2.0 * cfg.lambda_prox * (s - a)
-    else:
-        _, _, grad_task = backward(s if propagation is None else propagation,
-                                   x, labels, mask, state.theta)
-        grad = grad_task + smooth_grad + 2.0 * cfg.lambda_prox * (s - a)
-    if not np.all(np.isfinite(grad)):
-        task_max = 0.0 if grad_task is None else np.abs(grad_task).max()
-        raise NumericError(
-            "non-finite structure gradient: "
-            f"max|task|={task_max:.3e} "
-            f"max|anchor|={np.abs(s - a).max():.3e}"
-        )
-    return grad
+def _label_vote(a: np.ndarray, labels: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Each node's labelled-neighbour vote, sum_j a_ij (2 y_j - 1) over masked j."""
+    return a[:, m] @ (2.0 * labels[m] - 1.0)
 
 
 def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray], mask,
-                   cfg: GslConfig, *, propagation: Optional[_Propagation] = None,
-                   smooth_grad: Optional[np.ndarray] = None) -> np.ndarray:
+                   cfg: GslConfig, *, propagation: Optional[_Propagation] = None) -> np.ndarray:
     """One proximal structure update; the state itself is left untouched.
 
+    ``state.s`` must be symmetric, as every structure the optimizer makes is.
     Without a ``mask`` (inference time) only the priors drive S. A caller
-    that steps repeatedly can pass what it already holds: ``propagation``,
-    ``state.s`` prepared for ``state.theta``, and ``smooth_grad``, the
-    smoothness gradient ``beta_smooth * _half_sq_dists(signal)``.
+    that holds ``state.s`` prepared for ``state.theta`` can pass it as
+    ``propagation``.
+
+    The task and smoothness gradients have low rank, so their sum is one
+    product L R^T of n x k factors, with k = h + c + z + 2 for the GCN
+    (h hidden units, c classes, a signal of z columns; 22 at the defaults)
+    and h + d + z + 2 for GraphSAGE (d features):
+
+    * task: U V^T + r 1^T, from ``models._gradients``;
+    * smoothness: beta / 2 ||z_i - z_j||^2
+      = beta / 2 (sq_i + sq_j) - beta z_i . z_j, sq the squared row norms.
+
+    The rank-one parts share two columns. The anchor 2 lambda_prox (S - A)
+    is added as a full matrix. The task term is not symmetric; averaging the
+    step with its transpose symmetrizes its gradient, as ``backward`` does,
+    because S and A are symmetric. Without the nuclear prior,
+    soft-thresholding that symmetric step by tau = eta_s alpha_l1 and
+    clamping it to [0, 1] is clamping step - tau, done in place. With it,
+    the step goes through ``soft_threshold``, ``svt`` and
+    ``symmetrize_clamp``.
     """
-    # The gradient's arrays are freed before the proximal maps run.
-    stepped = state.s - cfg.eta_s * _structure_gradient(
-        state, x, labels, mask, cfg, propagation, smooth_grad)
-    stepped = soft_threshold(stepped, cfg.eta_s * cfg.alpha_l1)
+    s, a = state.s, state.a
+    if propagation is not None and propagation.s is not s:
+        raise ValueError("propagation was prepared from another structure matrix")
+    signal = x if state.signal is None else state.signal
+    half_sq = 0.5 * cfg.beta_smooth * np.einsum("ij,ij->i", signal, signal)
+    left, right, rows = [-cfg.beta_smooth * signal], [signal], half_sq
+    if mask is not None:
+        theta = state.theta
+        prop = propagation if propagation is not None else _prepare(theta.kind, s)
+        _, _, task = _gradients(prop, require_matrix(x, "features"),
+                                np.asarray(labels, dtype=np.int64), mask, theta,
+                                structure=True)
+        if task is not None:
+            left.append(task.u)
+            right.append(task.v)
+            rows = rows + task.r
+    ones = np.ones(s.shape[0])
+    left = np.column_stack([*left, rows, ones])
+    right = np.column_stack([*right, ones, half_sq])
+    grad = left @ right.T
+    stepped = s - a
+    stepped *= 2.0 * cfg.lambda_prox
+    grad += stepped
+    if not np.all(np.isfinite(grad)):
+        raise NumericError(
+            "non-finite structure gradient: "
+            f"max|factors|={np.abs(left).max():.3e}x{np.abs(right).max():.3e} "
+            f"max|anchor|={np.abs(stepped).max():.3e}"
+        )
+    grad *= -cfg.eta_s
+    grad += s
+    np.add(grad, grad.T, out=stepped)
+    stepped *= 0.5
+    del grad
+    tau = cfg.eta_s * cfg.alpha_l1
     if cfg.eta_s * cfg.alpha_nuclear > 0:
-        stepped = svt(stepped, cfg.eta_s * cfg.alpha_nuclear)
-    return symmetrize_clamp(stepped)
+        return symmetrize_clamp(svt(soft_threshold(stepped, tau),
+                                    cfg.eta_s * cfg.alpha_nuclear))
+    stepped -= tau
+    np.clip(stepped, 0.0, 1.0, out=stepped)
+    np.fill_diagonal(stepped, 0.0)
+    return stepped
 
 
 def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
@@ -268,7 +321,11 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     iteration. There is no convergence test: the budget is the schedule,
     which keeps runs reproducible. Each S is prepared for the classifier once
     (``models._prepare``); its objective, the next inner steps and its
-    structure step share that.
+    structure step share that. A recorded task term is the loss of the next
+    inner step's ``backward``, taken at the same S and parameters, so only
+    the last record (or every record, without inner steps) runs a forward
+    pass of its own. The labelled-neighbour vote of the beliefs is computed
+    once.
     """
     a = require_square(a, "observed adjacency").copy()
     x = require_matrix(x, "features")
@@ -277,26 +334,31 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
 
     theta = init_params(gnn_kind, x.shape[1], seed=seed)
     adam = AdamState.for_params(theta)
+    vote = _label_vote(a, labels, mask)
     state = GslState(s=a.copy(), a=a, theta=theta,
-                     signal=class_beliefs(theta, a, x, labels, mask))
+                     signal=class_beliefs(theta, a, x, labels, mask, vote=vote))
     prop = _prepare(gnn_kind, state.s)
-    state.objective_history.append(
-        objective(prop, theta, x, labels, mask, a, gsl_cfg, state.signal)
-    )
+
+    def record(task=None):
+        state.objective_history.append(
+            objective(prop, theta, x, labels, mask, a, gsl_cfg, state.signal, task)
+        )
 
     for it in range(gsl_cfg.outer_iters):
-        for _ in range(gsl_cfg.inner_theta_steps):
+        for step in range(gsl_cfg.inner_theta_steps):
             loss, grads, _ = backward(prop, x, labels, mask, theta, structure=False)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite task loss at outer iteration {it}")
+            if step == 0:  # S and theta are still those of the record due
+                record(loss)
             adam_step(theta, grads, adam, train_cfg)
-        state.signal = class_beliefs(theta, a, x, labels, mask)
+        if gsl_cfg.inner_theta_steps == 0:
+            record()
+        state.signal = class_beliefs(theta, a, x, labels, mask, vote=vote)
         state.s = structure_step(state, x, labels, mask, gsl_cfg, propagation=prop)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s)
-        state.objective_history.append(
-            objective(prop, theta, x, labels, mask, a, gsl_cfg, state.signal)
-        )
+    record()
     return state.s, theta, state
 
 
@@ -340,8 +402,7 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
     run ``steps`` structure updates driven by the priors alone, with
     smoothness measured on the frozen classifier's reading of each node's own
     features. Edges between nodes it places in different classes are the
-    ones cut. Those beliefs are frozen, so the smoothness gradient is
-    computed once for all steps.
+    ones cut.
 
     Without the nuclear prior, and with 2 eta_s lambda_prox <= 1, the steps
     are taken in closed form in one O(n^2) pass, whatever ``steps`` is; it
@@ -355,9 +416,8 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
     if cfg.alpha_nuclear == 0 and 2.0 * cfg.eta_s * cfg.lambda_prox <= 1.0:
         return _refine_in_closed_form(a, signal, cfg, steps)
     state = GslState(s=a.copy(), a=a, theta=theta, signal=signal)
-    smooth_grad = cfg.beta_smooth * _half_sq_dists(state.signal)
     for _ in range(steps):
-        state.s = structure_step(state, x, None, None, cfg, smooth_grad=smooth_grad)
+        state.s = structure_step(state, x, None, None, cfg)
     return state.s
 
 

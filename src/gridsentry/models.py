@@ -12,6 +12,14 @@ asked not to, for the raw structure matrix feeding the model; the structure
 gradient (symmetrized, as the joint optimizer consumes it) is what lets
 structure updates descend the task loss.
 
+That structure gradient has low rank: before symmetrization it is
+G = U V^T + r 1^T with U and V of width hidden + classes (GCN) or
+hidden + features (GraphSAGE), and r a per-row term. ``_gradients`` returns
+those factors (``_Factors``) in O(n (h + c)) or O(n (h + d)) memory;
+``backward`` multiplies them out, and the joint optimizer folds them into
+one product per structure step. The MLP ignores the structure and has no
+factors.
+
 Everything a forward pass derives from the structure matrix alone (the
 GCN's normalized propagation matrix, GraphSAGE's inverse row sums) is built
 once per matrix by ``_prepare``. ``backward`` and ``model_logits`` take the
@@ -21,7 +29,9 @@ structure once instead of once per pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +52,11 @@ _PARAM_KEYS = {
 
 @dataclass
 class GnnParams:
-    """Weight matrices for one model, keyed in a fixed per-kind order."""
+    """Weight matrices for one model, keyed in a fixed per-kind order.
+
+    The matrices are copied at construction into one flat buffer and held as
+    views of it, so ``adam_step`` updates them all in one pass.
+    """
 
     kind: str
     weights: dict[str, np.ndarray]
@@ -57,8 +71,23 @@ class GnnParams:
             raise ValueError(
                 f"{self.kind} expects weights {expected}, got {tuple(self.weights)}"
             )
-        for key, w in self.weights.items():
-            self.weights[key] = require_matrix(w, f"weight {key}")
+        self._pack()
+
+    def _pack(self) -> None:
+        """Copy the weights into one flat buffer; ``weights`` holds views of it."""
+        arrays = {key: require_matrix(w, f"weight {key}")
+                  for key, w in self.weights.items()}
+        self._flat = np.concatenate([w.ravel() for w in arrays.values()])
+        offset = 0
+        for key, w in arrays.items():
+            self.weights[key] = self._flat[offset:offset + w.size].reshape(w.shape)
+            offset += w.size
+
+    def _flat_weights(self) -> np.ndarray:
+        """The buffer the weight matrices are views of; repacked if one was rebound."""
+        if any(w.base is not self._flat for w in self.weights.values()):
+            self._pack()
+        return self._flat
 
     def copy(self) -> "GnnParams":
         return GnnParams(
@@ -231,9 +260,12 @@ def model_logits(params: GnnParams, s, x: np.ndarray) -> np.ndarray:
 
 def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Logits shifted by their row maximum, their exponentials, and the row sums."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # Elementwise operations across the few class columns cost less than
+    # reductions along rows that short, and give the same maxima and, for
+    # two classes, the same sums.
+    shifted = logits - reduce(np.maximum, logits.T)[:, None]
     expd = np.exp(shifted)
-    return shifted, expd, expd.sum(axis=1, keepdims=True)
+    return shifted, expd, reduce(np.add, expd.T)[:, None]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -251,33 +283,106 @@ def _check_mask(mask, n: int) -> np.ndarray:
     return m
 
 
-def _mean_nll(shifted: np.ndarray, total: np.ndarray, labels: np.ndarray,
-              m: np.ndarray) -> float:
-    log_probs = shifted - np.log(total)
-    picked = log_probs[np.arange(shifted.shape[0]), labels]
-    return float(-picked[m].mean())
+def _mean_nll(shifted: np.ndarray, total: np.ndarray, picked: np.ndarray) -> float:
+    """Mean negative log-likelihood; ``picked`` holds the flat positions in
+    ``shifted`` of each row's label."""
+    nll = shifted.ravel()[picked] - np.log(total.ravel())
+    return float(-(nll.sum() / len(nll)))  # the bits of nll.mean(), faster
+
+
+def _label_positions(labels: np.ndarray, rows: np.ndarray, classes: int) -> np.ndarray:
+    """Flat positions of the labels of ``rows`` in an array of those rows."""
+    return np.arange(len(rows)) * classes + labels.take(rows)
 
 
 def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
     """Mean negative log-likelihood over the masked nodes."""
     logits = require_matrix(logits, "logits")
-    m = _check_mask(mask, logits.shape[0])
+    rows = np.flatnonzero(_check_mask(mask, logits.shape[0]))
     labels = np.asarray(labels, dtype=np.int64)
-    shifted, _, total = _shifted_exp(logits)
-    return _mean_nll(shifted, total, labels, m)
+    shifted, _, total = _shifted_exp(logits.take(rows, axis=0))
+    return _mean_nll(shifted, total, _label_positions(labels, rows, logits.shape[1]))
 
 
 def _loss_grad_logits(logits, labels, mask) -> tuple[float, np.ndarray]:
-    """``masked_cross_entropy`` and its logit gradient from one exp pass."""
-    if not np.all(np.isfinite(logits)):
+    """``masked_cross_entropy`` and its logit gradient from one exp pass.
+
+    Only the masked rows are exponentiated; the others have zero gradient.
+    """
+    if not np.isfinite(logits).all():
         raise NumericError("classifier logits overflowed during training")
-    m = _check_mask(mask, logits.shape[0])
-    shifted, expd, total = _shifted_exp(logits)
-    grad = expd / total
-    grad[np.arange(logits.shape[0]), labels] -= 1.0
-    grad[~m] = 0.0
-    grad /= m.sum()
-    return _mean_nll(shifted, total, labels, m), grad
+    rows = np.flatnonzero(_check_mask(mask, logits.shape[0]))
+    picked = _label_positions(labels, rows, logits.shape[1])
+    shifted, expd, total = _shifted_exp(logits.take(rows, axis=0))
+    part = expd / total
+    part.ravel()[picked] -= 1.0
+    part /= len(rows)
+    grad = np.zeros(logits.shape)
+    grad[rows] = part
+    return _mean_nll(shifted, total, picked), grad
+
+
+class _Factors(NamedTuple):
+    """The raw structure gradient G = u @ v.T + r[:, None], before symmetrization."""
+
+    u: np.ndarray
+    v: np.ndarray
+    r: np.ndarray
+
+
+def _gradients(prop: _Propagation, x: np.ndarray, labels: np.ndarray, mask,
+               params: GnnParams, structure: bool = False
+               ) -> tuple[float, dict[str, np.ndarray], _Factors | None]:
+    """Loss, weight gradients and structure-gradient factors from one forward pass.
+
+    The factors are None with ``structure=False`` and for the MLP. ``x`` and
+    ``labels`` must already be a feature matrix and an int64 array.
+    """
+    w = params.weights
+    logits, c = _forward(params, prop, x)
+    loss, g = _loss_grad_logits(logits, labels, mask)
+    factors = None
+
+    if params.kind == "mlp":
+        dz1 = (g @ w["w2"].T) * (c["z1"] > 0)
+        return loss, {"w1": x.T @ dz1, "w2": c["h1"].T @ g}, None
+
+    if params.kind == "gcn":
+        s_hat, inv_sqrt = prop.s_hat, prop.inv_sqrt
+        dq = s_hat.T @ g
+        dz1 = (dq @ w["w2"].T) * (c["z1"] > 0)
+        dxw = s_hat.T @ dz1
+        grads = {"w1": x.T @ dxw, "w2": c["h1"].T @ dq}
+        if structure:
+            # With M = g q^T + dz1 xw^T, the gradient for s_hat, chain through
+            # s_hat = D^{-1/2} (S + I) D^{-1/2}: the direct term
+            # D^{-1/2} M D^{-1/2}, plus the coupling through the degree of
+            # node i, phi_i = -(row sum + column sum of M * s_hat)_i / (2 d_i).
+            # Those sums come from the forward pass (s_hat q, s_hat xw) and
+            # from dq, dxw, with no n x n product.
+            row_sum = (g * logits).sum(axis=1) + (dz1 * c["z1"]).sum(axis=1)
+            col_sum = (c["q"] * dq).sum(axis=1) + (c["xw"] * dxw).sum(axis=1)
+            factors = _Factors(inv_sqrt[:, None] * np.hstack([g, dz1]),
+                               inv_sqrt[:, None] * np.hstack([c["q"], c["xw"]]),
+                               -(row_sum + col_sum) / (2.0 * prop.degree))
+        return loss, grads, factors
+
+    inv, n1, n2, h1 = prop.inv, c["n1"], c["n2"], c["h1"]
+    t2 = inv[:, None] * (g @ w["w2_neigh"].T)
+    dz1 = (g @ w["w2_self"].T + prop.s.T @ t2) * (c["z1"] > 0)
+    grads = {
+        "w1_self": x.T @ dz1,
+        "w1_neigh": n1.T @ dz1,
+        "w2_self": h1.T @ g,
+        "w2_neigh": n2.T @ g,
+    }
+    if structure:
+        # d/dS[i,j] of the weighted mean row i is (h_j - mean_i) / rowsum_i;
+        # isolated rows have inv = 0 so nothing flows.
+        t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
+        factors = _Factors(np.hstack([t2, t1]), np.hstack([h1, x]),
+                           -((t2 * n2).sum(axis=1) + (t1 * n1).sum(axis=1)))
+    return loss, grads, factors
 
 
 def backward(s, x: np.ndarray, labels: np.ndarray, mask,
@@ -296,65 +401,20 @@ def backward(s, x: np.ndarray, labels: np.ndarray, mask,
     """
     x = require_matrix(x, "features")
     labels = np.asarray(labels, dtype=np.int64)
-    w = params.weights
     prop = _as_propagation(params.kind, s)
-    logits, c = _forward(params, prop, x)
-    loss, g = _loss_grad_logits(logits, labels, mask)
-
-    if params.kind == "mlp":
-        dz1 = (g @ w["w2"].T) * (c["z1"] > 0)
-        grads = {"w1": x.T @ dz1, "w2": c["h1"].T @ g}
-        return loss, grads, np.zeros_like(prop.s) if structure else None
-
-    if params.kind == "gcn":
-        s_hat, inv_sqrt = prop.s_hat, prop.inv_sqrt
-        dq = s_hat.T @ g
-        dz1 = (dq @ w["w2"].T) * (c["z1"] > 0)
-        grads = {"w1": x.T @ (s_hat.T @ dz1), "w2": c["h1"].T @ dq}
-        if not structure:
-            return loss, grads, None
-
-        # Chain through s_hat = D^{-1/2} (S + I) D^{-1/2}: the direct entry
-        # term, plus the row/column coupling through the degree of node i.
-        grad_s = g @ c["q"].T + dz1 @ c["xw"].T
-        prod = grad_s * s_hat
-        phi = -(prod.sum(axis=1) + prod.sum(axis=0)) / (2.0 * prop.degree)
-        del prod
-        grad_s *= np.outer(inv_sqrt, inv_sqrt)
-        grad_s += phi[:, None]
-        return loss, grads, _symmetrized(grad_s)
-
-    inv, n1, n2, h1 = prop.inv, c["n1"], c["n2"], c["h1"]
-    dn2 = g @ w["w2_neigh"].T
-    t2 = inv[:, None] * dn2
-    dh1 = g @ w["w2_self"].T + prop.s.T @ t2
-    dz1 = dh1 * (c["z1"] > 0)
-    grads = {
-        "w1_self": x.T @ dz1,
-        "w1_neigh": n1.T @ dz1,
-        "w2_self": h1.T @ g,
-        "w2_neigh": n2.T @ g,
-    }
+    loss, grads, factors = _gradients(prop, x, labels, mask, params,
+                                      structure=structure)
     if not structure:
         return loss, grads, None
-    t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
-    # d/dS[i,j] of the weighted mean row i is (h_j - mean_i) / rowsum_i;
-    # isolated rows have inv = 0 so nothing flows.
-    grad_s = t2 @ h1.T
-    grad_s -= (t2 * n2).sum(axis=1)[:, None]
-    first_layer = t1 @ x.T
-    first_layer -= (t1 * n1).sum(axis=1)[:, None]
-    grad_s += first_layer
+    if factors is None:
+        return loss, grads, np.zeros_like(prop.s)
+    grad_s = factors.u @ factors.v.T
+    grad_s += factors.r[:, None]
     return loss, grads, _symmetrized(grad_s)
 
 
 def _symmetrized(grad_s: np.ndarray) -> np.ndarray:
-    """(G + G^T) / 2.
-
-    The structure gradients build their n x n arrays in place, with the same
-    arithmetic bit for bit: fresh arrays of that size cost page faults and
-    set the structure step's peak memory.
-    """
+    """(G + G^T) / 2, exactly symmetric."""
     sym = grad_s + grad_s.T
     sym /= 2.0
     return sym
@@ -397,31 +457,35 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam moments, flat and in the order of ``GnnParams``' weight buffer."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: GnnParams) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(w) for k, w in params.weights.items()},
-            v={k: np.zeros_like(w) for k, w in params.weights.items()},
-        )
+        size = params._flat_weights().size
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(params: GnnParams, grads: dict[str, np.ndarray], state: AdamState,
               cfg: TrainConfig) -> None:
-    """One in-place Adam update with L2 decay folded into the gradient."""
+    """One in-place Adam update with L2 decay folded into the gradient.
+
+    The update runs once over the model's flat weight buffer, which the weight
+    matrices are views of, with the per-entry arithmetic of a per-matrix loop.
+    """
     state.step += 1
     t = state.step
-    for key, w in params.weights.items():
-        g = grads[key] + cfg.weight_decay * w
-        state.m[key] = cfg.beta1 * state.m[key] + (1 - cfg.beta1) * g
-        state.v[key] = cfg.beta2 * state.v[key] + (1 - cfg.beta2) * g * g
-        m_hat = state.m[key] / (1 - cfg.beta1 ** t)
-        v_hat = state.v[key] / (1 - cfg.beta2 ** t)
-        params.weights[key] = w - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    w = params._flat_weights()
+    g = np.concatenate([grads[key].ravel() for key in params.weights])
+    g += cfg.weight_decay * w
+    state.m = cfg.beta1 * state.m + (1 - cfg.beta1) * g
+    state.v = cfg.beta2 * state.v + (1 - cfg.beta2) * g * g
+    m_hat = state.m / (1 - cfg.beta1 ** t)
+    v_hat = state.v / (1 - cfg.beta2 ** t)
+    w -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
 @dataclass

@@ -392,6 +392,24 @@ def test_load_merged_snapshot_unions_kept_windows(flows_detect_csv):
                              min_nodes=14)
 
 
+def test_load_merged_snapshot_reads_no_further_than_max_flows(tmp_path):
+    good = [f"{k}.0,d{k % 12},d{(k + 1) % 12},tcp,1000,80,100,10,2.0,0,"
+            for k in range(40)]
+    bad = [f"{k}.0,d0,d1,tcp,1000,80,-5,10,2.0,0," for k in range(100)]
+    header = "ts,src_ip,dst_ip,proto,src_port,dst_port,bytes,pkts,dur,label,attack_type"
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join([header] + good + bad) + "\n")
+    with pytest.raises(DataError, match="unusable"):
+        load_merged_snapshot(path)
+    capped = load_merged_snapshot(path, max_flows=40)
+    clean = tmp_path / "clean.csv"
+    clean.write_text("\n".join([header] + good) + "\n")
+    assert capped.to_dict() == load_merged_snapshot(clean).to_dict()
+    shorter = load_merged_snapshot(path, max_flows=25)
+    clean.write_text("\n".join([header] + good[:25]) + "\n")
+    assert shorter.to_dict() == load_merged_snapshot(clean).to_dict()
+
+
 def test_load_merged_snapshot_spans_its_first_and_last_kept_window(
         flows_detect_csv):
     records, _ = parse_flows(flows_detect_csv)

@@ -112,8 +112,11 @@ def _label(row, column):
     return int(value)
 
 
-def _reference_parse(text):
-    """Parse CSV text one ``DictReader`` row at a time into ``_Row`` tuples."""
+def _reference_parse(text, limit=None):
+    """Parse CSV text one ``DictReader`` row at a time into ``_Row`` tuples.
+
+    With a ``limit``, reading stops once ``limit`` rows are kept.
+    """
     reader = csv.DictReader(io.StringIO(text))
     columns = flows_module._resolve_columns(reader.fieldnames)
     stats = ParseStats()
@@ -140,6 +143,8 @@ def _reference_parse(text):
         rows.append(_Row(ts, src, dst, proto if proto in PROTOCOLS else "other",
                          src_port, dst_port, int(nbytes), int(pkts), dur, label,
                          _cell(row, columns.get("type"))))
+        if len(rows) == limit:
+            break
     if stats.rows_total and stats.rows_skipped / stats.rows_total > 0.5:
         raise DataError(
             f"dataset unusable: {stats.rows_skipped} of {stats.rows_total} rows skipped"
@@ -160,8 +165,8 @@ def _outcome(parse, text):
              for row in rows], stats.to_dict())
 
 
-def _columnar_parse(text):
-    table, stats = parse_flows(io.StringIO(text))
+def _columnar_parse(text, limit=None):
+    table, stats = parse_flows(io.StringIO(text), limit)
     for name in _Row._fields:
         column = getattr(table, name)
         assert column.dtype == _dtype(name) and column.shape == (len(table),)
@@ -420,6 +425,46 @@ def test_columnar_parse_matches_reference_across_a_block_boundary():
     _, stats = parse_flows(io.StringIO(text))
     assert stats.rows_total == 2 * block + 98
     assert stats.reasons == {"negative bytes": 4} and stats.self_flows_dropped == 1
+
+
+@settings(max_examples=200)
+@given(_flow_csv(), st.sampled_from([1, 2, 3, flows_module._BLOCK_ROWS]),
+       st.integers(1, 14))
+def test_limited_parse_matches_per_row_reference(text, block_rows, limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows_module, "_BLOCK_ROWS", block_rows)
+        assert _outcome(lambda t: _columnar_parse(t, limit), text) \
+            == _outcome(lambda t: _reference_parse(t, limit), text)
+
+
+def test_limited_parse_stops_at_the_limit_across_block_boundaries():
+    block = flows_module._BLOCK_ROWS
+    lines = [HEADER] + [_flow(float(k), f"d{k % 50}", f"d{k % 7 + 50}")
+                        for k in range(2 * block + 100)]
+    for k in (block - 2, block - 1, block + 1, block + 2):
+        lines[k] = f"{k}.0,a,b,tcp,1000,80,-5,10,2.0,0,"
+    lines[block] = ""
+    # Malformed rows past the last limit tried: the full parse rejects the
+    # file, no limited parse reads them.
+    lines += [f"{k}.0,a,b,tcp,1000,80,-5,10,2.0,0," for k in range(3 * block)]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(DataError, match="unusable"):
+        parse_flows(io.StringIO(text))
+    full = _rows(parse_flows(io.StringIO(text), 2 * block + 95)[0])
+    for limit in (1, block - 3, block - 2, block, block + 1, 2 * block + 95):
+        table, stats = parse_flows(io.StringIO(text), limit)
+        assert _rows(table) == full[:limit]
+        assert _outcome(lambda t: _columnar_parse(t, limit), text) \
+            == _outcome(lambda t: _reference_parse(t, limit), text)
+        assert stats.rows_total == limit + stats.rows_skipped
+    assert parse_flows(io.StringIO(text), 1)[1].rows_total == 1
+    assert parse_flows(io.StringIO(text), block - 3)[1].rows_skipped == 0
+    assert parse_flows(io.StringIO(text), block + 1)[1].rows_skipped == 4
+
+
+def test_parse_limit_must_be_positive():
+    with pytest.raises(ValueError, match="at least 1"):
+        parse_flows(io.StringIO(HEADER + "\n"), 0)
 
 
 def test_window_partition_and_alignment():

@@ -313,10 +313,8 @@ def test_refine_structure_is_label_free_and_valid(sbm12):
 def _step_loop(a, signal, cfg, steps):
     """``steps`` label-free structure steps, one ``structure_step`` at a time."""
     state = GslState(s=a.copy(), a=a, theta=None, signal=signal)
-    smooth_grad = cfg.beta_smooth * gsl._half_sq_dists(signal)
     for _ in range(steps):
-        state.s = structure_step(state, None, None, None, cfg,
-                                 smooth_grad=smooth_grad)
+        state.s = structure_step(state, None, None, None, cfg)
     return state.s
 
 
@@ -401,6 +399,120 @@ def test_structure_step_rejects_a_propagation_of_another_matrix():
     with pytest.raises(ValueError, match="another structure"):
         structure_step(state, x, labels, mask, GslConfig(),
                        propagation=models._prepare("gcn", s.copy()))
+
+
+# -- the dense chain-rule gradients, kept as the reference for the factored ones --
+
+
+def _dense_task_gradient(s, x, labels, mask, params):
+    """The symmetrized structure gradient of the task loss, built as n x n products."""
+    prop = models._prepare(params.kind, s)
+    logits, c = models._forward(params, prop, x)
+    _, g = models._loss_grad_logits(logits, labels, mask)
+    w = params.weights
+    if params.kind == "mlp":
+        return np.zeros_like(s)
+    if params.kind == "gcn":
+        s_hat, inv_sqrt = prop.s_hat, prop.inv_sqrt
+        dq = s_hat.T @ g
+        dz1 = (dq @ w["w2"].T) * (c["z1"] > 0)
+        grad_s = g @ c["q"].T + dz1 @ c["xw"].T
+        prod = grad_s * s_hat
+        phi = -(prod.sum(axis=1) + prod.sum(axis=0)) / (2.0 * prop.degree)
+        grad_s = grad_s * np.outer(inv_sqrt, inv_sqrt) + phi[:, None]
+    else:
+        inv, n1, n2, h1 = prop.inv, c["n1"], c["n2"], c["h1"]
+        t2 = inv[:, None] * (g @ w["w2_neigh"].T)
+        dz1 = (g @ w["w2_self"].T + prop.s.T @ t2) * (c["z1"] > 0)
+        t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
+        grad_s = (t2 @ h1.T - (t2 * n2).sum(axis=1)[:, None]
+                  + t1 @ x.T - (t1 * n1).sum(axis=1)[:, None])
+    return (grad_s + grad_s.T) / 2.0
+
+
+def _reference_step(state, x, labels, mask, cfg):
+    """A structure step from dense gradients; returns the step and the gradient."""
+    s, a = state.s, state.a
+    signal = x if state.signal is None else state.signal
+    sq = np.einsum("ij,ij->i", signal, signal)
+    half_sq_dists = 0.5 * np.maximum(sq[:, None] + sq[None, :] - 2.0 * (signal @ signal.T),
+                                     0.0)
+    grad = cfg.beta_smooth * half_sq_dists + 2.0 * cfg.lambda_prox * (s - a)
+    if mask is not None:
+        grad = grad + _dense_task_gradient(s, x, labels, mask, state.theta)
+    stepped = numerics.soft_threshold(s - cfg.eta_s * grad, cfg.eta_s * cfg.alpha_l1)
+    if cfg.eta_s * cfg.alpha_nuclear > 0:
+        stepped = numerics.svt(stepped, cfg.eta_s * cfg.alpha_nuclear)
+    return numerics.symmetrize_clamp(stepped), grad
+
+
+@st.composite
+def _structure_problem(draw):
+    """A random non-negative square S with isolated rows, features, labels and a mask."""
+    n = draw(st.integers(1, 12), label="n")
+    d = draw(st.integers(1, 4), label="features")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    s = rng.random((n, n)) * (rng.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    isolated = rng.random(n) < 0.25
+    s[isolated, :] = 0.0
+    s[:, isolated] = 0.0
+    x = rng.normal(size=(n, d)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    labels = rng.integers(0, 2, size=n)
+    mask = rng.random(n) < 0.6
+    mask[rng.integers(0, n)] = True
+    kind = draw(st.sampled_from(["gcn", "sage", "mlp"]), label="kind")
+    theta = init_params(kind, d, hidden=draw(st.integers(1, 6)), seed=int(rng.integers(1000)))
+    return s, x, labels, mask, theta, rng
+
+
+@given(_structure_problem())
+def test_structure_gradient_matches_the_dense_reference(problem):
+    s, x, labels, mask, theta, _ = problem
+    want = _dense_task_gradient(s, x, labels, mask, theta)
+    _, _, got = models.backward(s, x, labels, mask, theta)
+    assert np.array_equal(got, got.T)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@given(_structure_problem(), st.booleans(), st.booleans(), st.booleans())
+def test_structure_step_matches_the_dense_reference(problem, prior, labelled, beliefs):
+    s, x, labels, mask, theta, rng = problem
+    n = len(s)
+    s = np.triu(s, 1) + np.triu(s, 1).T  # the structures the optimizer makes
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    a = (upper | upper.T).astype(float)
+    p = rng.random(n)
+    cfg = GslConfig(alpha_nuclear=float(rng.random()) if prior else 0.0,
+                    alpha_l1=float(rng.random()) * 0.1,
+                    beta_smooth=float(rng.random()) * 2.0,
+                    lambda_prox=float(rng.random()),
+                    eta_s=float(rng.random()))
+    state = GslState(s=s, a=a, theta=theta,
+                     signal=np.column_stack([1.0 - p, p]) if beliefs else None)
+    if not labelled:
+        labels = mask = None
+    want, grad = _reference_step(state, x, labels, mask, cfg)
+    got = structure_step(state, x, labels, mask, cfg)
+    assert np.array_equal(got, got.T) and np.all(np.diagonal(got) == 0.0)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(grad).max())
+
+
+@pytest.mark.parametrize("inner", [5, 0])
+@pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
+def test_recorded_task_terms_match_fits_that_stop_there(kind, inner, sbm60, masks60):
+    # A record takes its task term from the next inner step's loss, or from a
+    # forward pass at the end of the fit; both must give the same bits.
+    train_mask, _ = masks60
+
+    def history(iters):
+        cfg = GslConfig(outer_iters=iters, inner_theta_steps=inner)
+        return fit(sbm60.adjacency, sbm60.features, sbm60.labels, kind, cfg,
+                   TrainConfig(), train_mask, seed=7)[2].objective_history
+
+    full = history(5)
+    assert len(full) == 6
+    for iters in range(1, 5):
+        assert history(iters) == full[:iters + 1]
 
 
 # Objective histories of 5 outer iterations on the 60-node fixture, as
