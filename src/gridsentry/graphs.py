@@ -154,15 +154,18 @@ def smoothness(s, x) -> float:
     """Quadratic feature variation tr(X^T L X) over the graph.
 
     Equals 0.5 * sum_ij S[i, j] * ||x_i - x_j||^2 for symmetric S, so it is
-    non-negative whenever S is non-negative.
+    non-negative whenever S is non-negative. ``s`` must be an adjacency
+    (symmetric, zero diagonal, finite entries in [0, 1]). Computed as
+    sum_i d_i ||x_i||^2 - sum(X * (S X)), d the degrees, without forming L.
     """
     feats = require_matrix(x, "features")
-    lap = laplacian(s)
-    if feats.shape[0] != lap.shape[0]:
+    arr = _check_adjacency(require_matrix(s, "structure matrix"), "structure matrix")
+    if feats.shape[0] != arr.shape[0]:
         raise ValueError(
-            f"features has {feats.shape[0]} rows for a {lap.shape[0]}-node graph"
+            f"features has {feats.shape[0]} rows for a {arr.shape[0]}-node graph"
         )
-    return float(np.trace(feats.T @ lap @ feats))
+    sq = np.einsum("ij,ij->i", feats, feats)
+    return float(arr.sum(axis=1) @ sq - np.einsum("ij,ij->", feats, arr @ feats))
 
 
 @dataclass(frozen=True)

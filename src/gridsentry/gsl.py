@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NumericError
-from .graphs import _check_adjacency
+from .graphs import _check_adjacency, smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _gradients,
                      _prepare, _Propagation, adam_step, backward, init_params,
                      masked_cross_entropy, model_logits, own_logits, softmax)
@@ -142,27 +142,26 @@ def objective(s, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
     ``s`` is the structure matrix, raw or prepared for ``theta``'s kind
     (``models._prepare``), and must be an adjacency: symmetric, zero
     diagonal, finite entries in [0, 1]. The smoothness term is measured on
-    ``signal``, the features when omitted, as sum_i d_i ||z_i||^2 -
-    sum(Z * (S Z)) with d the degrees, which is tr(Z^T L Z) without forming
-    the Laplacian L. ``task`` is the task loss at ``s`` and ``theta`` when the
-    caller already holds it (``backward`` returns the same value); otherwise a
-    forward pass computes it.
+    ``signal``, the features when omitted (``graphs.smoothness``). ``task``
+    is the task loss at ``s`` and ``theta`` when the caller already holds it
+    (``backward`` returns the same value); otherwise a forward pass
+    computes it.
     """
     signal = x if signal is None else signal
     if task is None:
         task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
     if isinstance(s, _Propagation):
         s = s.s
-    s = _check_adjacency(require_matrix(s, "structure matrix"), "structure matrix")
+    s = require_matrix(s, "structure matrix")
+    if cfg.beta_smooth > 0:  # smoothness checks that s is an adjacency
+        smooth = cfg.beta_smooth * smoothness(s, signal)
+    else:
+        smooth = 0.0
+        _check_adjacency(s, "structure matrix")
     nuclear = 0.0
     if cfg.alpha_nuclear > 0:
         nuclear = cfg.alpha_nuclear * nuclear_norm(s)
     l1 = cfg.alpha_l1 * float(s.sum()) if cfg.alpha_l1 > 0 else 0.0
-    smooth = 0.0
-    if cfg.beta_smooth > 0:
-        sq = np.einsum("ij,ij->i", signal, signal)
-        smooth = cfg.beta_smooth * float(s.sum(axis=1) @ sq
-                                         - np.einsum("ij,ij->", signal, s @ signal))
     prox = cfg.lambda_prox * float(((s - a) ** 2).sum()) if cfg.lambda_prox > 0 else 0.0
     total = task + nuclear + l1 + smooth + prox
     if not math.isfinite(total):
@@ -202,8 +201,7 @@ def _fit_logistic(features: np.ndarray, targets: np.ndarray,
 
 
 def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
-                  labels: Optional[np.ndarray] = None, mask=None, *,
-                  vote: Optional[np.ndarray] = None) -> np.ndarray:
+                  labels: Optional[np.ndarray] = None, mask=None) -> np.ndarray:
     """Per-node class probabilities, the signal ``fit`` and refinement smooth.
 
     The classifier's reading of each node's own features (the model applied
@@ -213,18 +211,22 @@ def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
     logit margin with the label vote of its labelled neighbours in ``a``,
     sum_j a_ij (2 y_j - 1). The combination is a logistic regression fitted
     on the masked nodes, so strong features outweigh a poisoned neighbourhood
-    and weak features defer to it. A caller that asks repeatedly about one
-    ``a`` and mask can pass the vote it already holds as ``vote``.
+    and weak features defer to it.
     """
     if mask is None:
         return softmax(own_logits(theta, x))
     m = np.asarray(mask, dtype=bool)
     labels = np.asarray(labels, dtype=np.int64)
+    return _labelled_beliefs(theta, x, labels, m, _label_vote(a, labels, m))
+
+
+def _labelled_beliefs(theta: GnnParams, x: np.ndarray, labels: np.ndarray,
+                      m: np.ndarray, vote: np.ndarray) -> np.ndarray:
+    """``class_beliefs`` with labels, given ``vote = _label_vote(a, labels, m)``;
+    ``fit`` computes the vote once and asks many times."""
     p = labels.astype(np.float64)
     if not m.all():
         own = own_logits(theta, x)
-        if vote is None:
-            vote = _label_vote(a, labels, m)
         evidence = np.column_stack([own[:, 1] - own[:, 0], vote, np.ones(len(m))])
         coef = _fit_logistic(evidence[m], p[m])
         p[~m] = _sigmoid(evidence[~m] @ coef)
@@ -240,7 +242,8 @@ def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray],
                    cfg: GslConfig, *, propagation: Optional[_Propagation] = None) -> np.ndarray:
     """One proximal structure update; the state itself is left untouched.
 
-    ``state.s`` must be symmetric, as every structure the optimizer makes is.
+    ``state.s`` must be symmetric, as every structure the optimizer makes is
+    (``ValueError`` otherwise).
     Without a ``mask`` (inference time) only the priors drive S. A caller
     that holds ``state.s`` prepared for ``state.theta`` can pass it as
     ``propagation``.
@@ -266,6 +269,8 @@ def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray],
     s, a = state.s, state.a
     if propagation is not None and propagation.s is not s:
         raise ValueError("propagation was prepared from another structure matrix")
+    if not np.array_equal(s, s.T):
+        raise ValueError("structure matrix must be symmetric")
     signal = x if state.signal is None else state.signal
     half_sq = 0.5 * cfg.beta_smooth * np.einsum("ij,ij->i", signal, signal)
     left, right, rows = [-cfg.beta_smooth * signal], [signal], half_sq
@@ -336,7 +341,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     adam = AdamState.for_params(theta)
     vote = _label_vote(a, labels, mask)
     state = GslState(s=a.copy(), a=a, theta=theta,
-                     signal=class_beliefs(theta, a, x, labels, mask, vote=vote))
+                     signal=_labelled_beliefs(theta, x, labels, mask, vote))
     prop = _prepare(gnn_kind, state.s)
 
     def record(task=None):
@@ -354,7 +359,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
             adam_step(theta, grads, adam, train_cfg)
         if gsl_cfg.inner_theta_steps == 0:
             record()
-        state.signal = class_beliefs(theta, a, x, labels, mask, vote=vote)
+        state.signal = _labelled_beliefs(theta, x, labels, mask, vote)
         state.s = structure_step(state, x, labels, mask, gsl_cfg, propagation=prop)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s)

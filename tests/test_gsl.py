@@ -5,6 +5,7 @@ step-level checks run on tiny matrices with independent oracles.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -476,9 +477,9 @@ def test_structure_gradient_matches_the_dense_reference(problem):
 
 @given(_structure_problem(), st.booleans(), st.booleans(), st.booleans())
 def test_structure_step_matches_the_dense_reference(problem, prior, labelled, beliefs):
-    s, x, labels, mask, theta, rng = problem
-    n = len(s)
-    s = np.triu(s, 1) + np.triu(s, 1).T  # the structures the optimizer makes
+    drawn, x, labels, mask, theta, rng = problem
+    n = len(drawn)
+    s = np.triu(drawn, 1) + np.triu(drawn, 1).T  # the structures the optimizer makes
     upper = np.triu(rng.random((n, n)) < 0.3, 1)
     a = (upper | upper.T).astype(float)
     p = rng.random(n)
@@ -495,6 +496,9 @@ def test_structure_step_matches_the_dense_reference(problem, prior, labelled, be
     got = structure_step(state, x, labels, mask, cfg)
     assert np.array_equal(got, got.T) and np.all(np.diagonal(got) == 0.0)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(grad).max())
+    if not np.array_equal(drawn, drawn.T):  # the step would symmetrize it silently
+        with pytest.raises(ValueError, match="symmetric"):
+            structure_step(replace(state, s=drawn), x, labels, mask, cfg)
 
 
 @pytest.mark.parametrize("inner", [5, 0])
