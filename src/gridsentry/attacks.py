@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -75,12 +75,7 @@ class PerturbationReceipt:
     warning: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "edges_added": [[i, j] for i, j in self.edges_added],
-            "edges_removed": [[i, j] for i, j in self.edges_removed],
-            "nodes_feature_perturbed": list(self.nodes_feature_perturbed),
-            "warning": self.warning,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -11,16 +11,18 @@ One binary with subcommands covering the whole workflow:
     gridsentry report     re-render a report JSON as markdown
 
 Every command accepts --output. generate, attack, train and experiment also
-take --seed and --config, and ingest takes --config; flags override config
-file values. Exit codes: 0 success, 1 usage error (including an output
-path that cannot be written), 2 data error, 3 numeric failure. Commands that
-write a directory (ingest, train, experiment) create it before any parse or
-fit starts.
+take --seed and --config, and ingest takes --config. A flag that is given
+overrides the config field named by its dest: --p-in sets p_in, and --seed
+sets seed, or base_seed for experiment. Exit codes: 0 success, 1 usage
+error (including an output path that cannot be written), 2 data error, 3
+numeric failure. Commands that write a directory (ingest, train,
+experiment) create it before any parse or fit starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -46,20 +48,16 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise _UsageError(f"config file {path} must hold a JSON object")
-    return doc
+        return load_json_object(path, "config file", dict)
+    except DataError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
-def _common_flags(sub: argparse.ArgumentParser, seed: bool = True,
+def _common_flags(sub: argparse.ArgumentParser, seed: str | None = "seed",
                   config: bool = True) -> None:
+    """Add --output, --config if ``config``, and --seed with dest ``seed`` if set."""
     if seed:
-        sub.add_argument("--seed", type=int, default=None,
+        sub.add_argument("--seed", dest=seed, metavar="SEED", type=int, default=None,
                          help="override the configured random seed")
     if config:
         sub.add_argument("--config", default=None,
@@ -67,7 +65,12 @@ def _common_flags(sub: argparse.ArgumentParser, seed: bool = True,
     sub.add_argument("--output", "-o", default=None, help="output path")
 
 
-def _decode(cls, doc: dict, level: str):
+def _decode(cls, doc: dict, level: str, args):
+    """``cls`` from ``doc``, each field overridden by its same-named flag if given."""
+    for f in dataclasses.fields(cls):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            doc[f.name] = value
     try:
         return codec.decode(cls, doc, level)
     except (TypeError, ValueError) as exc:
@@ -102,13 +105,7 @@ def _output_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    doc = _load_config(args.config)
-    for flag in ("n", "p_in", "p_out", "feature_dim", "signal", "noise_sigma",
-                 "seed"):
-        value = getattr(args, flag)
-        if value is not None:
-            doc[flag] = value
-    spec = _decode(SbmSpec, doc, "generate")
+    spec = _decode(SbmSpec, _load_config(args.config), "generate", args)
     snapshot = sbm_generate(spec)
     with _writing(_require_output(args)):
         save_snapshot(snapshot, args.output)
@@ -117,10 +114,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    doc = _load_config(args.config)
-    if args.window_seconds is not None:
-        doc["window_seconds"] = args.window_seconds
-    cfg = _decode(pipeline.PipelineConfig, doc, "pipeline")
+    cfg = _decode(pipeline.PipelineConfig, _load_config(args.config), "pipeline", args)
     out = _output_dir(args)
     flows, stats = parse_flows(args.input)
     print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
@@ -133,13 +127,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    doc = _load_config(args.config)
-    for flag in ("kind", "rate", "structure_mode", "feature_sigma",
-                 "feature_fraction", "seed"):
-        value = getattr(args, flag)
-        if value is not None:
-            doc[flag] = value
-    spec = _decode(attacks.PerturbationSpec, doc, "attack")
+    spec = _decode(attacks.PerturbationSpec, _load_config(args.config), "attack", args)
     phase = args.phase
     if phase is None:
         phase = "training" if spec.kind == "poisoning" else "inference"
@@ -159,10 +147,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_config(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    cfg = _decode(pipeline.PipelineConfig, doc, "pipeline")
+    cfg = _decode(pipeline.PipelineConfig, _load_config(args.config), "pipeline", args)
     out = _output_dir(args)
     with _writing(out):
         bundle, state = pipeline.train_pipeline(args.input, cfg, out)
@@ -188,9 +173,7 @@ def cmd_experiment(args) -> int:
     doc = _load_config(args.config)
     if not doc:
         raise _UsageError("experiment needs a --config file")
-    if args.seed is not None:
-        doc["base_seed"] = args.seed
-    cfg = _decode(experiments.ExperimentConfig, doc, "experiment")
+    cfg = _decode(experiments.ExperimentConfig, doc, "experiment", args)
     out = _output_dir(args)
     result = experiments.run_experiment(cfg)
     with _writing(out):
@@ -240,7 +223,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("ingest", help="flow CSV to window snapshots")
-    _common_flags(p, seed=False)
+    _common_flags(p, seed=None)
     p.add_argument("--input", "-i", required=True, help="flow CSV path")
     p.add_argument("--window-seconds", dest="window_seconds", type=int,
                    default=None)
@@ -267,17 +250,17 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="score flows against a bundle")
-    _common_flags(p, seed=False, config=False)
+    _common_flags(p, seed=None, config=False)
     p.add_argument("--input", "-i", required=True, help="flow CSV to score")
     p.add_argument("--bundle", "-b", required=True, help="detector bundle JSON")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("experiment", help="run the robustness grid")
-    _common_flags(p)
+    _common_flags(p, seed="base_seed")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="render a report JSON")
-    _common_flags(p, seed=False, config=False)
+    _common_flags(p, seed=None, config=False)
     p.add_argument("--input", "-i", required=True, help="report JSON path")
     p.add_argument("--format", choices=("markdown", "json"), default="markdown")
     p.set_defaults(func=cmd_report)

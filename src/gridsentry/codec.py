@@ -15,10 +15,10 @@ import dataclasses
 import types
 import typing
 
-def encode(obj) -> dict:
-    """Every field of a config dataclass."""
+def encode(obj, cls=None) -> dict:
+    """Every field of a config dataclass, or only those of its base ``cls``."""
     doc = {}
-    for f in dataclasses.fields(obj):
+    for f in dataclasses.fields(cls or obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             value = encode(value)

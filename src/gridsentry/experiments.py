@@ -26,15 +26,14 @@ from .graphs import GraphSnapshot, SbmSpec, sbm_generate
 from .models import GnnParams, TrainConfig, model_logits, predict, train
 from .numerics import make_rng
 
-MODELS = ("DNN", "GCN", "GraphSAGE", "GSL-GCN", "GSL-GraphSAGE")
+# Each grid model: the classifier kind behind it, and whether it learns the
+# structure jointly (``gsl.fit``) or trains on the observed graph as is.
+_GRID_MODELS = {"DNN": ("mlp", False), "GCN": ("gcn", False),
+                "GraphSAGE": ("sage", False), "GSL-GCN": ("gcn", True),
+                "GSL-GraphSAGE": ("sage", True)}
+MODELS = tuple(_GRID_MODELS)
 
 REPORT_FORMAT_VERSION = 1
-
-# Inference-time structure refinement budget for GSL models under evasion.
-EVASION_REFINE_STEPS = 20
-
-# Model kind behind each grid model that trains on the observed graph as is.
-_PLAIN_KINDS = {"DNN": "mlp", "GCN": "gcn", "GraphSAGE": "sage"}
 
 
 def split(labels: np.ndarray, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +145,8 @@ class ExperimentConfig:
         unknown = [m for m in self.models if m not in MODELS]
         if unknown:
             raise ValueError(f"unknown models {unknown}; valid: {list(MODELS)}")
-        for rate in self.rates:
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"rates must lie in [0, 1], got {rate}")
-        if self.attack_kind not in attacks.KINDS:
-            raise ValueError(f"attack_kind must be one of {attacks.KINDS}")
-        attacks.PerturbationSpec(kind=self.attack_kind,
-                                 structure_mode=self.structure_mode,
-                                 feature_sigma=self.feature_sigma,
-                                 feature_fraction=self.feature_fraction)
+        for rate in self.rates or (0.0,):  # an empty grid's attack is checked too
+            self.attack_spec(rate, self.base_seed)
         if not 0.0 < self.train_frac < 1.0:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
         if self.max_flows is not None and self.max_flows < 1:
@@ -162,6 +154,13 @@ class ExperimentConfig:
         if self.window_seconds <= 0:
             raise ValueError(
                 f"window_seconds must be positive, got {self.window_seconds}")
+
+    def attack_spec(self, rate: float, seed: int) -> attacks.PerturbationSpec:
+        """The attack the grid applies at ``rate`` in the run seeded ``seed``."""
+        return attacks.PerturbationSpec(
+            kind=self.attack_kind, rate=rate, structure_mode=self.structure_mode,
+            feature_sigma=self.feature_sigma,
+            feature_fraction=self.feature_fraction, seed=seed)
 
     def to_dict(self) -> dict:
         """Every setting, leaving out the data source that is not set."""
@@ -283,13 +282,10 @@ class _Trained(NamedTuple):
 def _train_model(model: str, snapshot: GraphSnapshot, cfg: ExperimentConfig,
                  mask: np.ndarray, seed: int) -> _Trained:
     """Train one grid model on ``snapshot``; GSL models also learn a structure."""
-    if model in _PLAIN_KINDS:
-        result = train(snapshot, snapshot.adjacency, cfg.train, _PLAIN_KINDS[model],
-                       mask, seed)
+    kind, learns_structure = _GRID_MODELS[model]
+    if not learns_structure:
+        result = train(snapshot, snapshot.adjacency, cfg.train, kind, mask, seed)
         return _Trained(result.params, None, None)
-    if model not in ("GSL-GCN", "GSL-GraphSAGE"):
-        raise ValueError(f"unknown model {model!r}")
-    kind = "gcn" if model == "GSL-GCN" else "sage"
     s_final, theta, state = gsl.fit(
         snapshot.adjacency, snapshot.features, snapshot.labels,
         kind, cfg.gsl, cfg.train, mask, seed,
@@ -297,7 +293,7 @@ def _train_model(model: str, snapshot: GraphSnapshot, cfg: ExperimentConfig,
     return _Trained(theta, s_final, state.objective_history)
 
 
-def _predictions(model: str, trained: _Trained, snapshot: GraphSnapshot,
+def _predictions(trained: _Trained, snapshot: GraphSnapshot,
                  gsl_cfg: gsl.GslConfig, evasion: bool) -> np.ndarray:
     """Every node's predicted class from a trained grid model.
 
@@ -305,11 +301,11 @@ def _predictions(model: str, trained: _Trained, snapshot: GraphSnapshot,
     structure it learned, except under evasion, where it was trained on the
     clean graph and re-refines the perturbed one with frozen weights.
     """
-    if model in _PLAIN_KINDS:
+    if trained.structure is None:
         s = snapshot.adjacency
     elif evasion:
         s = gsl.refine_structure(snapshot.adjacency, snapshot.features,
-                                 trained.params, gsl_cfg, EVASION_REFINE_STEPS)
+                                 trained.params, gsl_cfg, gsl.REFINE_STEPS)
     else:
         s = trained.structure
     return predict(model_logits(trained.params, s, snapshot.features))
@@ -345,20 +341,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         clean_models = {model: _train_model(model, snapshot, cfg, train_mask, seed_r)
                         for model in cfg.models} if evasion else {}
         for rate in cfg.rates:
-            pspec = attacks.PerturbationSpec(
-                kind=cfg.attack_kind,
-                rate=rate,
-                structure_mode=cfg.structure_mode,
-                feature_sigma=cfg.feature_sigma,
-                feature_fraction=cfg.feature_fraction,
-                seed=seed_r,
-            )
-            perturbed, _ = attacks.apply(snapshot, pspec,
+            perturbed, _ = attacks.apply(snapshot, cfg.attack_spec(rate, seed_r),
                                          "inference" if evasion else "training")
             for model in cfg.models:
                 trained = clean_models[model] if evasion else _train_model(
                     model, perturbed, cfg, train_mask, seed_r)
-                y_pred = _predictions(model, trained, perturbed, cfg.gsl, evasion)
+                y_pred = _predictions(trained, perturbed, cfg.gsl, evasion)
                 conf = Confusion.from_predictions(snapshot.labels, y_pred, test_mask)
                 per_cell[(model, rate)].append(metrics(conf))
                 if trained.history is not None:
@@ -420,10 +408,7 @@ def render_report(report: MetricsReport, fmt: str = "markdown") -> str:
 
 def write_history_csv(history: list[gsl.ObjectiveParts], path) -> None:
     """Objective trace as CSV: iteration index plus each weighted term."""
-    lines = ["iteration,total,task,nuclear,l1,smooth,prox"]
+    lines = [",".join(("iteration",) + gsl.ObjectiveParts._fields)]
     for i, parts in enumerate(history):
-        lines.append(
-            f"{i},{parts.total:.12g},{parts.task:.12g},{parts.nuclear:.12g},"
-            f"{parts.l1:.12g},{parts.smooth:.12g},{parts.prox:.12g}"
-        )
+        lines.append(",".join([str(i)] + [f"{v:.12g}" for v in parts]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

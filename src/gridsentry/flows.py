@@ -36,7 +36,7 @@ import copy
 import csv
 import io
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Optional
@@ -139,12 +139,7 @@ class ParseStats:
         self.reasons[reason] = self.reasons.get(reason, 0) + count
 
     def to_dict(self) -> dict:
-        return {
-            "rows_total": self.rows_total,
-            "rows_skipped": self.rows_skipped,
-            "self_flows_dropped": self.self_flows_dropped,
-            "reasons": dict(sorted(self.reasons.items())),
-        }
+        return asdict(self)
 
 
 def _resolve_columns(fieldnames) -> dict:

@@ -62,6 +62,10 @@ from .numerics import (nuclear_norm, require_matrix, require_square,
 PRUNED_WEIGHT = 0.1
 ADDED_WEIGHT = 0.5
 
+# Label-free refinement steps a trained model takes on a graph it has not
+# seen: at detect time (a bundle's default) and under evasion in the grid.
+REFINE_STEPS = 20
+
 
 @dataclass(frozen=True)
 class GslConfig:

@@ -50,6 +50,13 @@ _PARAM_KEYS = {
 }
 
 
+def _weight_shapes(kind: str, in_dim: int, hidden: int,
+                   classes: int) -> dict[str, tuple[int, int]]:
+    """Each weight's shape: ``w1*`` is features x hidden, ``w2*`` hidden x classes."""
+    layers = {"w1": (in_dim, hidden), "w2": (hidden, classes)}
+    return {key: layers[key[:2]] for key in _PARAM_KEYS[kind]}
+
+
 @dataclass
 class GnnParams:
     """Weight matrices for one model, keyed in a fixed per-kind order.
@@ -89,6 +96,16 @@ class GnnParams:
             self._pack()
         return self._flat
 
+    def check_shapes(self, in_dim: int) -> None:
+        """Raise ValueError unless every weight fits ``in_dim`` input features."""
+        shapes = _weight_shapes(self.kind, in_dim, self.hidden, self.classes)
+        for key, shape in shapes.items():
+            if self.weights[key].shape != shape:
+                raise ValueError(
+                    f"weight {key} has shape {self.weights[key].shape}, which "
+                    f"disagrees with hidden={self.hidden}, classes={self.classes} "
+                    f"and {in_dim} features")
+
     def copy(self) -> "GnnParams":
         return GnnParams(
             kind=self.kind,
@@ -123,14 +140,7 @@ class GnnParams:
         }
         params = cls(kind=kind, weights=weights,
                      hidden=int(doc["hidden"]), classes=int(doc["classes"]))
-        first = next(iter(params.weights.values()))
-        if first.shape[1] != params.hidden:
-            raise ValueError(
-                f"first-layer width {first.shape[1]} disagrees with hidden={params.hidden}"
-            )
-        last = params.weights["w2" if kind != "sage" else "w2_self"]
-        if last.shape != (params.hidden, params.classes):
-            raise ValueError(f"second-layer shape {last.shape} is inconsistent")
+        params.check_shapes(next(iter(params.weights.values())).shape[0])
         return params
 
 
@@ -145,12 +155,8 @@ def init_params(kind: str, in_dim: int, hidden: int = 16, classes: int = 2,
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     rng = make_rng(seed)
-    dims = {
-        "w1": (in_dim, hidden), "w2": (hidden, classes),
-        "w1_self": (in_dim, hidden), "w1_neigh": (in_dim, hidden),
-        "w2_self": (hidden, classes), "w2_neigh": (hidden, classes),
-    }
-    weights = {key: _glorot(rng, *dims[key]) for key in _PARAM_KEYS[kind]}
+    weights = {key: _glorot(rng, *shape) for key, shape
+               in _weight_shapes(kind, in_dim, hidden, classes).items()}
     return GnnParams(kind=kind, weights=weights, hidden=hidden, classes=classes)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +28,6 @@ from .numerics import require_matrix
 
 BUNDLE_FORMAT_VERSION = 1
 
-DEFAULT_SCORE_THRESHOLD = 0.5
-DEFAULT_ISOLATE_THRESHOLD = 0.9
-DEFAULT_REFINE_STEPS = 20
-MIN_TRAIN_NODES = 10
-
 
 def _sig12(value: float) -> float:
     """Round to at most 12 significant digits for stable serialization."""
@@ -40,22 +35,16 @@ def _sig12(value: float) -> float:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Training-side settings for the detection pipeline."""
+class DetectSettings:
+    """The settings detection reads, stored in every bundle beside its weights."""
 
     window_seconds: int = 300
-    gnn_kind: str = "gcn"
-    min_nodes: int = MIN_TRAIN_NODES
-    score_threshold: float = DEFAULT_SCORE_THRESHOLD
-    isolate_threshold: float = DEFAULT_ISOLATE_THRESHOLD
-    detect_refine_steps: int = DEFAULT_REFINE_STEPS
-    seed: int = 0
+    score_threshold: float = 0.5
+    isolate_threshold: float = 0.9
+    detect_refine_steps: int = gsl.REFINE_STEPS
     gsl: gsl.GslConfig = field(default_factory=gsl.GslConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if self.gnn_kind not in ("gcn", "sage"):
-            raise ValueError("pipeline gnn_kind must be 'gcn' or 'sage'")
         if self.window_seconds <= 0:
             raise ValueError(
                 f"window_seconds must be positive, got {self.window_seconds}")
@@ -65,6 +54,21 @@ class PipelineConfig:
             raise ValueError("isolate_threshold must lie in [0, 1]")
         if self.detect_refine_steps < 0:
             raise ValueError("detect_refine_steps must be non-negative")
+
+
+@dataclass(frozen=True)
+class PipelineConfig(DetectSettings):
+    """Training-side settings: the detect settings, plus how to fit the model."""
+
+    gnn_kind: str = "gcn"
+    min_nodes: int = 10
+    seed: int = 0
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        if self.gnn_kind not in ("gcn", "sage"):
+            raise ValueError("pipeline gnn_kind must be 'gcn' or 'sage'")
+        super().__post_init__()
         if self.min_nodes < 1:
             raise ValueError("min_nodes must be positive")
 
@@ -73,49 +77,47 @@ class PipelineConfig:
         return codec.decode(cls, doc, "pipeline")
 
 
-@dataclass
-class DetectorBundle:
-    """Everything inference needs, persisted as one versioned JSON document."""
+@dataclass(frozen=True, kw_only=True)
+class DetectorBundle(DetectSettings):
+    """Everything inference needs, persisted as one versioned JSON document.
+
+    A bundle built in code gets the same checks as a loaded one: the detect
+    settings, the standardization statistics, and every weight's shape
+    against the feature count.
+    """
 
     params: GnnParams
-    gsl_cfg: gsl.GslConfig
     zscore_mean: np.ndarray
     zscore_std: np.ndarray
     feature_names: list[str]
-    window_seconds: int
-    score_threshold: float = DEFAULT_SCORE_THRESHOLD
-    isolate_threshold: float = DEFAULT_ISOLATE_THRESHOLD
-    detect_refine_steps: int = DEFAULT_REFINE_STEPS
     model_version: str = ""
 
     def __post_init__(self):
-        self.zscore_mean = np.asarray(self.zscore_mean, dtype=np.float64)
-        self.zscore_std = np.asarray(self.zscore_std, dtype=np.float64)
+        super().__post_init__()
         if self.zscore_mean.shape != self.zscore_std.shape:
             raise ValueError("zscore mean/std shapes disagree")
         if np.any(self.zscore_std <= 0):
             raise ValueError("zscore std entries must be positive")
         if len(self.feature_names) != self.zscore_mean.shape[0]:
             raise ValueError("feature_names length disagrees with zscore stats")
+        self.params.check_shapes(len(self.feature_names))
         if not self.model_version:
             digest = hashlib.sha256(
                 json.dumps(self.params.to_dict(), sort_keys=True).encode()
             ).hexdigest()[:12]
-            self.model_version = f"{self.params.kind}-b{BUNDLE_FORMAT_VERSION}-{digest}"
+            object.__setattr__(
+                self, "model_version",
+                f"{self.params.kind}-b{BUNDLE_FORMAT_VERSION}-{digest}")
 
     def to_dict(self) -> dict:
         return {
             "format_version": BUNDLE_FORMAT_VERSION,
             "model_version": self.model_version,
             "params": self.params.to_dict(),
-            "gsl": codec.encode(self.gsl_cfg),
             "zscore_mean": self.zscore_mean.tolist(),
             "zscore_std": self.zscore_std.tolist(),
             "feature_names": list(self.feature_names),
-            "window_seconds": self.window_seconds,
-            "score_threshold": self.score_threshold,
-            "isolate_threshold": self.isolate_threshold,
-            "detect_refine_steps": self.detect_refine_steps,
+            **codec.encode(self, DetectSettings),
         }
 
     def save(self, path) -> None:
@@ -128,26 +130,20 @@ class DetectorBundle:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DetectorBundle":
-        """Rebuild a saved bundle; its settings get the pipeline config's checks."""
+        """Rebuild a saved bundle; its settings are decoded with the config codec."""
         if doc.get("format_version") != BUNDLE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported bundle format_version {doc.get('format_version')!r}"
             )
-        stored = ("window_seconds", "score_threshold", "isolate_threshold",
-                  "detect_refine_steps", "gsl")
-        settings = codec.decode(PipelineConfig, {key: doc[key] for key in stored},
-                                "bundle")
+        stored = {f.name: doc[f.name] for f in fields(DetectSettings)}
+        settings = codec.decode(DetectSettings, stored, "bundle")
         return cls(
             params=GnnParams.from_dict(doc["params"]),
-            gsl_cfg=settings.gsl,
             zscore_mean=np.asarray(doc["zscore_mean"], dtype=np.float64),
             zscore_std=np.asarray(doc["zscore_std"], dtype=np.float64),
             feature_names=list(doc["feature_names"]),
-            window_seconds=settings.window_seconds,
-            score_threshold=settings.score_threshold,
-            isolate_threshold=settings.isolate_threshold,
-            detect_refine_steps=settings.detect_refine_steps,
             model_version=str(doc["model_version"]),
+            **vars(settings),
         )
 
 
@@ -198,14 +194,10 @@ def train_from_snapshot(snapshot: GraphSnapshot,
                               np.ones(snapshot.n_nodes, dtype=bool), cfg.seed)
     bundle = DetectorBundle(
         params=theta,
-        gsl_cfg=cfg.gsl,
         zscore_mean=stats[0],
         zscore_std=stats[1],
         feature_names=list(snapshot.feature_names),
-        window_seconds=cfg.window_seconds,
-        score_threshold=cfg.score_threshold,
-        isolate_threshold=cfg.isolate_threshold,
-        detect_refine_steps=cfg.detect_refine_steps,
+        **{f.name: getattr(cfg, f.name) for f in fields(DetectSettings)},
     )
     return bundle, state
 
@@ -258,7 +250,7 @@ def detect(snapshot: GraphSnapshot, bundle: DetectorBundle) -> list[Alert]:
         raise DataError("snapshot feature names do not match the bundle")
     features = apply_zscore(feats, (bundle.zscore_mean, bundle.zscore_std))
     refined = gsl.refine_structure(snapshot.adjacency, features, bundle.params,
-                                   bundle.gsl_cfg, bundle.detect_refine_steps)
+                                   bundle.gsl, bundle.detect_refine_steps)
     scores = softmax(model_logits(bundle.params, refined, features))[:, 1]
 
     diff = gsl.refine_report(gsl.GslState(s=refined, a=snapshot.adjacency,

@@ -84,10 +84,7 @@ def _neighbour_vote_f1(cfg: ExperimentConfig, rate: float) -> float:
         seed = cfg.base_seed + r
         snap = sbm_generate(replace(cfg.sbm, seed=seed))
         train_mask, test_mask = split(snap.labels, cfg.train_frac, seed)
-        spec = PerturbationSpec(kind=cfg.attack_kind, rate=rate,
-                                structure_mode=cfg.structure_mode,
-                                feature_sigma=cfg.feature_sigma, seed=seed)
-        poisoned, _ = apply(snap, spec, "training")
+        poisoned, _ = apply(snap, cfg.attack_spec(rate, seed), "training")
         vote = poisoned.adjacency @ np.where(train_mask, 2.0 * snap.labels - 1.0, 0.0)
         conf = Confusion.from_predictions(snap.labels, (vote > 0).astype(int),
                                           test_mask)

@@ -221,7 +221,7 @@ def test_train_then_detect_flags_the_scanner(tmp_path, flows_train_csv,
 
 def _untrained_bundle(path, **edits):
     bundle = pipeline.DetectorBundle(
-        params=init_params("gcn", len(FEATURE_NAMES)), gsl_cfg=GslConfig(),
+        params=init_params("gcn", len(FEATURE_NAMES)), gsl=GslConfig(),
         zscore_mean=np.zeros(len(FEATURE_NAMES)),
         zscore_std=np.ones(len(FEATURE_NAMES)),
         feature_names=list(FEATURE_NAMES), window_seconds=300)
@@ -465,3 +465,86 @@ def test_unwritable_output_is_usage_error(command, tmp_path, flows_train_csv,
     (line,) = err.splitlines()
     assert line.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+def test_detect_rejects_weights_that_do_not_fit_the_features(
+        tmp_path, flows_detect_csv, monkeypatch, capsys):
+    narrow = init_params("gcn", len(FEATURE_NAMES) - 1).to_dict()
+    bundle = _untrained_bundle(tmp_path / "bundle.json", params=narrow)
+    monkeypatch.setattr(pipeline, "parse_flows", _must_not_run)
+    out = tmp_path / "alerts.jsonl"
+    assert main(["detect", "-i", str(flows_detect_csv), "-b", bundle,
+                 "-o", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("data error: malformed detector bundle")
+    assert "weight w1 has shape (9, 16)" in line
+    assert not out.exists()
+
+
+def _config_argv(command, config, tmp_path):
+    argv = [command, "--config", config, "-o", str(tmp_path / "out")]
+    if command in ("ingest", "attack", "train"):
+        argv += ["-i", str(tmp_path / "unread.input")]
+    return argv
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"[]", b"\xff{}"])
+@pytest.mark.parametrize("command", ["generate", "ingest", "attack", "train",
+                                     "experiment"])
+def test_unusable_config_file_is_usage_error(command, content, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_bytes(content)
+    assert main(_config_argv(command, str(config), tmp_path)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(config) in line
+    assert not (tmp_path / "out").exists()
+
+
+class _Decoded(Exception):
+    """Carries a command's decoded config out of ``main``."""
+
+
+_DECODE = cli._decode
+
+
+def _decoded_config(monkeypatch, argv):
+    def stop(*args):
+        raise _Decoded(_DECODE(*args))
+
+    monkeypatch.setattr(cli, "_decode", stop)
+    with pytest.raises(_Decoded) as caught:
+        main(argv)
+    return caught.value.args[0]
+
+
+# command, flag, the config key it sets, a value in the file, one on the line
+FLAG_CASES = [
+    ("generate", "--n", "n", 30, 40),
+    ("generate", "--p-in", "p_in", 0.3, 0.4),
+    ("generate", "--p-out", "p_out", 0.02, 0.05),
+    ("generate", "--feature-dim", "feature_dim", 3, 5),
+    ("generate", "--signal", "signal", 2.0, 3.0),
+    ("generate", "--noise-sigma", "noise_sigma", 0.5, 0.8),
+    ("generate", "--seed", "seed", 1, 9),
+    ("attack", "--kind", "kind", "evasion", "poisoning"),
+    ("attack", "--rate", "rate", 0.1, 0.3),
+    ("attack", "--structure-mode", "structure_mode", "random", "dice"),
+    ("attack", "--feature-sigma", "feature_sigma", 0.2, 0.7),
+    ("attack", "--feature-fraction", "feature_fraction", 0.1, 0.4),
+    ("attack", "--seed", "seed", 1, 9),
+    ("ingest", "--window-seconds", "window_seconds", 600, 60),
+    ("train", "--seed", "seed", 1, 9),
+    ("experiment", "--seed", "base_seed", 1, 9),
+]
+
+
+@pytest.mark.parametrize("command, flag, key, in_file, on_line", FLAG_CASES)
+def test_flag_overrides_its_config_key(command, flag, key, in_file, on_line,
+                                       tmp_path, monkeypatch):
+    base = TINY_EXPERIMENT if command == "experiment" else {}
+    config = _write_json(tmp_path / "config.json", {**base, key: in_file})
+    argv = _config_argv(command, config, tmp_path)
+    assert getattr(_decoded_config(monkeypatch, argv), key) == in_file
+    flagged = _decoded_config(monkeypatch, argv + [flag, str(on_line)])
+    assert getattr(flagged, key) == on_line

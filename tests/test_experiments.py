@@ -320,6 +320,21 @@ def test_config_requires_exactly_one_source(tmp_path):
         ExperimentConfig(sbm=SbmSpec(), runs=0)
 
 
+def test_attack_spec_carries_every_attack_setting():
+    cfg = ExperimentConfig(sbm=SbmSpec(), attack_kind="evasion",
+                           structure_mode="random", feature_sigma=0.2,
+                           feature_fraction=0.3)
+    assert cfg.attack_spec(0.1, 4) == attacks.PerturbationSpec(
+        kind="evasion", rate=0.1, structure_mode="random", feature_sigma=0.2,
+        feature_fraction=0.3, seed=4)
+    # the attack settings are checked even when the grid has no rates
+    for bad, message in [({"attack_kind": "bogus"}, "kind must be one of"),
+                         ({"feature_fraction": 2.0}, "feature_fraction"),
+                         ({"rates": (0.0, 1.5)}, "rate must lie in")]:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(sbm=SbmSpec(), **{"rates": (), **bad})
+
+
 def test_markdown_rendering_golden():
     runs = [MetricValues(0.9, 0.8, 0.7, 0.6)]
     cell = CellResult(model="GCN", rate=0.5, runs=runs,

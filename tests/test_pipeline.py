@@ -12,8 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from gridsentry import numerics, pipeline
-from gridsentry.errors import DataError
+from gridsentry import gsl, numerics, pipeline
+from gridsentry.errors import DataError, NumericError
 from gridsentry.flows import (FEATURE_NAMES, build_snapshot, parse_flows,
                               window)
 from gridsentry.graphs import GraphSnapshot, SbmSpec, sbm_generate
@@ -140,11 +140,11 @@ def test_bundle_load_failures(tmp_path):
 def test_bundle_validation():
     params = init_params("gcn", 10)
     with pytest.raises(ValueError, match="std"):
-        DetectorBundle(params=params, gsl_cfg=GslConfig(),
+        DetectorBundle(params=params, gsl=GslConfig(),
                        zscore_mean=np.zeros(10), zscore_std=np.zeros(10),
                        feature_names=list(FEATURE_NAMES), window_seconds=300)
     with pytest.raises(ValueError, match="feature_names"):
-        DetectorBundle(params=params, gsl_cfg=GslConfig(),
+        DetectorBundle(params=params, gsl=GslConfig(),
                        zscore_mean=np.zeros(3), zscore_std=np.ones(3),
                        feature_names=list(FEATURE_NAMES), window_seconds=300)
 
@@ -277,26 +277,64 @@ def test_run_pipeline_empty_csv(trained, tmp_path):
     assert out_path.read_text() == ""
 
 
-def test_run_pipeline_rejects_majority_window_failure(flows_detect_csv,
-                                                      tmp_path):
-    # weights with the wrong input width make every window fail to score
-    broken = DetectorBundle(
-        params=init_params("gcn", 9),
-        gsl_cfg=GslConfig(),
-        zscore_mean=np.zeros(10),
-        zscore_std=np.ones(10),
-        feature_names=list(FEATURE_NAMES),
-        window_seconds=300,
-    )
-    bundle_path = tmp_path / "broken.json"
-    broken.save(bundle_path)
+def test_run_pipeline_rejects_majority_window_failure(trained, flows_detect_csv,
+                                                      tmp_path, monkeypatch):
+    # a refinement that fails numerically makes every window fail to score
+    _, _, out_dir = trained
+
+    def diverge(*args, **kwargs):
+        raise NumericError("synthetic divergence")
+
+    monkeypatch.setattr(gsl, "refine_structure", diverge)
     diag = io.StringIO()
     with pytest.raises(DataError, match="unusable"):
-        run_pipeline(flows_detect_csv, bundle_path, tmp_path / "alerts.jsonl",
-                     diag=diag)
+        run_pipeline(flows_detect_csv, out_dir / "bundle.json",
+                     tmp_path / "alerts.jsonl", diag=diag)
     summary = json.loads(diag.getvalue())
     assert summary["windows_failed"] == 2
     assert len(summary["failures"]) == 2
+    for failure in summary["failures"]:
+        assert failure.startswith("NumericError: window [")
+
+
+def _bundle_fields(n_inputs=len(FEATURE_NAMES)):
+    return dict(params=init_params("gcn", n_inputs), gsl=GslConfig(),
+                zscore_mean=np.zeros(len(FEATURE_NAMES)),
+                zscore_std=np.ones(len(FEATURE_NAMES)),
+                feature_names=list(FEATURE_NAMES), window_seconds=300)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("score_threshold", 7.0),
+    ("isolate_threshold", -0.5),
+    ("detect_refine_steps", -1),
+    ("window_seconds", 0),
+])
+def test_bundle_built_in_code_gets_the_setting_checks(setting, value):
+    with pytest.raises(ValueError, match=setting):
+        DetectorBundle(**{**_bundle_fields(), setting: value})
+
+
+def test_bundle_rejects_weights_that_do_not_fit_its_features(tmp_path):
+    with pytest.raises(ValueError, match=r"weight w1 has shape \(9, 16\)"):
+        DetectorBundle(**_bundle_fields(n_inputs=9))
+    # the same weights written by hand into a saved bundle fail to load
+    doc = DetectorBundle(**_bundle_fields()).to_dict()
+    doc["params"] = init_params("gcn", 9).to_dict()
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="malformed detector bundle.*weight w1"):
+        DetectorBundle.load(path)
+
+
+def test_bundle_is_frozen_and_stores_each_detect_setting_once(trained):
+    bundle, _, _ = trained
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.score_threshold = 0.1
+    doc = bundle.to_dict()
+    for f in dataclasses.fields(pipeline.DetectSettings):
+        assert f.name in doc
+    assert doc["gsl"] == dataclasses.asdict(GOLDEN_CONFIG.gsl)
 
 
 def test_run_pipeline_names_a_window_over_the_dense_ceiling(
