@@ -143,13 +143,6 @@ def normalized_adjacency(s) -> np.ndarray:
     return _gcn_normalization(_check_adjacency(arr, "structure matrix"))[2]
 
 
-def laplacian(s) -> np.ndarray:
-    """Unnormalized graph Laplacian D - S."""
-    arr = require_matrix(s, "structure matrix")
-    _check_adjacency(arr, "structure matrix")
-    return np.diag(arr.sum(axis=1)) - arr
-
-
 def smoothness(s, x) -> float:
     """Quadratic feature variation tr(X^T L X) over the graph.
 

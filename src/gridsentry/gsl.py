@@ -18,9 +18,11 @@ zero diagonal.
 The task and smoothness gradients both have low rank (``models._gradients``
 returns the task gradient as factors), so a step multiplies one pair of
 n x k factors, with k a few dozen, instead of building the chain rule in
-n x n temporaries; only the anchor term is a full matrix. Without
-the low-rank prior, the proximal maps and the projection are one in-place
-clamp (see ``structure_step``).
+n x n temporaries; only the anchor term is a full matrix. ``structure_step``
+is the one structure update: ``fit`` takes one step at a time with the task
+factors, and ``refine_structure`` takes its whole label-free budget in one
+call. Without the low-rank prior, the proximal maps and the projection are
+one in-place clamp.
 
 Z defaults to the node features, the classic feature-smoothness prior. ``fit``
 and ``refine_structure`` measure smoothness on class beliefs instead (see
@@ -36,8 +38,7 @@ terms do the separating, and on the package's fixtures the prior bought no
 measurable accuracy while its eigendecompositions took about half of a
 robustness grid's time and most of detection's. With it off, no
 eigensolver runs, and the label-free refinement at detect time acts on each
-entry alone, so ``refine_structure`` takes all its steps in one closed-form
-pass (see ``_refine_in_closed_form``).
+entry alone, so ``structure_step`` takes all its steps in one pass.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ import numpy as np
 
 from .errors import NumericError
 from .graphs import _check_adjacency, smoothness
-from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _gradients,
-                     _prepare, _Propagation, adam_step, backward, init_params,
-                     masked_cross_entropy, model_logits, own_logits, softmax)
+from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
+                     _gradients, _prepare, _Propagation, adam_step, backward,
+                     init_params, masked_cross_entropy, model_logits, own_logits,
+                     softmax)
 from .numerics import (nuclear_norm, require_matrix, require_square,
                        soft_threshold, svt, symmetrize_clamp)
 
@@ -133,7 +135,7 @@ class GslState:
     a: np.ndarray
     theta: GnnParams
     objective_history: list[ObjectiveParts] = field(default_factory=list)
-    # Node signal the smoothness term is measured on; None means the features.
+    # Node signal the smoothness term is measured on; ``structure_step`` reads it.
     signal: Optional[np.ndarray] = None
 
 
@@ -174,14 +176,6 @@ def objective(s, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
             f"smooth={smooth} prox={prox}"
         )
     return ObjectiveParts(total, task, nuclear, l1, smooth, prox)
-
-
-def _half_sq_dists(x: np.ndarray) -> np.ndarray:
-    """Pairwise 0.5 * ||x_i - x_j||^2, the smoothness gradient for symmetric S."""
-    sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    return 0.5 * d2
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -242,78 +236,101 @@ def _label_vote(a: np.ndarray, labels: np.ndarray, m: np.ndarray) -> np.ndarray:
     return a[:, m] @ (2.0 * labels[m] - 1.0)
 
 
-def structure_step(state: GslState, x: np.ndarray, labels: Optional[np.ndarray], mask,
-                   cfg: GslConfig, *, propagation: Optional[_Propagation] = None) -> np.ndarray:
-    """One proximal structure update; the state itself is left untouched.
+def _geometric_total(q: float, steps: int) -> float:
+    """1 + r + ... + r^(steps - 1) for r = 1 - q: exactly 1.0 for one step."""
+    if steps <= 1 or q == 0.0:
+        return float(steps)
+    if q == 1.0:  # r = 0: every later step lands on the fixed point again
+        return 1.0
+    return -math.expm1(steps * math.log1p(-q)) / q  # accurate for r near 1
+
+
+def _descend(s: np.ndarray, a: np.ndarray, grad: np.ndarray, cfg: GslConfig,
+             scale: float) -> np.ndarray:
+    """s - scale eta_s (grad + 2 lambda_prox (s - a)), averaged with its
+    transpose; ``grad`` is overwritten."""
+    stepped = s - a
+    stepped *= 2.0 * cfg.lambda_prox
+    grad += stepped
+    grad *= -(cfg.eta_s * scale)
+    grad += s
+    np.add(grad, grad.T, out=stepped)
+    stepped *= 0.5
+    return stepped
+
+
+def structure_step(state: GslState, cfg: GslConfig, steps: int = 1, *,
+                   task: Optional[_Factors] = None) -> np.ndarray:
+    """``steps`` proximal structure updates; the state itself is left untouched.
 
     ``state.s`` must be symmetric, as every structure the optimizer makes is
-    (``ValueError`` otherwise).
-    Without a ``mask`` (inference time) only the priors drive S. A caller
-    that holds ``state.s`` prepared for ``state.theta`` can pass it as
-    ``propagation``.
+    (``ValueError`` otherwise), and smoothness is measured on
+    ``state.signal``. ``task`` holds the task-gradient factors
+    ``models._gradients`` returns for ``state.s``; without them (inference
+    time) only the priors drive S.
 
     The task and smoothness gradients have low rank, so their sum is one
     product L R^T of n x k factors, with k = h + c + z + 2 for the GCN
     (h hidden units, c classes, a signal of z columns; 22 at the defaults)
     and h + d + z + 2 for GraphSAGE (d features):
 
-    * task: U V^T + r 1^T, from ``models._gradients``;
+    * task: U V^T + r 1^T;
     * smoothness: beta / 2 ||z_i - z_j||^2
       = beta / 2 (sq_i + sq_j) - beta z_i . z_j, sq the squared row norms.
 
-    The rank-one parts share two columns. The anchor 2 lambda_prox (S - A)
-    is added as a full matrix. The task term is not symmetric; averaging the
-    step with its transpose symmetrizes its gradient, as ``backward`` does,
-    because S and A are symmetric. Without the nuclear prior,
-    soft-thresholding that symmetric step by tau = eta_s alpha_l1 and
-    clamping it to [0, 1] is clamping step - tau, done in place. With it,
-    the step goes through ``soft_threshold``, ``svt`` and
+    The rank-one parts share two columns. The product is formed once and
+    held fixed over the steps; the anchor 2 lambda_prox (S - A) follows S.
+    The task term is not symmetric; averaging the step with its transpose
+    symmetrizes its gradient, because S and A are symmetric.
+
+    Without the nuclear prior and with 2 eta_s lambda_prox <= 1, a step acts
+    on each entry alone: soft-thresholding the symmetric step by
+    tau = eta_s alpha_l1 and clamping it to [0, 1] is clamping step - tau,
+    and the unclamped path s_t = s + (1 + r + ... + r^(t-1)) delta, with
+    r = 1 - 2 eta_s lambda_prox and delta the first step's move, runs
+    monotonically from s, inside [0, 1], toward its fixed point. It leaves
+    [0, 1] at most once and never comes back, so clamping every step is
+    clamping once, and all ``steps`` are taken in one O(n^2) pass, in place
+    on the product, matching the step-by-step path to rounding. Otherwise
+    each step goes through ``soft_threshold``, ``svt`` and
     ``symmetrize_clamp``.
     """
-    s, a = state.s, state.a
-    if propagation is not None and propagation.s is not s:
-        raise ValueError("propagation was prepared from another structure matrix")
+    s, a, signal = state.s, state.a, state.signal
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    if signal is None:
+        raise ValueError("structure_step needs state.signal to measure smoothness on")
     if not np.array_equal(s, s.T):
         raise ValueError("structure matrix must be symmetric")
-    signal = x if state.signal is None else state.signal
     half_sq = 0.5 * cfg.beta_smooth * np.einsum("ij,ij->i", signal, signal)
     left, right, rows = [-cfg.beta_smooth * signal], [signal], half_sq
-    if mask is not None:
-        theta = state.theta
-        prop = propagation if propagation is not None else _prepare(theta.kind, s)
-        _, _, task = _gradients(prop, require_matrix(x, "features"),
-                                np.asarray(labels, dtype=np.int64), mask, theta,
-                                structure=True)
-        if task is not None:
-            left.append(task.u)
-            right.append(task.v)
-            rows = rows + task.r
+    if task is not None:
+        left.append(task.u)
+        right.append(task.v)
+        rows = rows + task.r
     ones = np.ones(s.shape[0])
     left = np.column_stack([*left, rows, ones])
     right = np.column_stack([*right, ones, half_sq])
     grad = left @ right.T
-    stepped = s - a
-    stepped *= 2.0 * cfg.lambda_prox
-    grad += stepped
     if not np.all(np.isfinite(grad)):
         raise NumericError(
             "non-finite structure gradient: "
-            f"max|factors|={np.abs(left).max():.3e}x{np.abs(right).max():.3e} "
-            f"max|anchor|={np.abs(stepped).max():.3e}"
+            f"max|factors|={np.abs(left).max():.3e}x{np.abs(right).max():.3e}"
         )
-    grad *= -cfg.eta_s
-    grad += s
-    np.add(grad, grad.T, out=stepped)
-    stepped *= 0.5
-    del grad
+    q = 2.0 * cfg.eta_s * cfg.lambda_prox  # 1 - r
     tau = cfg.eta_s * cfg.alpha_l1
-    if cfg.eta_s * cfg.alpha_nuclear > 0:
-        return symmetrize_clamp(svt(soft_threshold(stepped, tau),
-                                    cfg.eta_s * cfg.alpha_nuclear))
-    stepped -= tau
-    np.clip(stepped, 0.0, 1.0, out=stepped)
-    np.fill_diagonal(stepped, 0.0)
-    return stepped
+    if cfg.eta_s * cfg.alpha_nuclear == 0 and q <= 1.0:
+        total = _geometric_total(q, steps)
+        stepped = _descend(s, a, grad, cfg, total)
+        stepped -= total * tau
+        np.clip(stepped, 0.0, 1.0, out=stepped)
+        np.fill_diagonal(stepped, 0.0)
+        return stepped
+    for t in range(steps):
+        stepped = _descend(s, a, grad if t == steps - 1 else grad.copy(), cfg, 1.0)
+        s = symmetrize_clamp(svt(soft_threshold(stepped, tau),
+                                 cfg.eta_s * cfg.alpha_nuclear))
+    return s if steps else s.copy()
 
 
 def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
@@ -355,7 +372,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
 
     for it in range(gsl_cfg.outer_iters):
         for step in range(gsl_cfg.inner_theta_steps):
-            loss, grads, _ = backward(prop, x, labels, mask, theta, structure=False)
+            loss, grads = backward(prop, x, labels, mask, theta)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite task loss at outer iteration {it}")
             if step == 0:  # S and theta are still those of the record due
@@ -364,43 +381,12 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
         if gsl_cfg.inner_theta_steps == 0:
             record()
         state.signal = _labelled_beliefs(theta, x, labels, mask, vote)
-        state.s = structure_step(state, x, labels, mask, gsl_cfg, propagation=prop)
+        _, _, task = _gradients(prop, x, labels, mask, theta, structure=True)
+        state.s = structure_step(state, gsl_cfg, task=task)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s)
     record()
     return state.s, theta, state
-
-
-def _refine_in_closed_form(a: np.ndarray, signal: np.ndarray, cfg: GslConfig,
-                           steps: int) -> np.ndarray:
-    """``steps`` label-free structure steps without the nuclear prior, at once.
-
-    Without labels or the nuclear prox, a step acts on each entry alone:
-    s <- clip(r s + c) with r = 1 - 2 eta_s lambda_prox and
-    c = eta_s (2 lambda_prox a - beta_smooth D - alpha_l1), D the pairwise
-    ``_half_sq_dists`` of ``signal`` (soft-thresholding by eta_s alpha_l1
-    and then clipping to [0, 1] is clipping x - eta_s alpha_l1). For
-    0 <= r <= 1 the unclipped path r^t a + c (1 + r + ... + r^(t-1)) runs
-    monotonically from a, inside [0, 1], toward c / (1 - r), so it leaves
-    [0, 1] at most once and never comes back: clipping every step is
-    clipping once. ``a`` must be an adjacency (symmetric, zero diagonal,
-    entries in [0, 1]).
-    """
-    q = 2.0 * cfg.eta_s * cfg.lambda_prox  # 1 - r
-    if q == 0.0:
-        decay, total = 1.0, float(steps)
-    elif q == 1.0:  # r = 0: one step lands on the fixed point
-        decay, total = (0.0, 1.0) if steps else (1.0, 0.0)
-    else:  # r^T and (1 - r^T) / (1 - r), accurate for r near 1
-        log_decay = steps * math.log1p(-q)
-        decay, total = math.exp(log_decay), -math.expm1(log_decay) / q
-    c = cfg.eta_s * (2.0 * cfg.lambda_prox * a
-                     - cfg.beta_smooth * _half_sq_dists(signal) - cfg.alpha_l1)
-    s = decay * a + total * c
-    if not np.all(np.isfinite(s)):
-        raise NumericError(
-            f"non-finite closed-form refinement: max|c|={np.abs(c).max():.3e}")
-    return symmetrize_clamp(s)
 
 
 def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
@@ -408,26 +394,18 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
     """Short label-free structure refinement with frozen parameters.
 
     This is the inference-time pass: starting from the observed adjacency,
-    run ``steps`` structure updates driven by the priors alone, with
-    smoothness measured on the frozen classifier's reading of each node's own
-    features. Edges between nodes it places in different classes are the
-    ones cut.
-
-    Without the nuclear prior, and with 2 eta_s lambda_prox <= 1, the steps
-    are taken in closed form in one O(n^2) pass, whatever ``steps`` is; it
-    matches the step loop to rounding. Otherwise ``structure_step`` runs
-    ``steps`` times. ``a`` must be an adjacency: symmetric, zero diagonal,
-    entries in [0, 1], within the dense ceiling.
+    ``structure_step`` takes ``steps`` updates driven by the priors alone,
+    with smoothness measured on the frozen classifier's reading of each
+    node's own features. Edges between nodes it places in different classes
+    are the ones cut. Without the nuclear prior, and with
+    2 eta_s lambda_prox <= 1, that is one O(n^2) pass whatever ``steps`` is.
+    ``a`` must be an adjacency: symmetric, zero diagonal, entries in [0, 1],
+    within the dense ceiling.
     """
     a = _check_adjacency(require_square(a, "observed adjacency").copy(),
                          "observed adjacency")
-    signal = class_beliefs(theta, a, x)
-    if cfg.alpha_nuclear == 0 and 2.0 * cfg.eta_s * cfg.lambda_prox <= 1.0:
-        return _refine_in_closed_form(a, signal, cfg, steps)
-    state = GslState(s=a.copy(), a=a, theta=theta, signal=signal)
-    for _ in range(steps):
-        state.s = structure_step(state, x, None, None, cfg)
-    return state.s
+    state = GslState(s=a, a=a, theta=theta, signal=class_beliefs(theta, a, x))
+    return structure_step(state, cfg, steps)
 
 
 @dataclass

@@ -7,18 +7,14 @@ Three model kinds share one parameter container:
   raw structure matrix,
 * ``mlp``  - structure-blind two-layer perceptron baseline.
 
-``backward`` returns exact gradients for every weight matrix and, unless
-asked not to, for the raw structure matrix feeding the model; the structure
-gradient (symmetrized, as the joint optimizer consumes it) is what lets
-structure updates descend the task loss.
-
-That structure gradient has low rank: before symmetrization it is
-G = U V^T + r 1^T with U and V of width hidden + classes (GCN) or
-hidden + features (GraphSAGE), and r a per-row term. ``_gradients`` returns
-those factors (``_Factors``) in O(n (h + c)) or O(n (h + d)) memory;
-``backward`` multiplies them out, and the joint optimizer folds them into
-one product per structure step. The MLP ignores the structure and has no
-factors.
+``backward`` returns the loss and exact gradients for every weight matrix.
+``_gradients``, which it calls, can also return the gradient for the raw
+structure matrix feeding the model, the term that lets structure updates
+descend the task loss. It has low rank, G = U V^T + r 1^T with U and V of
+width hidden + classes (GCN) or hidden + features (GraphSAGE) and r a
+per-row term, so it comes as those factors (``_Factors``), in O(n (h + c))
+or O(n (h + d)) memory; ``gsl.structure_step`` folds them into one product.
+The MLP ignores the structure and has no factors.
 
 Everything a forward pass derives from the structure matrix alone (the
 GCN's normalized propagation matrix, GraphSAGE's inverse row sums) is built
@@ -392,38 +388,18 @@ def _gradients(prop: _Propagation, x: np.ndarray, labels: np.ndarray, mask,
 
 
 def backward(s, x: np.ndarray, labels: np.ndarray, mask,
-             params: GnnParams, structure: bool = True
-             ) -> tuple[float, dict[str, np.ndarray], np.ndarray | None]:
-    """Loss plus exact gradients for all weights and for the raw structure.
+             params: GnnParams) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss plus exact gradients for all weights.
 
     ``s`` is the raw structure matrix or one prepared for this model kind
     (``_prepare``); a loop over one structure prepares it once. It is not
     checked to be an adjacency, so gradients can be probed anywhere.
-    The structure gradient is returned symmetrized, (G + G^T) / 2, which is
-    the form the joint optimizer consumes; under a symmetric perturbation of
-    the pair (i, j), (j, i) the directional derivative is twice the
-    off-diagonal entry. With ``structure=False`` it is not computed and
-    ``None`` takes its place; the loss and weight gradients are the same.
     """
     x = require_matrix(x, "features")
     labels = np.asarray(labels, dtype=np.int64)
-    prop = _as_propagation(params.kind, s)
-    loss, grads, factors = _gradients(prop, x, labels, mask, params,
-                                      structure=structure)
-    if not structure:
-        return loss, grads, None
-    if factors is None:
-        return loss, grads, np.zeros_like(prop.s)
-    grad_s = factors.u @ factors.v.T
-    grad_s += factors.r[:, None]
-    return loss, grads, _symmetrized(grad_s)
-
-
-def _symmetrized(grad_s: np.ndarray) -> np.ndarray:
-    """(G + G^T) / 2, exactly symmetric."""
-    sym = grad_s + grad_s.T
-    sym /= 2.0
-    return sym
+    loss, grads, _ = _gradients(_as_propagation(params.kind, s), x, labels,
+                                mask, params)
+    return loss, grads
 
 
 def predict(logits: np.ndarray) -> np.ndarray:
@@ -516,8 +492,8 @@ def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
     prop = _prepare(kind, s)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        loss, grads, _ = backward(prop, snapshot.features, snapshot.labels,
-                                  mask, params, structure=False)
+        loss, grads = backward(prop, snapshot.features, snapshot.labels,
+                               mask, params)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         losses.append(loss)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from gridsentry import models
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.experiments import split
 from gridsentry.graphs import SbmSpec, sbm_generate
@@ -81,3 +82,24 @@ def random_symmetric(n, seed, density=0.5):
     raw = rng.random((n, n)) * (rng.random((n, n)) < density)
     sym = np.triu(raw, k=1)
     return sym + sym.T
+
+
+def task_factors(s, x, labels, mask, params):
+    """The structure-gradient factors of the task loss at ``s``, as ``gsl.fit``
+    takes them from ``models._gradients``; None for the MLP."""
+    prop = models._prepare(params.kind, s)
+    return models._gradients(prop, np.asarray(x, dtype=np.float64),
+                             np.asarray(labels, dtype=np.int64), mask, params,
+                             structure=True)[2]
+
+
+def dense_structure_gradient(s, x, labels, mask, params):
+    """The symmetrized task gradient for the raw structure, (G + G^T) / 2,
+    multiplied out from ``task_factors``; zero for the MLP. Under a
+    symmetric perturbation of the pair (i, j), (j, i) the directional
+    derivative is twice the off-diagonal entry."""
+    factors = task_factors(s, x, labels, mask, params)
+    if factors is None:
+        return np.zeros(np.shape(s))
+    grad = factors.u @ factors.v.T + factors.r[:, None]
+    return (grad + grad.T) / 2.0

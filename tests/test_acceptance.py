@@ -26,7 +26,7 @@ from gridsentry.models import TrainConfig, backward, init_params, train
 from gridsentry.numerics import soft_threshold, svd, svt
 from gridsentry.pipeline import PipelineConfig, run_pipeline, train_pipeline
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, dense_structure_gradient, task_factors
 
 GOLDEN_ALERTS = DATA_DIR / "golden_alerts.jsonl"
 REGEN_ENV = "GRIDSENTRY_REGEN_GOLDEN"
@@ -193,7 +193,8 @@ def test_criterion_04_numerical_oracles():
     eps = 1e-5
     for kind in ("gcn", "sage", "mlp"):
         params = init_params(kind, 3, hidden=4, seed=1)
-        _, grads, grad_s = backward(s, x, labels, mask, params)
+        _, grads = backward(s, x, labels, mask, params)
+        grad_s = dense_structure_gradient(s, x, labels, mask, params)
         for key, w in params.weights.items():
             for a in range(w.shape[0]):
                 for b in range(w.shape[1]):
@@ -238,11 +239,12 @@ def test_criterion_05_structure_descent(grid, sbm12):
                   mask, seed=11).params
     cfg = GslConfig(eta_s=1e-3)
     state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy(),
-                     theta=theta)
+                     theta=theta, signal=sbm12.features)
     values = [objective(state.s, theta, sbm12.features, sbm12.labels, mask,
                         state.a, cfg).total]
     for _ in range(10):
-        state.s = structure_step(state, sbm12.features, sbm12.labels, mask, cfg)
+        task = task_factors(state.s, sbm12.features, sbm12.labels, mask, theta)
+        state.s = structure_step(state, cfg, task=task)
         values.append(objective(state.s, theta, sbm12.features, sbm12.labels,
                                 mask, state.a, cfg).total)
     worst_rise = float(np.diff(values).max())

@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridsentry.errors import DataError
-from gridsentry.graphs import (GraphSnapshot, SbmSpec, laplacian,
-                               load_snapshot, normalized_adjacency,
-                               save_snapshot, sbm_generate, smoothness)
+from gridsentry.graphs import (GraphSnapshot, SbmSpec, load_snapshot,
+                               normalized_adjacency, save_snapshot,
+                               sbm_generate, smoothness)
 
 from conftest import SBM60, random_symmetric
 
@@ -41,17 +41,6 @@ def test_normalized_adjacency_matches_scalar_oracle():
         # self-loops keep the diagonal strictly positive; nothing exceeds 1
         assert np.all(np.diag(got) > 0.0)
         assert got.min() >= 0.0 and got.max() <= 1.0 + 1e-12
-
-
-def test_laplacian_worked_examples():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(laplacian(a), [[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(laplacian(np.zeros((3, 3))), np.zeros((3, 3)))
-
-
-def test_laplacian_annihilates_constant_vector():
-    s = random_symmetric(8, 9)
-    assert np.allclose(laplacian(s) @ np.ones(8), 0.0, atol=1e-10)
 
 
 def test_smoothness_worked_examples():

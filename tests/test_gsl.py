@@ -22,7 +22,7 @@ from gridsentry.gsl import (ADDED_WEIGHT, PRUNED_WEIGHT, GslConfig, GslState,
 from gridsentry.models import TrainConfig, init_params, masked_cross_entropy, \
     model_logits, train
 
-from conftest import SBM12, random_symmetric
+from conftest import SBM12, dense_structure_gradient, random_symmetric, task_factors
 from test_acceptance import ROBUST_SBM
 from test_models import _count_preparations
 
@@ -81,22 +81,33 @@ def test_config_validation():
 
 def test_structure_step_identity_at_zero_step_size():
     s, a, x, labels, mask, theta = _tiny()
-    state = GslState(s=s.copy(), a=a, theta=theta)
-    out = structure_step(state, x, labels, mask, GslConfig(eta_s=0.0))
+    state = GslState(s=s.copy(), a=a, theta=theta, signal=x)
+    out = structure_step(state, GslConfig(eta_s=0.0),
+                         task=task_factors(s, x, labels, mask, theta))
     assert np.array_equal(out, s)
+
+
+def test_structure_step_needs_a_step_count_and_a_signal():
+    s, a, x, _, _, theta = _tiny()
+    with pytest.raises(ValueError, match="non-negative"):
+        structure_step(GslState(s=s, a=a, theta=theta, signal=x), GslConfig(), -1)
+    with pytest.raises(ValueError, match="state.signal"):
+        structure_step(GslState(s=s, a=a, theta=theta), GslConfig())
 
 
 def test_structure_step_huge_l1_empties_the_graph():
     s, a, x, labels, mask, theta = _tiny()
-    state = GslState(s=s.copy(), a=a, theta=theta)
-    out = structure_step(state, x, labels, mask, GslConfig(alpha_l1=1e6))
+    state = GslState(s=s.copy(), a=a, theta=theta, signal=x)
+    out = structure_step(state, GslConfig(alpha_l1=1e6),
+                         task=task_factors(s, x, labels, mask, theta))
     assert np.array_equal(out, np.zeros((3, 3)))
 
 
 def test_structure_step_output_is_valid_adjacency():
     s, a, x, labels, mask, theta = _tiny()
-    state = GslState(s=s.copy(), a=a, theta=theta)
-    out = structure_step(state, x, labels, mask, GslConfig())
+    state = GslState(s=s.copy(), a=a, theta=theta, signal=x)
+    out = structure_step(state, GslConfig(),
+                         task=task_factors(s, x, labels, mask, theta))
     assert np.array_equal(out, out.T)
     assert np.all(np.diagonal(out) == 0.0)
     assert out.min() >= 0.0 and out.max() <= 1.0
@@ -112,11 +123,12 @@ def test_descent_on_small_fixture(theta_source, sbm12):
                       mask, seed=11).params
     cfg = GslConfig(eta_s=1e-3)
     state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy(),
-                     theta=theta)
+                     theta=theta, signal=sbm12.features)
     values = [objective(state.s, theta, sbm12.features, sbm12.labels, mask,
                         state.a, cfg).total]
     for _ in range(10):
-        state.s = structure_step(state, sbm12.features, sbm12.labels, mask, cfg)
+        task = task_factors(state.s, sbm12.features, sbm12.labels, mask, theta)
+        state.s = structure_step(state, cfg, task=task)
         values.append(objective(state.s, theta, sbm12.features, sbm12.labels,
                                 mask, state.a, cfg).total)
     increases = np.diff(values)
@@ -138,7 +150,8 @@ def test_descent_with_belief_signal(sbm12):
     values = [objective(state.s, theta, sbm12.features, sbm12.labels, mask,
                         state.a, cfg, signal).total]
     for _ in range(10):
-        state.s = structure_step(state, sbm12.features, sbm12.labels, mask, cfg)
+        task = task_factors(state.s, sbm12.features, sbm12.labels, mask, theta)
+        state.s = structure_step(state, cfg, task=task)
         values.append(objective(state.s, theta, sbm12.features, sbm12.labels,
                                 mask, state.a, cfg, signal).total)
     increases = np.diff(values)
@@ -311,12 +324,22 @@ def test_refine_structure_is_label_free_and_valid(sbm12):
     assert not np.array_equal(out, sbm12.adjacency)
 
 
-def _step_loop(a, signal, cfg, steps):
-    """``steps`` label-free structure steps, one ``structure_step`` at a time."""
-    state = GslState(s=a.copy(), a=a, theta=None, signal=signal)
+def _step_loop(a, signal, cfg, steps, s=None, task=None):
+    """``steps`` structure steps from ``s`` (default ``a``), one call each."""
+    state = GslState(s=a if s is None else s, a=a, theta=None, signal=signal)
     for _ in range(steps):
-        state.s = structure_step(state, None, None, None, cfg)
+        state.s = structure_step(state, cfg, task=task)
     return state.s
+
+
+# (eta_s, lambda_prox) with 2 eta_s lambda_prox <= 1, where runs of steps
+# without the nuclear prior are taken in closed form.
+_CLOSED_FORM_STEP = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.just(0.0)),              # r = 1
+    st.sampled_from([(0.5, 1.0), (1.0, 0.5), (0.25, 2.0)]),     # r = 0
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0)).filter(
+        lambda pair: 2.0 * pair[0] * pair[1] <= 1.0),
+)
 
 
 @given(data=st.data())
@@ -328,19 +351,62 @@ def test_closed_form_refinement_matches_the_step_loop(data):
     p = rng.random(n)
     p[rng.random(n) < 0.2] = rng.integers(0, 2)  # some beliefs at 0 or 1
     beliefs = np.column_stack([1.0 - p, p])
-    eta, lam = data.draw(st.one_of(
-        st.tuples(st.floats(0.0, 1.0), st.just(0.0)),              # r = 1
-        st.sampled_from([(0.5, 1.0), (1.0, 0.5), (0.25, 2.0)]),     # r = 0
-        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0)).filter(
-            lambda pair: 2.0 * pair[0] * pair[1] <= 1.0),
-    ), label="eta_s, lambda_prox")
+    eta, lam = data.draw(_CLOSED_FORM_STEP, label="eta_s, lambda_prox")
     cfg = GslConfig(eta_s=eta, lambda_prox=lam,
                     alpha_l1=data.draw(st.floats(0.0, 0.5), label="alpha_l1"),
                     beta_smooth=data.draw(st.floats(0.0, 5.0), label="beta"))
     steps = data.draw(st.integers(0, 80), label="steps")
 
-    out = gsl._refine_in_closed_form(a, beliefs, cfg, steps)
+    out = structure_step(GslState(s=a, a=a, theta=None, signal=beliefs), cfg, steps)
     assert np.abs(out - _step_loop(a, beliefs, cfg, steps)).max(initial=0.0) <= 1e-12
+    assert np.array_equal(out, out.T)
+    assert np.all(np.diagonal(out) == 0.0)
+    assert out.min(initial=0.0) >= 0.0 and out.max(initial=0.0) <= 1.0
+
+
+@given(data=st.data())
+def test_a_run_of_steps_matches_single_steps(data):
+    # From any symmetric S in [0, 1] with a zero diagonal, not only from A,
+    # and with the task factors held fixed: the closed form matches single
+    # steps to rounding, the step loop (prior on, or 2 eta_s lambda_prox > 1)
+    # bit for bit.
+    n = data.draw(st.integers(1, 20), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    upper = np.triu(rng.random((n, n)) < 0.4, 1)
+    a = (upper | upper.T).astype(float)
+    s = np.triu(rng.random((n, n)), 1)
+    s += s.T
+    p = rng.random(n)
+    beliefs = np.column_stack([1.0 - p, p])
+    task = None
+    if data.draw(st.booleans(), label="task"):
+        task = models._Factors(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)),
+                               rng.normal(size=n))
+    regime = data.draw(st.sampled_from(["closed form", "prior", "oscillating"]),
+                       label="regime")
+    prior = 0.0
+    if regime == "closed form":
+        eta, lam = data.draw(_CLOSED_FORM_STEP, label="eta_s, lambda_prox")
+    elif regime == "prior":
+        eta = data.draw(st.floats(0.01, 1.0), label="eta_s")
+        lam = data.draw(st.floats(0.0, 2.0), label="lambda_prox")
+        prior = data.draw(st.floats(0.01, 1.0), label="alpha_nuclear")
+    else:
+        eta = data.draw(st.floats(0.5, 1.0), label="eta_s")
+        lam = data.draw(st.floats(1.01, 3.0), label="lambda_prox")
+    cfg = GslConfig(alpha_nuclear=prior, eta_s=eta, lambda_prox=lam,
+                    alpha_l1=data.draw(st.floats(0.0, 0.5), label="alpha_l1"),
+                    beta_smooth=data.draw(st.floats(0.0, 5.0), label="beta"))
+    steps = data.draw(st.integers(0, 40), label="steps")
+
+    state = GslState(s=s.copy(), a=a, theta=None, signal=beliefs)
+    out = structure_step(state, cfg, steps, task=task)
+    assert np.array_equal(state.s, s)
+    single = _step_loop(a, beliefs, cfg, steps, s=s, task=task)
+    if regime == "closed form":
+        assert np.abs(out - single).max(initial=0.0) <= 1e-12
+    else:
+        assert np.array_equal(out, single)
     assert np.array_equal(out, out.T)
     assert np.all(np.diagonal(out) == 0.0)
     assert out.min(initial=0.0) >= 0.0 and out.max(initial=0.0) <= 1.0
@@ -394,14 +460,6 @@ def test_fit_prepares_each_structure_once(sbm60, masks60, monkeypatch):
     assert calls == ["sage"] * (4 + 1)
 
 
-def test_structure_step_rejects_a_propagation_of_another_matrix():
-    s, a, x, labels, mask, theta = _tiny()
-    state = GslState(s=s.copy(), a=a, theta=theta)
-    with pytest.raises(ValueError, match="another structure"):
-        structure_step(state, x, labels, mask, GslConfig(),
-                       propagation=models._prepare("gcn", s.copy()))
-
-
 # -- the dense chain-rule gradients, kept as the reference for the factored ones --
 
 
@@ -433,8 +491,7 @@ def _dense_task_gradient(s, x, labels, mask, params):
 
 def _reference_step(state, x, labels, mask, cfg):
     """A structure step from dense gradients; returns the step and the gradient."""
-    s, a = state.s, state.a
-    signal = x if state.signal is None else state.signal
+    s, a, signal = state.s, state.a, state.signal
     sq = np.einsum("ij,ij->i", signal, signal)
     half_sq_dists = 0.5 * np.maximum(sq[:, None] + sq[None, :] - 2.0 * (signal @ signal.T),
                                      0.0)
@@ -470,7 +527,7 @@ def _structure_problem(draw):
 def test_structure_gradient_matches_the_dense_reference(problem):
     s, x, labels, mask, theta, _ = problem
     want = _dense_task_gradient(s, x, labels, mask, theta)
-    _, _, got = models.backward(s, x, labels, mask, theta)
+    got = dense_structure_gradient(s, x, labels, mask, theta)
     assert np.array_equal(got, got.T)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -489,16 +546,17 @@ def test_structure_step_matches_the_dense_reference(problem, prior, labelled, be
                     lambda_prox=float(rng.random()),
                     eta_s=float(rng.random()))
     state = GslState(s=s, a=a, theta=theta,
-                     signal=np.column_stack([1.0 - p, p]) if beliefs else None)
+                     signal=np.column_stack([1.0 - p, p]) if beliefs else x)
     if not labelled:
         labels = mask = None
     want, grad = _reference_step(state, x, labels, mask, cfg)
-    got = structure_step(state, x, labels, mask, cfg)
+    task = task_factors(s, x, labels, mask, theta) if labelled else None
+    got = structure_step(state, cfg, task=task)
     assert np.array_equal(got, got.T) and np.all(np.diagonal(got) == 0.0)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(grad).max())
     if not np.array_equal(drawn, drawn.T):  # the step would symmetrize it silently
         with pytest.raises(ValueError, match="symmetric"):
-            structure_step(replace(state, s=drawn), x, labels, mask, cfg)
+            structure_step(replace(state, s=drawn), cfg, task=task)
 
 
 @pytest.mark.parametrize("inner", [5, 0])

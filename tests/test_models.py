@@ -18,7 +18,7 @@ from gridsentry.models import (GnnParams, TrainConfig, backward, init_params,
                                masked_cross_entropy, model_logits, own_logits,
                                predict, train)
 
-from conftest import random_symmetric
+from conftest import dense_structure_gradient, random_symmetric, task_factors
 
 
 def _problem(n=6, d=3, seed=0):
@@ -166,7 +166,7 @@ def test_cross_entropy_rejects_empty_mask():
 def test_weight_gradients_match_finite_differences(kind):
     s, x, labels, mask = _problem(n=6, d=3, seed=10)
     params = init_params(kind, 3, hidden=4, seed=11)
-    loss, grads, _ = backward(s, x, labels, mask, params)
+    loss, grads = backward(s, x, labels, mask, params)
     # backward and model_logits share one forward pass, so the loss is exact
     assert loss == masked_cross_entropy(model_logits(params, s, x), labels, mask)
     eps = 1e-5
@@ -188,7 +188,7 @@ def test_weight_gradients_match_finite_differences(kind):
 def test_structure_gradient_matches_finite_differences(kind):
     s, x, labels, mask = _problem(n=6, d=3, seed=12)
     params = init_params(kind, 3, hidden=4, seed=13)
-    _, _, grad_s = backward(s, x, labels, mask, params)
+    grad_s = dense_structure_gradient(s, x, labels, mask, params)
     assert np.array_equal(grad_s, grad_s.T)
     eps = 1e-5
     n = s.shape[0]
@@ -208,24 +208,10 @@ def test_structure_gradient_matches_finite_differences(kind):
             )
 
 
-@pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
-def test_backward_without_structure_keeps_loss_and_weight_gradients(kind):
-    s, x, labels, mask = _problem(n=8, d=3, seed=15)
-    params = init_params(kind, 3, hidden=4, seed=16)
-    loss, grads, grad_s = backward(s, x, labels, mask, params)
-    loss_ws, grads_ws, none = backward(s, x, labels, mask, params, structure=False)
-    assert grad_s is not None and none is None
-    assert loss_ws == loss
-    assert grads_ws.keys() == grads.keys()
-    for key in grads:
-        assert np.array_equal(grads_ws[key], grads[key]), key
-
-
-def test_mlp_structure_gradient_is_zero():
+def test_gradients_return_no_factors_for_the_mlp():
     s, x, labels, mask = _problem()
     params = init_params("mlp", 3, hidden=4, seed=14)
-    _, _, grad_s = backward(s, x, labels, mask, params)
-    assert np.array_equal(grad_s, np.zeros_like(s))
+    assert task_factors(s, x, labels, mask, params) is None
 
 
 def test_predict_breaks_ties_low():
@@ -321,7 +307,6 @@ def test_prepared_structure_matches_raw_bit_for_bit(kind):
     assert prepared[1].keys() == raw[1].keys()
     for key in raw[1]:
         assert np.array_equal(prepared[1][key], raw[1][key]), key
-    assert np.array_equal(prepared[2], raw[2])
 
 
 @pytest.mark.parametrize("kind", ["gcn", "sage"])
