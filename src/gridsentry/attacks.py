@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import codec
 from .graphs import GraphSnapshot, _check_adjacency
 from .numerics import make_rng, require_matrix
 
@@ -75,7 +76,7 @@ class PerturbationReceipt:
     warning: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return codec.encode(self)
 
     def save(self, path) -> None:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

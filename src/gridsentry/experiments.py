@@ -33,7 +33,9 @@ _GRID_MODELS = {"DNN": ("mlp", False), "GCN": ("gcn", False),
                 "GSL-GraphSAGE": ("sage", True)}
 MODELS = tuple(_GRID_MODELS)
 
-REPORT_FORMAT_VERSION = 1
+# Windows with fewer devices are left out of a graph merged from a flow CSV:
+# the default for training (``PipelineConfig.min_nodes``) and for a CSV grid.
+MIN_WINDOW_NODES = 10
 
 
 def split(labels: np.ndarray, train_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +186,10 @@ class CellResult:
 
 @dataclass
 class MetricsReport:
+    """A grid's cells, with the config and the seeds they came from."""
+
+    FORMAT_VERSION = 1
+
     config: dict
     seeds: list[int]
     cells: list[CellResult]
@@ -195,39 +201,11 @@ class MetricsReport:
         raise KeyError(f"no cell for ({model}, {rate})")
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "config": self.config,
-            "seeds": list(self.seeds),
-            "cells": [
-                {
-                    "model": c.model,
-                    "rate": c.rate,
-                    "runs": [m._asdict() for m in c.runs],
-                    "mean": c.mean._asdict(),
-                    "std": c.std._asdict(),
-                }
-                for c in self.cells
-            ],
-        }
+        return codec.encode(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
-        if doc.get("format_version") != REPORT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported report format_version {doc.get('format_version')!r}"
-            )
-        cells = [
-            CellResult(
-                model=c["model"],
-                rate=float(c["rate"]),
-                runs=[MetricValues(**m) for m in c["runs"]],
-                mean=MetricValues(**c["mean"]),
-                std=MetricValues(**c["std"]),
-            )
-            for c in doc["cells"]
-        ]
-        return cls(config=doc["config"], seeds=list(doc["seeds"]), cells=cells)
+        return codec.decode(cls, doc, "report")
 
 
 @dataclass
@@ -244,7 +222,7 @@ def _aggregate(values: list[MetricValues]) -> tuple[MetricValues, MetricValues]:
     return MetricValues(*mean.tolist()), MetricValues(*std.tolist())
 
 
-def load_merged_snapshot(csv_path, window_seconds: int = 300, min_nodes: int = 10,
+def load_merged_snapshot(csv_path, window_seconds: int, min_nodes: int,
                          max_flows: Optional[int] = None) -> GraphSnapshot:
     """Build one training graph from a flow CSV.
 
@@ -316,7 +294,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     merged = None
     if cfg.csv_path is not None:
         merged = load_merged_snapshot(cfg.csv_path, cfg.window_seconds,
-                                      max_flows=cfg.max_flows)
+                                      MIN_WINDOW_NODES, cfg.max_flows)
 
     seeds = [cfg.base_seed + r for r in range(cfg.runs)]
     evasion = cfg.attack_kind == "evasion"

@@ -36,13 +36,14 @@ import copy
 import csv
 import io
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import codec
 from .errors import DataError
 from .graphs import GraphSnapshot
 
@@ -139,7 +140,7 @@ class ParseStats:
         self.reasons[reason] = self.reasons.get(reason, 0) + count
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return codec.encode(self)
 
 
 def _resolve_columns(fieldnames) -> dict:

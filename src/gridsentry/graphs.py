@@ -10,10 +10,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import codec
 from .errors import load_json_object
 from .numerics import make_rng, require_matrix
-
-SNAPSHOT_FORMAT_VERSION = 1
 
 
 def _check_adjacency(a: np.ndarray, name: str = "adjacency") -> np.ndarray:
@@ -39,6 +38,8 @@ class GraphSnapshot:
     underneath its consumers.
     """
 
+    FORMAT_VERSION = 1
+
     node_ids: list[str]
     adjacency: np.ndarray
     features: np.ndarray
@@ -62,11 +63,12 @@ class GraphSnapshot:
         if feats.shape[0] != n:
             raise ValueError(f"features has {feats.shape[0]} rows for {n} nodes")
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64).copy()
+            lab = np.asarray(self.labels)
             if lab.shape != (n,):
                 raise ValueError(f"labels must have shape ({n},), got {lab.shape}")
             if lab.size and not np.all((lab == 0) | (lab == 1)):
                 raise ValueError("labels must be 0 or 1")
+            lab = lab.astype(np.int64)
             lab.setflags(write=False)
             self.labels = lab
         start, end = float(self.window[0]), float(self.window[1])
@@ -89,30 +91,11 @@ class GraphSnapshot:
         return len(self.node_ids)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": SNAPSHOT_FORMAT_VERSION,
-            "node_ids": list(self.node_ids),
-            "adjacency": self.adjacency.tolist(),
-            "features": self.features.tolist(),
-            "labels": None if self.labels is None else self.labels.tolist(),
-            "window": [self.window[0], self.window[1]],
-            "feature_names": list(self.feature_names),
-        }
+        return codec.encode(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GraphSnapshot":
-        version = doc.get("format_version")
-        if version != SNAPSHOT_FORMAT_VERSION:
-            raise ValueError(f"unsupported snapshot format_version {version!r}")
-        labels = doc.get("labels")
-        return cls(
-            node_ids=list(doc["node_ids"]),
-            adjacency=np.asarray(doc["adjacency"], dtype=np.float64),
-            features=np.asarray(doc["features"], dtype=np.float64),
-            labels=None if labels is None else np.asarray(labels, dtype=np.int64),
-            window=(float(doc["window"][0]), float(doc["window"][1])),
-            feature_names=list(doc["feature_names"]),
-        )
+        return codec.decode(cls, doc, "snapshot")
 
 
 def save_snapshot(snapshot: GraphSnapshot, path) -> None:

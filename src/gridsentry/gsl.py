@@ -49,6 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import codec
 from .errors import NumericError
 from .graphs import _check_adjacency, smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
@@ -416,10 +417,7 @@ class StructureDiff:
     added: list[tuple[int, int, float]]
 
     def to_dict(self) -> dict:
-        return {
-            "pruned": [[i, j, w] for i, j, w in self.pruned],
-            "added": [[i, j, w] for i, j, w in self.added],
-        }
+        return codec.encode(self)
 
 
 def refine_report(state: GslState) -> StructureDiff:

@@ -31,11 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import codec
 from .errors import NumericError
 from .graphs import GraphSnapshot, _check_adjacency, _gcn_normalization
 from .numerics import make_rng, require_matrix
-
-MODEL_FORMAT_VERSION = 1
 
 KINDS = ("gcn", "sage", "mlp")
 
@@ -57,9 +56,13 @@ def _weight_shapes(kind: str, in_dim: int, hidden: int,
 class GnnParams:
     """Weight matrices for one model, keyed in a fixed per-kind order.
 
-    The matrices are copied at construction into one flat buffer and held as
-    views of it, so ``adam_step`` updates them all in one pass.
+    The matrices are copied at construction, in that order, into one flat
+    buffer and held as views of it, so ``adam_step`` updates them all in one
+    pass. Their shapes must agree with ``hidden``, ``classes`` and the
+    first weight's row count, the input feature count.
     """
+
+    FORMAT_VERSION = 1
 
     kind: str
     weights: dict[str, np.ndarray]
@@ -70,11 +73,13 @@ class GnnParams:
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         expected = _PARAM_KEYS[self.kind]
-        if tuple(self.weights.keys()) != expected:
+        if set(self.weights) != set(expected):
             raise ValueError(
                 f"{self.kind} expects weights {expected}, got {tuple(self.weights)}"
             )
+        self.weights = {key: self.weights[key] for key in expected}
         self._pack()
+        self.check_shapes(self.weights[expected[0]].shape[0])
 
     def _pack(self) -> None:
         """Copy the weights into one flat buffer; ``weights`` holds views of it."""
@@ -111,33 +116,11 @@ class GnnParams:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": MODEL_FORMAT_VERSION,
-            "kind": self.kind,
-            "hidden": self.hidden,
-            "classes": self.classes,
-            "weights": {k: w.tolist() for k, w in self.weights.items()},
-        }
+        return codec.encode(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GnnParams":
-        if not isinstance(doc, dict):
-            raise ValueError("model params must be a JSON object")
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported model format_version {doc.get('format_version')!r}"
-            )
-        kind = doc["kind"]
-        if kind not in _PARAM_KEYS:
-            raise ValueError(f"unknown model kind {kind!r}")
-        weights = {
-            key: np.asarray(doc["weights"][key], dtype=np.float64)
-            for key in _PARAM_KEYS[kind]
-        }
-        params = cls(kind=kind, weights=weights,
-                     hidden=int(doc["hidden"]), classes=int(doc["classes"]))
-        params.check_shapes(next(iter(params.weights.values())).shape[0])
-        return params
+        return codec.decode(cls, doc, "model params")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -19,14 +19,13 @@ import numpy as np
 
 from . import codec, gsl
 from .errors import DataError, NumericError, load_json_object
-from .experiments import load_merged_snapshot, write_history_csv
+from .experiments import (MIN_WINDOW_NODES, load_merged_snapshot,
+                          write_history_csv)
 from .flows import (apply_zscore, build_snapshot, compute_zscore_stats,
                     parse_flows, window)
 from .graphs import GraphSnapshot
 from .models import GnnParams, TrainConfig, model_logits, softmax
 from .numerics import require_matrix
-
-BUNDLE_FORMAT_VERSION = 1
 
 
 def _sig12(value: float) -> float:
@@ -61,7 +60,7 @@ class PipelineConfig(DetectSettings):
     """Training-side settings: the detect settings, plus how to fit the model."""
 
     gnn_kind: str = "gcn"
-    min_nodes: int = 10
+    min_nodes: int = MIN_WINDOW_NODES
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -86,6 +85,8 @@ class DetectorBundle(DetectSettings):
     against the feature count.
     """
 
+    FORMAT_VERSION = 1
+
     params: GnnParams
     zscore_mean: np.ndarray
     zscore_std: np.ndarray
@@ -107,18 +108,10 @@ class DetectorBundle(DetectSettings):
             ).hexdigest()[:12]
             object.__setattr__(
                 self, "model_version",
-                f"{self.params.kind}-b{BUNDLE_FORMAT_VERSION}-{digest}")
+                f"{self.params.kind}-b{self.FORMAT_VERSION}-{digest}")
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": BUNDLE_FORMAT_VERSION,
-            "model_version": self.model_version,
-            "params": self.params.to_dict(),
-            "zscore_mean": self.zscore_mean.tolist(),
-            "zscore_std": self.zscore_std.tolist(),
-            "feature_names": list(self.feature_names),
-            **codec.encode(self, DetectSettings),
-        }
+        return codec.encode(self)
 
     def save(self, path) -> None:
         text = json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -130,21 +123,7 @@ class DetectorBundle(DetectSettings):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DetectorBundle":
-        """Rebuild a saved bundle; its settings are decoded with the config codec."""
-        if doc.get("format_version") != BUNDLE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported bundle format_version {doc.get('format_version')!r}"
-            )
-        stored = {f.name: doc[f.name] for f in fields(DetectSettings)}
-        settings = codec.decode(DetectSettings, stored, "bundle")
-        return cls(
-            params=GnnParams.from_dict(doc["params"]),
-            zscore_mean=np.asarray(doc["zscore_mean"], dtype=np.float64),
-            zscore_std=np.asarray(doc["zscore_std"], dtype=np.float64),
-            feature_names=list(doc["feature_names"]),
-            model_version=str(doc["model_version"]),
-            **vars(settings),
-        )
+        return codec.decode(cls, doc, "bundle")
 
 
 @dataclass

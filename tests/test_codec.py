@@ -1,0 +1,188 @@
+"""Saved documents: snapshots, model params, detector bundles and reports.
+
+Each is written and read by ``codec``. A saved file keeps its bytes and
+loads back to the same document; a file with a missing, unknown or wrongly
+typed key, or another ``format_version``, fails through its loader as a
+DataError naming the document, and through the CLI with exit code 2.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from gridsentry.attacks import PerturbationSpec, apply
+from gridsentry.cli import main
+from gridsentry.errors import DataError, load_json_object
+from gridsentry.experiments import (ExperimentConfig, MetricsReport,
+                                    report_to_json, run_experiment)
+from gridsentry.graphs import SbmSpec, load_snapshot, save_snapshot, sbm_generate
+from gridsentry.models import GnnParams, TrainConfig, init_params
+from gridsentry.pipeline import DetectorBundle
+
+SPEC = SbmSpec(n=24, p_in=0.4, p_out=0.05, feature_dim=3, seed=5)
+
+# sha256 of each file ``_write_documents`` saves. A change to any of these
+# is a change to a file format.
+PINNED_SHA256 = {
+    "snapshot.json":
+        "9f887719302d0de75d5b9c4ac40d224b5a649de7ab8f5533ba8422217f42b3bd",
+    "receipt.json":
+        "40f877ec7cf778ac11e04ef3bcbf0275729f47b91e12c10c80867318219b05f1",
+    "bundle.json":
+        "710c040201e8d87380500f81f143fb2211035af21788c051fa0e8230c8751c3b",
+    "report.json":
+        "21b39fc95a8c9c9b37e6a803b003475f7ba0c149fa63b0b0d1dadc62d79c1fd8",
+}
+
+
+def _write_documents(out):
+    """Save one of each document, built from fixed seeds, under ``out``."""
+    snapshot = sbm_generate(SPEC)
+    save_snapshot(snapshot, out / "snapshot.json")
+    _, receipt = apply(snapshot, PerturbationSpec(rate=0.3, feature_fraction=0.25,
+                                                  seed=2), "training")
+    receipt.save(out / "receipt.json")
+    d = SPEC.feature_dim
+    DetectorBundle(params=init_params("sage", d, hidden=4, seed=1),
+                   zscore_mean=np.linspace(-1.0, 1.0, d),
+                   zscore_std=np.linspace(0.5, 2.0, d),
+                   feature_names=list(snapshot.feature_names),
+                   ).save(out / "bundle.json")
+    cfg = ExperimentConfig(sbm=SPEC, models=("DNN", "GCN"), rates=(0.0, 0.2),
+                           runs=2, train=TrainConfig(epochs=20))
+    (out / "report.json").write_text(report_to_json(run_experiment(cfg).report),
+                                     encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    out = tmp_path_factory.mktemp("documents")
+    _write_documents(out)
+    return out
+
+
+def test_saved_documents_keep_their_bytes(saved):
+    digests = {name: hashlib.sha256((saved / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
+
+
+def test_saved_documents_load_and_save_back_byte_for_byte(saved, tmp_path):
+    save_snapshot(load_snapshot(saved / "snapshot.json"), tmp_path / "snapshot.json")
+    DetectorBundle.load(saved / "bundle.json").save(tmp_path / "bundle.json")
+    assert main(["report", "-i", str(saved / "report.json"), "--format", "json",
+                 "-o", str(tmp_path / "report.json")]) == 0
+    for name in ("snapshot.json", "bundle.json", "report.json"):
+        assert (tmp_path / name).read_bytes() == (saved / name).read_bytes()
+
+
+def test_params_built_in_code_get_the_shape_check():
+    with pytest.raises(ValueError, match="weight w2 has shape \\(5, 2\\)"):
+        GnnParams(kind="gcn", weights={"w1": np.zeros((3, 4)),
+                                       "w2": np.zeros((5, 2))}, hidden=4)
+    with pytest.raises(ValueError, match="disagrees with hidden=16"):
+        GnnParams(kind="gcn", weights={"w1": np.zeros((3, 4)),
+                                       "w2": np.zeros((5, 2))})
+
+
+def test_params_take_their_weights_in_any_key_order():
+    params = init_params("sage", 3, hidden=4, seed=0)
+    shuffled = dict(reversed(list(params.weights.items())))
+    again = GnnParams(kind="sage", weights=shuffled, hidden=4)
+    assert list(again.weights) == list(params.weights)
+    assert np.array_equal(again._flat_weights(), params._flat_weights())
+
+
+def _rename(doc, old, new):
+    doc[new] = doc.pop(old)
+
+
+# (file, edit of its JSON document, the error's text). Every edit breaks one
+# key: missing, unknown, wrongly typed, or another format_version.
+BROKEN = {
+    "snapshot missing": ("snapshot.json", lambda d: d.pop("feature_names"),
+                         r"missing snapshot keys: \['feature_names'\]"),
+    "snapshot unknown": ("snapshot.json", lambda d: _rename(d, "labels", "label"),
+                         r"unknown snapshot keys: \['label'\]"),
+    "snapshot mistyped": ("snapshot.json",
+                          lambda d: d.update(node_ids=list(range(24))),
+                          "node_ids must be a string"),
+    "snapshot window": ("snapshot.json", lambda d: d.update(window=[0, 1, 2]),
+                        "window must hold 2 items"),
+    "snapshot labels": ("snapshot.json",
+                        lambda d: d.update(labels=[0.5] * 24),
+                        "labels must be 0 or 1"),
+    "snapshot array": ("snapshot.json",
+                       lambda d: d.update(features=[["1"] * 3] * 24),
+                       "features must be a list of numbers"),
+    "snapshot version": ("snapshot.json", lambda d: d.update(format_version=2),
+                         "unsupported snapshot format_version 2"),
+    "params missing": ("bundle.json", lambda d: d["params"].pop("classes"),
+                       r"missing params keys: \['classes'\]"),
+    "params unknown": ("bundle.json", lambda d: d["params"].update(bias=[0.0]),
+                       r"unknown params keys: \['bias'\]"),
+    "params mistyped": ("bundle.json", lambda d: d["params"].update(hidden="4"),
+                        "hidden must be an integer, got '4'"),
+    "params version": ("bundle.json",
+                       lambda d: d["params"].update(format_version=2),
+                       "unsupported params format_version 2"),
+    "bundle missing": ("bundle.json", lambda d: d.pop("zscore_std"),
+                       r"missing bundle keys: \['zscore_std'\]"),
+    "bundle nested missing": ("bundle.json", lambda d: d["gsl"].pop("eta_s"),
+                              r"missing gsl keys: \['eta_s'\]"),
+    "bundle unknown": ("bundle.json", lambda d: d.update(threshold=0.5),
+                       r"unknown bundle keys: \['threshold'\]"),
+    "bundle mistyped": ("bundle.json", lambda d: d.update(feature_names=[1, 2, 3]),
+                        "feature_names must be a string"),
+    "bundle version": ("bundle.json", lambda d: d.update(format_version=2),
+                       "unsupported bundle format_version 2"),
+    "report missing": ("report.json", lambda d: d.pop("seeds"),
+                       r"missing report keys: \['seeds'\]"),
+    "report unknown": ("report.json", lambda d: d["cells"][0].update(median={}),
+                       r"unknown cells keys: \['median'\]"),
+    "report mistyped": ("report.json", lambda d: d.update(seeds=["0", "1"]),
+                        "seeds must be an integer"),
+    "report metric": ("report.json",
+                      lambda d: d["cells"][0]["mean"].pop("f1"),
+                      r"missing mean keys: \['f1'\]"),
+    "report version": ("report.json", lambda d: d.update(format_version=2),
+                       "unsupported report format_version 2"),
+}
+
+LOADERS = {"snapshot.json": ("snapshot", load_snapshot),
+           "bundle.json": ("detector bundle", DetectorBundle.load),
+           "report.json": ("report", lambda path: load_json_object(
+               path, "report", MetricsReport.from_dict))}
+
+
+def _broken_copy(saved, tmp_path, case):
+    name, edit, _ = BROKEN[case]
+    doc = json.loads((saved / name).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return name, path
+
+
+@pytest.mark.parametrize("case", list(BROKEN))
+def test_broken_document_fails_its_loader(case, saved, tmp_path):
+    name, path = _broken_copy(saved, tmp_path, case)
+    what, load = LOADERS[name]
+    with pytest.raises(DataError, match=f"malformed {what} .*{BROKEN[case][2]}"):
+        load(path)
+
+
+@pytest.mark.parametrize("case", list(BROKEN))
+def test_broken_document_exits_2_from_the_cli(case, saved, tmp_path,
+                                              flows_detect_csv, capsys):
+    name, path = _broken_copy(saved, tmp_path, case)
+    argv = {"snapshot.json": ["attack", "-i", str(path)],
+            "bundle.json": ["detect", "-i", str(flows_detect_csv), "-b", str(path)],
+            "report.json": ["report", "-i", str(path)]}[name]
+    assert main(argv + ["-o", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"data error: malformed {LOADERS[name][0]} {path}: ")
+    assert not (tmp_path / "out").exists()
+

@@ -415,14 +415,14 @@ def test_load_merged_snapshot_reads_no_further_than_max_flows(tmp_path):
     path = tmp_path / "flows.csv"
     path.write_text("\n".join([header] + good + bad) + "\n")
     with pytest.raises(DataError, match="unusable"):
-        load_merged_snapshot(path)
-    capped = load_merged_snapshot(path, max_flows=40)
+        load_merged_snapshot(path, 300, 10)
+    capped = load_merged_snapshot(path, 300, 10, max_flows=40)
     clean = tmp_path / "clean.csv"
     clean.write_text("\n".join([header] + good) + "\n")
-    assert capped.to_dict() == load_merged_snapshot(clean).to_dict()
-    shorter = load_merged_snapshot(path, max_flows=25)
+    assert capped.to_dict() == load_merged_snapshot(clean, 300, 10).to_dict()
+    shorter = load_merged_snapshot(path, 300, 10, max_flows=25)
     clean.write_text("\n".join([header] + good[:25]) + "\n")
-    assert shorter.to_dict() == load_merged_snapshot(clean).to_dict()
+    assert shorter.to_dict() == load_merged_snapshot(clean, 300, 10).to_dict()
 
 
 def test_load_merged_snapshot_spans_its_first_and_last_kept_window(
@@ -439,8 +439,8 @@ def test_load_merged_snapshot_spans_its_first_and_last_kept_window(
 
 
 def test_load_merged_snapshot_truncates_at_max_flows(flows_train_csv):
-    full = load_merged_snapshot(flows_train_csv, min_nodes=1)
-    cut = load_merged_snapshot(flows_train_csv, min_nodes=1, max_flows=4)
+    full = load_merged_snapshot(flows_train_csv, 300, 1)
+    cut = load_merged_snapshot(flows_train_csv, 300, 1, max_flows=4)
     assert len(cut.node_ids) < len(full.node_ids)
 
 
@@ -449,7 +449,7 @@ def test_load_merged_snapshot_rejects_empty(tmp_path):
     empty.write_text(
         "ts,src_ip,dst_ip,proto,src_port,dst_port,bytes,pkts,dur,label,attack_type\n")
     with pytest.raises(DataError, match="no usable flows"):
-        load_merged_snapshot(empty)
+        load_merged_snapshot(empty, 300, 10)
 
 
 @pytest.mark.parametrize("attack_kind,per_rate", [("evasion", False),
