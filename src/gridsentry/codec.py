@@ -73,9 +73,21 @@ def decode(cls, doc: dict, level: str, saved: bool = False):
                      if name not in keys and (saved or not has_default))
     if missing:
         raise ValueError(f"missing {noun} keys: {missing}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     return cls(**{name: _decode_value(hints[name], doc[name], name, saved)
                   for name in defaults if name in keys})
+
+
+# Each class's field types: ``typing.get_type_hints`` compiles every
+# annotation string again on each call, and a class's hints never change.
+_HINTS: dict[type, dict] = {}
+
+
+def _type_hints(cls) -> dict:
+    hints = _HINTS.get(cls)
+    if hints is None:
+        hints = _HINTS[cls] = typing.get_type_hints(cls)
+    return hints
 
 
 def _has_default(cls) -> dict[str, bool]:

@@ -236,9 +236,16 @@ def _parse_rows(reader, limit: Optional[int]) -> tuple[FlowTable, ParseStats]:
     return FlowTable.concat(blocks), stats
 
 
-def _floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``float()`` of every cell: the values, with NaN where it raised, and
-    masks of the cells that are empty and of the cells it raised on."""
+def _floats(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``float()`` of every stripped cell: the values, with NaN where it
+    raised, and masks of the cells that are empty once stripped and of the
+    cells it raised on.
+
+    ``float()`` strips whitespace itself, so a block whose cells all convert
+    unstripped is not stripped at all. It does not strip the separators
+    U+001C to U+001F that ``str.strip`` does, so a cell it rejects is
+    converted again stripped.
+    """
     n = len(cells)
     try:
         values = np.fromiter(map(float, cells), np.float64, n)
@@ -248,6 +255,7 @@ def _floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values = np.full(n, np.nan)
     empty, failed = np.zeros(n, bool), np.zeros(n, bool)
     for k, cell in enumerate(cells):
+        cell = cell.strip()
         try:
             values[k] = float(cell)
         except ValueError:
@@ -274,8 +282,13 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
     cells_by_column = list(zip(*rows)) or [()] * (max(position.values()) + 1)
     ok = np.ones(n, bool)
 
-    def cells(name) -> list[str]:
-        return list(map(str.strip, cells_by_column[position[name]]))
+    def cells(name) -> tuple[str, ...]:
+        """The column's cells as read; ``_floats`` strips only where needed."""
+        return cells_by_column[position[name]]
+
+    def texts(name, convert=sys.intern) -> np.ndarray:
+        stripped = map(str.strip, cells(name))
+        return np.array(list(map(convert, stripped)), dtype=object)
 
     def reject(reason: str, mask: np.ndarray) -> None:
         hit = mask & ok
@@ -285,7 +298,7 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
             ok[hit] = False
 
     def text(logical: str, convert=sys.intern) -> np.ndarray:
-        values = np.array(list(map(convert, cells(columns[logical]))), dtype=object)
+        values = texts(columns[logical], convert)
         reject(f"missing {logical}", values == "")
         return values
 
@@ -338,8 +351,8 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
     self_flow = ok & (src == dst)
     stats.self_flows_dropped += int(np.count_nonzero(self_flow))
     keep = ok & ~self_flow
-    attack_type = (np.array(list(map(sys.intern, cells(columns["type"]))), dtype=object)
-                   if "type" in columns else np.full(n, "", dtype=object))
+    attack_type = (texts(columns["type"]) if "type" in columns
+                   else np.full(n, "", dtype=object))
     return FlowTable(
         timestamp=ts[keep],
         src=src[keep],

@@ -110,10 +110,22 @@ def load_snapshot(path) -> GraphSnapshot:
 
 
 def _gcn_normalization(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degrees of S + I, D^{-1/2}, and D^{-1/2} (S + I) D^{-1/2}; ``s`` is not checked."""
+    """Degrees of S + I, D^{-1/2}, and D^{-1/2} (S + I) D^{-1/2}; ``s`` is not checked.
+
+    The propagation matrix is built in one n x n array with the bits of
+    (S + I) * outer(d^{-1/2}, d^{-1/2}): adding 0.0 after the product turns
+    the -0.0 that a -0.0 entry of S gives into the +0.0 that -0.0 + 0.0
+    gives. (Only a negative entry whose product underflows could tell the
+    two apart; an adjacency has none.)
+    """
     degree = s.sum(axis=1) + 1.0
     inv_sqrt = 1.0 / np.sqrt(degree)
-    return degree, inv_sqrt, (s + np.eye(s.shape[0])) * np.outer(inv_sqrt, inv_sqrt)
+    s_hat = np.outer(inv_sqrt, inv_sqrt)
+    diagonal = (np.diagonal(s) + 1.0) * np.diagonal(s_hat)
+    s_hat *= s
+    s_hat += 0.0
+    np.fill_diagonal(s_hat, diagonal)
+    return degree, inv_sqrt, s_hat
 
 
 def normalized_adjacency(s) -> np.ndarray:

@@ -53,7 +53,7 @@ from . import codec
 from .errors import NumericError
 from .graphs import _check_adjacency, smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
-                     _gradients, _prepare, _Propagation, adam_step, backward,
+                     _gradients, _prepare, _Propagation, _targets, adam_step,
                      init_params, masked_cross_entropy, model_logits, own_logits,
                      softmax)
 from .numerics import (nuclear_norm, require_matrix, require_square,
@@ -346,13 +346,14 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     then takes one structure step. The weighted objective, with that
     iteration's beliefs, is recorded before the loop and after every outer
     iteration. There is no convergence test: the budget is the schedule,
-    which keeps runs reproducible. Each S is prepared for the classifier once
-    (``models._prepare``); its objective, the next inner steps and its
-    structure step share that. A recorded task term is the loss of the next
-    inner step's ``backward``, taken at the same S and parameters, so only
-    the last record (or every record, without inner steps) runs a forward
-    pass of its own. The labelled-neighbour vote of the beliefs is computed
-    once.
+    which keeps runs reproducible. Each S is prepared for the classifier and
+    the features once (``models._prepare``); its objective, the next inner
+    steps and its structure step share that. The features, labels and mask
+    are checked once, and the inner steps call ``models._gradients``
+    directly. A recorded task term is the loss of the next inner step,
+    taken at the same S and parameters, so only the last record (or every
+    record, without inner steps) runs a forward pass of its own. The
+    labelled-neighbour vote of the beliefs is computed once.
     """
     a = require_square(a, "observed adjacency").copy()
     x = require_matrix(x, "features")
@@ -360,11 +361,12 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     mask = _check_mask(mask, a.shape[0])
 
     theta = init_params(gnn_kind, x.shape[1], seed=seed)
+    targets = _targets(labels, mask, a.shape[0], theta.classes)
     adam = AdamState.for_params(theta)
     vote = _label_vote(a, labels, mask)
     state = GslState(s=a.copy(), a=a, theta=theta,
                      signal=_labelled_beliefs(theta, x, labels, mask, vote))
-    prop = _prepare(gnn_kind, state.s)
+    prop = _prepare(gnn_kind, state.s, x)
 
     def record(task=None):
         state.objective_history.append(
@@ -373,7 +375,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
 
     for it in range(gsl_cfg.outer_iters):
         for step in range(gsl_cfg.inner_theta_steps):
-            loss, grads = backward(prop, x, labels, mask, theta)
+            loss, grads, _ = _gradients(prop, x, targets, theta)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite task loss at outer iteration {it}")
             if step == 0:  # S and theta are still those of the record due
@@ -382,10 +384,10 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
         if gsl_cfg.inner_theta_steps == 0:
             record()
         state.signal = _labelled_beliefs(theta, x, labels, mask, vote)
-        _, _, task = _gradients(prop, x, labels, mask, theta, structure=True)
+        _, _, task = _gradients(prop, x, targets, theta, structure=True)
         state.s = structure_step(state, gsl_cfg, task=task)
         prop = None  # free the old arrays before the new ones are built
-        prop = _prepare(gnn_kind, state.s)
+        prop = _prepare(gnn_kind, state.s, x)
     record()
     return state.s, theta, state
 
@@ -403,7 +405,7 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
     ``a`` must be an adjacency: symmetric, zero diagonal, entries in [0, 1],
     within the dense ceiling.
     """
-    a = _check_adjacency(require_square(a, "observed adjacency").copy(),
+    a = _check_adjacency(require_square(a, "observed adjacency"),
                          "observed adjacency")
     state = GslState(s=a, a=a, theta=theta, signal=class_beliefs(theta, a, x))
     return structure_step(state, cfg, steps)

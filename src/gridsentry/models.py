@@ -18,9 +18,11 @@ The MLP ignores the structure and has no factors.
 
 Everything a forward pass derives from the structure matrix alone (the
 GCN's normalized propagation matrix, GraphSAGE's inverse row sums) is built
-once per matrix by ``_prepare``. ``backward`` and ``model_logits`` take the
-raw matrix or that prepared value, so ``train`` and ``gsl.fit`` prepare each
-structure once instead of once per pass.
+once per matrix by ``_prepare``, and given the features, GraphSAGE's first
+neighbour mean too. ``backward`` and ``model_logits`` take the raw matrix or
+that prepared value, so ``train`` and ``gsl.fit`` prepare each structure once
+instead of once per pass; they also check their labels and mask once
+(``_targets``) and call ``_gradients`` directly.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ class _Propagation:
     ``backward`` and ``model_logits`` call on that matrix. ``s`` is the
     validated matrix itself. GCN: ``degree`` (row sums of S + I),
     ``inv_sqrt`` = D^{-1/2} and ``s_hat`` = D^{-1/2} (S + I) D^{-1/2}.
-    GraphSAGE: ``inv``, the inverse row sums, 0 on isolated rows. MLP:
+    GraphSAGE: ``inv``, the inverse row sums, 0 on isolated rows, and, when
+    prepared with features ``x``, ``n1``, their neighbour means. MLP:
     nothing. The derived arrays are read-only.
     """
 
@@ -161,16 +164,21 @@ class _Propagation:
     inv_sqrt: np.ndarray | None = None
     s_hat: np.ndarray | None = None
     inv: np.ndarray | None = None
+    x: np.ndarray | None = None
+    n1: np.ndarray | None = None
 
 
-def _prepare(kind: str, s) -> _Propagation:
+def _prepare(kind: str, s, x: np.ndarray | None = None) -> _Propagation:
     """Validate ``s`` and build what every forward pass of ``kind`` needs from it.
 
     GCN and GraphSAGE need a finite square matrix; no adjacency check is
     made here (``model_logits`` makes it for the GCN). The MLP ignores ``s``.
+    ``x``, a checked feature matrix, binds the result to those features:
+    GraphSAGE aggregates them once here, and a pass handed another array
+    raises ValueError.
     """
     if kind == "mlp":
-        return _Propagation(kind, np.asarray(s, dtype=np.float64))
+        return _Propagation(kind, np.asarray(s, dtype=np.float64), x=x)
     s = require_matrix(s, "structure matrix")
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"structure matrix must be square, got {s.shape}")
@@ -181,9 +189,11 @@ def _prepare(kind: str, s) -> _Propagation:
         row_sum = s.sum(axis=1)
         derived = {"inv": np.where(row_sum > 0,
                                    1.0 / np.where(row_sum > 0, row_sum, 1.0), 0.0)}
+        if x is not None:
+            derived["n1"] = derived["inv"][:, None] * (s @ x)
     for arr in derived.values():
         arr.setflags(write=False)
-    return _Propagation(kind, s, **derived)
+    return _Propagation(kind, s, x=x, **derived)
 
 
 def _as_propagation(kind: str, s) -> _Propagation:
@@ -197,6 +207,8 @@ def _as_propagation(kind: str, s) -> _Propagation:
 
 def _forward(params: GnnParams, prop: _Propagation, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Logits plus the intermediates ``backward`` chains through."""
+    if prop.x is not None and x is not prop.x:
+        raise ValueError("structure prepared with other features than those passed")
     w = params.weights
     if params.kind == "gcn":
         xw = x @ w["w1"]
@@ -206,7 +218,7 @@ def _forward(params: GnnParams, prop: _Propagation, x: np.ndarray) -> tuple[np.n
         return prop.s_hat @ q, dict(xw=xw, z1=z1, h1=h1, q=q)
     if params.kind == "sage":
         # Row-normalized aggregation; isolated rows aggregate to the zero vector.
-        n1 = prop.inv[:, None] * (prop.s @ x)
+        n1 = prop.inv[:, None] * (prop.s @ x) if prop.n1 is None else prop.n1
         z1 = x @ w["w1_self"] + n1 @ w["w1_neigh"]
         h1 = np.maximum(z1, 0.0)
         n2 = prop.inv[:, None] * (prop.s @ h1)
@@ -268,6 +280,21 @@ def _check_mask(mask, n: int) -> np.ndarray:
     return m
 
 
+class _Targets(NamedTuple):
+    """What the loss reads of the labels and mask: the masked rows, and the
+    flat position of each one's label in an array of those rows' logits."""
+
+    rows: np.ndarray
+    picked: np.ndarray
+
+
+def _targets(labels, mask, n: int, classes: int) -> _Targets:
+    """Check ``mask`` against ``n`` nodes and locate the masked labels."""
+    rows = np.flatnonzero(_check_mask(mask, n))
+    labels = np.asarray(labels, dtype=np.int64)
+    return _Targets(rows, np.arange(len(rows)) * classes + labels.take(rows))
+
+
 def _mean_nll(shifted: np.ndarray, total: np.ndarray, picked: np.ndarray) -> float:
     """Mean negative log-likelihood; ``picked`` holds the flat positions in
     ``shifted`` of each row's label."""
@@ -275,29 +302,22 @@ def _mean_nll(shifted: np.ndarray, total: np.ndarray, picked: np.ndarray) -> flo
     return float(-(nll.sum() / len(nll)))  # the bits of nll.mean(), faster
 
 
-def _label_positions(labels: np.ndarray, rows: np.ndarray, classes: int) -> np.ndarray:
-    """Flat positions of the labels of ``rows`` in an array of those rows."""
-    return np.arange(len(rows)) * classes + labels.take(rows)
-
-
 def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
     """Mean negative log-likelihood over the masked nodes."""
     logits = require_matrix(logits, "logits")
-    rows = np.flatnonzero(_check_mask(mask, logits.shape[0]))
-    labels = np.asarray(labels, dtype=np.int64)
+    rows, picked = _targets(labels, mask, *logits.shape)
     shifted, _, total = _shifted_exp(logits.take(rows, axis=0))
-    return _mean_nll(shifted, total, _label_positions(labels, rows, logits.shape[1]))
+    return _mean_nll(shifted, total, picked)
 
 
-def _loss_grad_logits(logits, labels, mask) -> tuple[float, np.ndarray]:
+def _loss_grad_logits(logits, targets: _Targets) -> tuple[float, np.ndarray]:
     """``masked_cross_entropy`` and its logit gradient from one exp pass.
 
     Only the masked rows are exponentiated; the others have zero gradient.
     """
     if not np.isfinite(logits).all():
         raise NumericError("classifier logits overflowed during training")
-    rows = np.flatnonzero(_check_mask(mask, logits.shape[0]))
-    picked = _label_positions(labels, rows, logits.shape[1])
+    rows, picked = targets
     shifted, expd, total = _shifted_exp(logits.take(rows, axis=0))
     part = expd / total
     part.ravel()[picked] -= 1.0
@@ -315,17 +335,17 @@ class _Factors(NamedTuple):
     r: np.ndarray
 
 
-def _gradients(prop: _Propagation, x: np.ndarray, labels: np.ndarray, mask,
+def _gradients(prop: _Propagation, x: np.ndarray, targets: _Targets,
                params: GnnParams, structure: bool = False
                ) -> tuple[float, dict[str, np.ndarray], _Factors | None]:
     """Loss, weight gradients and structure-gradient factors from one forward pass.
 
-    The factors are None with ``structure=False`` and for the MLP. ``x`` and
-    ``labels`` must already be a feature matrix and an int64 array.
+    The factors are None with ``structure=False`` and for the MLP. ``x``
+    must already be a feature matrix, and ``targets`` come from ``_targets``.
     """
     w = params.weights
     logits, c = _forward(params, prop, x)
-    loss, g = _loss_grad_logits(logits, labels, mask)
+    loss, g = _loss_grad_logits(logits, targets)
     factors = None
 
     if params.kind == "mlp":
@@ -376,12 +396,14 @@ def backward(s, x: np.ndarray, labels: np.ndarray, mask,
 
     ``s`` is the raw structure matrix or one prepared for this model kind
     (``_prepare``); a loop over one structure prepares it once. It is not
-    checked to be an adjacency, so gradients can be probed anywhere.
+    checked to be an adjacency, so gradients can be probed anywhere. The
+    features, labels and mask are checked on every call; ``train`` and
+    ``gsl.fit`` check theirs once and call ``_gradients``.
     """
     x = require_matrix(x, "features")
-    labels = np.asarray(labels, dtype=np.int64)
-    loss, grads, _ = _gradients(_as_propagation(params.kind, s), x, labels,
-                                mask, params)
+    targets = _targets(labels, mask, x.shape[0], params.classes)
+    loss, grads, _ = _gradients(_as_propagation(params.kind, s), x, targets,
+                                params)
     return loss, grads
 
 
@@ -465,18 +487,19 @@ def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
 
     The loss is taken over the nodes in ``mask``; ``seed`` draws the initial
     weights. The per-epoch loss is recorded before each update, so
-    ``losses[0]`` is the loss at initialization.
+    ``losses[0]`` is the loss at initialization. The structure, labels and
+    mask are checked and prepared once, for every epoch.
     """
     if snapshot.labels is None:
         raise ValueError("training needs a labeled snapshot")
-    mask = _check_mask(mask, snapshot.n_nodes)
-    params = init_params(kind, snapshot.features.shape[1], seed=seed)
+    x = snapshot.features
+    params = init_params(kind, x.shape[1], seed=seed)
+    targets = _targets(snapshot.labels, mask, snapshot.n_nodes, params.classes)
     state = AdamState.for_params(params)
-    prop = _prepare(kind, s)
+    prop = _prepare(kind, s, x)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        loss, grads = backward(prop, snapshot.features, snapshot.labels,
-                               mask, params)
+        loss, grads, _ = _gradients(prop, x, targets, params)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         losses.append(loss)

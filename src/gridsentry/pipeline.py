@@ -81,8 +81,9 @@ class DetectorBundle(DetectSettings):
     """Everything inference needs, persisted as one versioned JSON document.
 
     A bundle built in code gets the same checks as a loaded one: the detect
-    settings, the standardization statistics, and every weight's shape
-    against the feature count.
+    settings, the standardization statistics, every weight's shape against
+    the feature count, and a given ``model_version`` against the digest of
+    the weights. An empty one is set to that digest.
     """
 
     FORMAT_VERSION = 1
@@ -102,13 +103,14 @@ class DetectorBundle(DetectSettings):
         if len(self.feature_names) != self.zscore_mean.shape[0]:
             raise ValueError("feature_names length disagrees with zscore stats")
         self.params.check_shapes(len(self.feature_names))
-        if not self.model_version:
-            digest = hashlib.sha256(
-                json.dumps(self.params.to_dict(), sort_keys=True).encode()
-            ).hexdigest()[:12]
-            object.__setattr__(
-                self, "model_version",
-                f"{self.params.kind}-b{self.FORMAT_VERSION}-{digest}")
+        digest = hashlib.sha256(
+            json.dumps(self.params.to_dict(), sort_keys=True).encode()
+        ).hexdigest()[:12]
+        version = f"{self.params.kind}-b{self.FORMAT_VERSION}-{digest}"
+        if self.model_version and self.model_version != version:
+            raise ValueError(f"model_version {self.model_version!r} does not "
+                             f"match the weights, which hash to {version!r}")
+        object.__setattr__(self, "model_version", version)
 
     def to_dict(self) -> dict:
         return codec.encode(self)
@@ -217,7 +219,8 @@ def detect(snapshot: GraphSnapshot, bundle: DetectorBundle) -> list[Alert]:
     structure gets ``detect_refine_steps`` label-free refinement steps with
     frozen weights, and every node whose malicious-class probability reaches
     the score threshold produces an alert. Alerts carry the refined-away
-    edges touching the node as structural flags.
+    edges touching the node as structural flags, the pairs
+    ``gsl.refine_report`` lists as pruned, read for the alerted nodes only.
     """
     feats = require_matrix(snapshot.features, "snapshot features")
     if feats.shape[1] != bundle.zscore_mean.shape[0]:
@@ -232,29 +235,22 @@ def detect(snapshot: GraphSnapshot, bundle: DetectorBundle) -> list[Alert]:
                                    bundle.gsl, bundle.detect_refine_steps)
     scores = softmax(model_logits(bundle.params, refined, features))[:, 1]
 
-    diff = gsl.refine_report(gsl.GslState(s=refined, a=snapshot.adjacency,
-                                          theta=bundle.params))
-    flags_by_node: dict[int, list[dict]] = {}
-    for i, j, weight in diff.pruned:
-        flags_by_node.setdefault(i, []).append(
-            {"pruned_edge_to": snapshot.node_ids[j], "learned_weight": weight}
-        )
-        flags_by_node.setdefault(j, []).append(
-            {"pruned_edge_to": snapshot.node_ids[i], "learned_weight": weight}
-        )
-
+    # Both matrices are symmetric, so a node's row holds all its pairs.
+    pruned = (snapshot.adjacency > 0) & (refined < gsl.PRUNED_WEIGHT)
+    ids = snapshot.node_ids
     alerts = []
-    for idx, device in enumerate(snapshot.node_ids):
+    # Every node not below the threshold alerts, a NaN score too.
+    for idx in np.flatnonzero(~(scores < bundle.score_threshold)):
         score = float(scores[idx])
-        if score < bundle.score_threshold:
-            continue
-        flags = sorted(flags_by_node.get(idx, ()),
+        row = refined[idx]
+        flags = sorted(({"pruned_edge_to": ids[j], "learned_weight": float(row[j])}
+                        for j in np.flatnonzero(pruned[idx])),
                        key=lambda f: f["pruned_edge_to"])
         action = "isolate" if score >= bundle.isolate_threshold else "notify"
         alerts.append(
             Alert(
                 window=snapshot.window,
-                device_id=device,
+                device_id=ids[idx],
                 malicious_score=score,
                 predicted_class="malicious",
                 structural_flags=flags,

@@ -88,9 +88,9 @@ def task_factors(s, x, labels, mask, params):
     """The structure-gradient factors of the task loss at ``s``, as ``gsl.fit``
     takes them from ``models._gradients``; None for the MLP."""
     prop = models._prepare(params.kind, s)
-    return models._gradients(prop, np.asarray(x, dtype=np.float64),
-                             np.asarray(labels, dtype=np.int64), mask, params,
-                             structure=True)[2]
+    targets = models._targets(labels, mask, np.shape(s)[0], params.classes)
+    return models._gradients(prop, np.asarray(x, dtype=np.float64), targets,
+                             params, structure=True)[2]
 
 
 def dense_structure_gradient(s, x, labels, mask, params):

@@ -1,6 +1,7 @@
 """Command-line workflows: flags, config files, exit codes, artifacts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +479,22 @@ def test_detect_rejects_weights_that_do_not_fit_the_features(
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("data error: malformed detector bundle")
     assert "weight w1 has shape (9, 16)" in line
+    assert not out.exists()
+
+
+def test_detect_rejects_weights_that_do_not_match_the_model_version(
+        tmp_path, flows_detect_csv, monkeypatch, capsys):
+    path = tmp_path / "bundle.json"
+    doc = json.loads(Path(_untrained_bundle(path)).read_text())
+    doc["params"]["weights"]["w1"][0][0] += 1.0
+    _write_json(path, doc)
+    monkeypatch.setattr(pipeline, "parse_flows", _must_not_run)
+    out = tmp_path / "alerts.jsonl"
+    assert main(["detect", "-i", str(flows_detect_csv), "-b", str(path),
+                 "-o", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("data error: malformed detector bundle")
+    assert f"model_version {doc['model_version']!r} does not match" in line
     assert not out.exists()
 
 

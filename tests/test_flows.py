@@ -375,7 +375,7 @@ def test_ton_iot_column_names():
 TRICKY_CELLS = ["", " 3 ", "nan", "inf", "-inf", "1e308", "-1e308",
                 "9007199254740993", "9007199254740992", "-0.5", "-0.0", "1_0",
                 "65535.9", "65536", "-1", "gre", "TCP", " udp ", "0", "1", "2.5",
-                "x", '"1,0"']
+                "x", '"1,0"', " ", "\t", "\u00a0", " 1\u00a0", "1\x1f"]
 # Good values per column name; src and dst are drawn so self-flows occur.
 GOOD_CELLS = {"ts": ["0", "1.5", "299.9", "300", "1e3"], "src_ip": ["a", "b", "c"],
               "dst_ip": ["a", "b", "c"], "proto": ["tcp", "udp", "icmp"],

@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridsentry.errors import DataError
-from gridsentry.graphs import (GraphSnapshot, SbmSpec, load_snapshot,
-                               normalized_adjacency, save_snapshot,
-                               sbm_generate, smoothness)
+from gridsentry.graphs import (GraphSnapshot, SbmSpec, _gcn_normalization,
+                               load_snapshot, normalized_adjacency,
+                               save_snapshot, sbm_generate, smoothness)
 
 from conftest import SBM60, random_symmetric
 
@@ -41,6 +41,23 @@ def test_normalized_adjacency_matches_scalar_oracle():
         # self-loops keep the diagonal strictly positive; nothing exceeds 1
         assert np.all(np.diag(got) > 0.0)
         assert got.min() >= 0.0 and got.max() <= 1.0 + 1e-12
+
+
+@given(st.integers(1, 9), st.integers(0, 10_000), st.booleans())
+def test_gcn_normalization_has_the_bits_of_the_three_array_formula(n, seed, loops):
+    rng = np.random.default_rng(seed)
+    s = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    if loops:  # the GCN never sees one, but the formula must hold for it too
+        np.fill_diagonal(s, rng.random(n))
+    s[rng.random((n, n)) < 0.3] = -0.0
+    degree, inv_sqrt, s_hat = _gcn_normalization(s)
+    want_degree = s.sum(axis=1) + 1.0
+    want_inv_sqrt = 1.0 / np.sqrt(want_degree)
+    want = (s + np.eye(n)) * np.outer(want_inv_sqrt, want_inv_sqrt)
+    # tobytes tells -0.0 from +0.0, which array_equal does not.
+    assert degree.tobytes() == want_degree.tobytes()
+    assert inv_sqrt.tobytes() == want_inv_sqrt.tobytes()
+    assert s_hat.tobytes() == want.tobytes()
 
 
 def test_smoothness_worked_examples():

@@ -467,7 +467,7 @@ def _dense_task_gradient(s, x, labels, mask, params):
     """The symmetrized structure gradient of the task loss, built as n x n products."""
     prop = models._prepare(params.kind, s)
     logits, c = models._forward(params, prop, x)
-    _, g = models._loss_grad_logits(logits, labels, mask)
+    _, g = models._loss_grad_logits(logits, models._targets(labels, mask, *logits.shape))
     w = params.weights
     if params.kind == "mlp":
         return np.zeros_like(s)

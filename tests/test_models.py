@@ -342,13 +342,24 @@ def test_prepared_structure_is_read_only_and_bound_to_its_kind():
         backward(prop, x, labels, mask, init_params("sage", 3, hidden=4, seed=0))
 
 
+def test_structure_prepared_with_features_takes_no_others():
+    s, x, labels, mask = _problem(seed=24)
+    params = init_params("sage", 3, hidden=4, seed=25)
+    prop = models._prepare("sage", s, x)
+    assert np.array_equal(model_logits(params, prop, x), model_logits(params, s, x))
+    with pytest.raises(ValueError, match="other features"):
+        backward(prop, x.copy(), labels, mask, params)
+    with pytest.raises(ValueError, match="other features"):
+        model_logits(params, prop, x + 1.0)
+
+
 def _count_preparations(monkeypatch, *modules):
     calls = []
     original = models._prepare
 
-    def counting(kind, s):
+    def counting(kind, s, x=None):
         calls.append(kind)
-        return original(kind, s)
+        return original(kind, s, x)
 
     for module in (models,) + modules:
         monkeypatch.setattr(module, "_prepare", counting)

@@ -11,14 +11,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsentry import gsl, numerics, pipeline
 from gridsentry.errors import DataError, NumericError
-from gridsentry.flows import (FEATURE_NAMES, build_snapshot, parse_flows,
-                              window)
+from gridsentry.flows import (FEATURE_NAMES, apply_zscore, build_snapshot,
+                              parse_flows, window)
 from gridsentry.graphs import GraphSnapshot, SbmSpec, sbm_generate
 from gridsentry.gsl import GslConfig
-from gridsentry.models import init_params
+from gridsentry.models import init_params, model_logits, softmax
 from gridsentry.pipeline import (Alert, DetectorBundle, PipelineConfig, detect,
                                  run_pipeline, train_from_snapshot,
                                  train_pipeline)
@@ -154,6 +156,41 @@ def test_model_version_shape(trained):
     kind, build, digest = bundle.model_version.split("-")
     assert kind == "gcn" and build == "b1"
     assert len(digest) == 12 and set(digest) <= set("0123456789abcdef")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 10_000), st.floats(0.0, 1.0),
+       st.booleans(), st.integers(0, 4))
+def test_alert_flags_are_the_refine_report_pairs_of_the_node(n, seed, threshold,
+                                                              prior, steps):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.7), 1)
+    ids = [f"d{k}" for k in rng.permutation(n)]  # sorted ids are not index order
+    snapshot = GraphSnapshot(node_ids=ids, adjacency=upper + upper.T,
+                             features=rng.normal(size=(n, 3)) * 3.0)
+    bundle = DetectorBundle(
+        params=init_params("gcn", 3, hidden=4, seed=seed), gsl=GslConfig(
+            alpha_nuclear=0.25 if prior else 0.0),
+        zscore_mean=np.full(3, 0.5), zscore_std=np.full(3, 2.0),
+        feature_names=list(snapshot.feature_names), score_threshold=threshold,
+        detect_refine_steps=steps)
+    alerts = detect(snapshot, bundle)
+
+    features = apply_zscore(snapshot.features,
+                            (bundle.zscore_mean, bundle.zscore_std))
+    refined = gsl.refine_structure(snapshot.adjacency, features, bundle.params,
+                                   bundle.gsl, steps)
+    scores = softmax(model_logits(bundle.params, refined, features))[:, 1]
+    assert [a.device_id for a in alerts] == [
+        ids[k] for k in range(n) if scores[k] >= threshold]
+    pruned = gsl.refine_report(gsl.GslState(s=refined, a=snapshot.adjacency,
+                                            theta=bundle.params)).pruned
+    for alert in alerts:
+        k = ids.index(alert.device_id)
+        want = sorted([(ids[j], w) for i, j, w in pruned if i == k]
+                      + [(ids[i], w) for i, j, w in pruned if j == k])
+        assert [(f["pruned_edge_to"], f["learned_weight"])
+                for f in alert.structural_flags] == want
 
 
 def test_detect_flags_the_scanner(trained, detect_windows):
