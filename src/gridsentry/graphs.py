@@ -128,16 +128,6 @@ def _gcn_normalization(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return degree, inv_sqrt, s_hat
 
 
-def normalized_adjacency(s) -> np.ndarray:
-    """Degree-normalized propagation matrix with self-loops.
-
-    Returns D^{-1/2} (S + I) D^{-1/2} where D is the diagonal of row sums of
-    S + I. The self-loop keeps every degree >= 1, so no division can blow up.
-    """
-    arr = require_matrix(s, "structure matrix")
-    return _gcn_normalization(_check_adjacency(arr, "structure matrix"))[2]
-
-
 def smoothness(s, x) -> float:
     """Quadratic feature variation tr(X^T L X) over the graph.
 

@@ -21,8 +21,9 @@ n x k factors, with k a few dozen, instead of building the chain rule in
 n x n temporaries; only the anchor term is a full matrix. ``structure_step``
 is the one structure update: ``fit`` takes one step at a time with the task
 factors, and ``refine_structure`` takes its whole label-free budget in one
-call. Without the low-rank prior, the proximal maps and the projection are
-one in-place clamp.
+call. Both have checked S already and call ``_structure_step``, the same
+update without the symmetry check. Without the low-rank prior, the proximal
+maps and the projection are one in-place clamp.
 
 Z defaults to the node features, the classic feature-smoothness prior. ``fit``
 and ``refine_structure`` measure smoothness on class beliefs instead (see
@@ -184,9 +185,15 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 def _fit_logistic(features: np.ndarray, targets: np.ndarray,
-                  iters: int = 25, ridge: float = 1.0) -> np.ndarray:
-    """Ridge-penalized logistic regression by at most ``iters`` Newton steps."""
-    coef = np.zeros(features.shape[1])
+                  start: Optional[np.ndarray] = None, iters: int = 25,
+                  ridge: float = 1.0) -> np.ndarray:
+    """Ridge-penalized logistic regression by at most ``iters`` Newton steps
+    from ``start``, zero when omitted.
+
+    The problem is strictly convex, so every start reaches the one optimum;
+    a start near it takes fewer steps.
+    """
+    coef = np.zeros(features.shape[1]) if start is None else start
     ridge_eye = ridge * np.eye(features.shape[1])
     for _ in range(iters):
         p = _sigmoid(features @ coef)
@@ -216,20 +223,27 @@ def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
         return softmax(own_logits(theta, x))
     m = np.asarray(mask, dtype=bool)
     labels = np.asarray(labels, dtype=np.int64)
-    return _labelled_beliefs(theta, x, labels, m, _label_vote(a, labels, m))
+    return _labelled_beliefs(theta, x, labels, m, _label_vote(a, labels, m))[0]
 
 
 def _labelled_beliefs(theta: GnnParams, x: np.ndarray, labels: np.ndarray,
-                      m: np.ndarray, vote: np.ndarray) -> np.ndarray:
-    """``class_beliefs`` with labels, given ``vote = _label_vote(a, labels, m)``;
-    ``fit`` computes the vote once and asks many times."""
+                      m: np.ndarray, vote: np.ndarray,
+                      start: Optional[np.ndarray] = None
+                      ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``class_beliefs`` with labels, given ``vote = _label_vote(a, labels, m)``,
+    and the regression's coefficients (None when every node is labelled).
+
+    ``fit`` computes the vote once and asks many times, each time starting
+    the regression from the coefficients of the time before (``start``).
+    """
     p = labels.astype(np.float64)
+    coef = None
     if not m.all():
         own = own_logits(theta, x)
         evidence = np.column_stack([own[:, 1] - own[:, 0], vote, np.ones(len(m))])
-        coef = _fit_logistic(evidence[m], p[m])
+        coef = _fit_logistic(evidence[m], p[m], start)
         p[~m] = _sigmoid(evidence[~m] @ coef)
-    return np.column_stack([1.0 - p, p])
+    return np.column_stack([1.0 - p, p]), coef
 
 
 def _label_vote(a: np.ndarray, labels: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -296,13 +310,19 @@ def structure_step(state: GslState, cfg: GslConfig, steps: int = 1, *,
     each step goes through ``soft_threshold``, ``svt`` and
     ``symmetrize_clamp``.
     """
+    if not np.array_equal(state.s, state.s.T):
+        raise ValueError("structure matrix must be symmetric")
+    return _structure_step(state, cfg, steps, task)
+
+
+def _structure_step(state: GslState, cfg: GslConfig, steps: int,
+                    task: Optional[_Factors]) -> np.ndarray:
+    """``structure_step`` on a ``state.s`` its caller knows to be symmetric."""
     s, a, signal = state.s, state.a, state.signal
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     if signal is None:
         raise ValueError("structure_step needs state.signal to measure smoothness on")
-    if not np.array_equal(s, s.T):
-        raise ValueError("structure matrix must be symmetric")
     half_sq = 0.5 * cfg.beta_smooth * np.einsum("ij,ij->i", signal, signal)
     left, right, rows = [-cfg.beta_smooth * signal], [signal], half_sq
     if task is not None:
@@ -353,7 +373,10 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     directly. A recorded task term is the loss of the next inner step,
     taken at the same S and parameters, so only the last record (or every
     record, without inner steps) runs a forward pass of its own. The
-    labelled-neighbour vote of the beliefs is computed once.
+    labelled-neighbour vote of the beliefs is computed once, and each
+    refresh of the beliefs starts its regression from the coefficients of
+    the refresh before. Every S is recorded, and so checked to be an
+    adjacency, before its structure step, which does not check it again.
     """
     a = require_square(a, "observed adjacency").copy()
     x = require_matrix(x, "features")
@@ -364,8 +387,8 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     targets = _targets(labels, mask, a.shape[0], theta.classes)
     adam = AdamState.for_params(theta)
     vote = _label_vote(a, labels, mask)
-    state = GslState(s=a.copy(), a=a, theta=theta,
-                     signal=_labelled_beliefs(theta, x, labels, mask, vote))
+    signal, coef = _labelled_beliefs(theta, x, labels, mask, vote)
+    state = GslState(s=a.copy(), a=a, theta=theta, signal=signal)
     prop = _prepare(gnn_kind, state.s, x)
 
     def record(task=None):
@@ -383,9 +406,9 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
             adam_step(theta, grads, adam, train_cfg)
         if gsl_cfg.inner_theta_steps == 0:
             record()
-        state.signal = _labelled_beliefs(theta, x, labels, mask, vote)
+        state.signal, coef = _labelled_beliefs(theta, x, labels, mask, vote, coef)
         _, _, task = _gradients(prop, x, targets, theta, structure=True)
-        state.s = structure_step(state, gsl_cfg, task=task)
+        state.s = _structure_step(state, gsl_cfg, 1, task)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s, x)
     record()
@@ -408,7 +431,7 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
     a = _check_adjacency(require_square(a, "observed adjacency"),
                          "observed adjacency")
     state = GslState(s=a, a=a, theta=theta, signal=class_beliefs(theta, a, x))
-    return structure_step(state, cfg, steps)
+    return _structure_step(state, cfg, steps, None)
 
 
 @dataclass

@@ -18,11 +18,23 @@ The MLP ignores the structure and has no factors.
 
 Everything a forward pass derives from the structure matrix alone (the
 GCN's normalized propagation matrix, GraphSAGE's inverse row sums) is built
-once per matrix by ``_prepare``, and given the features, GraphSAGE's first
-neighbour mean too. ``backward`` and ``model_logits`` take the raw matrix or
-that prepared value, so ``train`` and ``gsl.fit`` prepare each structure once
-instead of once per pass; they also check their labels and mask once
-(``_targets``) and call ``_gradients`` directly.
+once per matrix by ``_prepare``. ``_prepare(kind, s, x)`` binds it to the
+features as well and propagates them once: the GCN's S_hat X and
+GraphSAGE's first neighbour mean, as in SGC (Wu et al., ICML 2019).
+``backward`` and ``model_logits`` take the raw matrix or that prepared
+value, so ``train`` and ``gsl.fit`` prepare each structure once instead of
+once per pass; they also check their labels and mask once (``_targets``)
+and call ``_gradients`` directly.
+
+The n x n products of one training step on a bound propagation are all at
+class width: the forward pass multiplies the structure into the n x c
+second-layer term (GCN: S_hat (H W2); GraphSAGE: S (H W2_neigh)), and the
+backward pass pushes the n x c logit gradient back through it once. That
+is 2 n^2 c multiply-adds a step. An unbound GCN pass also propagates
+X W1 forward and, for the weights, its gradient back (2 n^2 h more), and an
+unbound GraphSAGE pass aggregates X (n^2 d). Asked for the structure
+factors, the GCN adds one n x n product at hidden width, S_hat^T dz1;
+GraphSAGE's factors need none.
 """
 
 from __future__ import annotations
@@ -152,10 +164,11 @@ class _Propagation:
     Built once per structure matrix by ``_prepare`` and read by every
     ``backward`` and ``model_logits`` call on that matrix. ``s`` is the
     validated matrix itself. GCN: ``degree`` (row sums of S + I),
-    ``inv_sqrt`` = D^{-1/2} and ``s_hat`` = D^{-1/2} (S + I) D^{-1/2}.
-    GraphSAGE: ``inv``, the inverse row sums, 0 on isolated rows, and, when
-    prepared with features ``x``, ``n1``, their neighbour means. MLP:
-    nothing. The derived arrays are read-only.
+    ``inv_sqrt`` = D^{-1/2}, ``s_hat`` = D^{-1/2} (S + I) D^{-1/2} and,
+    when prepared with features ``x``, ``s_hat_x`` = S_hat X. GraphSAGE:
+    ``inv``, the inverse row sums, 0 on isolated rows, and, when prepared
+    with features ``x``, ``n1``, their neighbour means. MLP: nothing. The
+    derived arrays are read-only.
     """
 
     kind: str
@@ -163,6 +176,7 @@ class _Propagation:
     degree: np.ndarray | None = None
     inv_sqrt: np.ndarray | None = None
     s_hat: np.ndarray | None = None
+    s_hat_x: np.ndarray | None = None
     inv: np.ndarray | None = None
     x: np.ndarray | None = None
     n1: np.ndarray | None = None
@@ -174,8 +188,8 @@ def _prepare(kind: str, s, x: np.ndarray | None = None) -> _Propagation:
     GCN and GraphSAGE need a finite square matrix; no adjacency check is
     made here (``model_logits`` makes it for the GCN). The MLP ignores ``s``.
     ``x``, a checked feature matrix, binds the result to those features:
-    GraphSAGE aggregates them once here, and a pass handed another array
-    raises ValueError.
+    they are propagated once here (the GCN's S_hat X, GraphSAGE's neighbour
+    means), and a pass handed another array raises ValueError.
     """
     if kind == "mlp":
         return _Propagation(kind, np.asarray(s, dtype=np.float64), x=x)
@@ -185,6 +199,8 @@ def _prepare(kind: str, s, x: np.ndarray | None = None) -> _Propagation:
     if kind == "gcn":
         degree, inv_sqrt, s_hat = _gcn_normalization(s)
         derived = {"degree": degree, "inv_sqrt": inv_sqrt, "s_hat": s_hat}
+        if x is not None:
+            derived["s_hat_x"] = s_hat @ x
     else:
         row_sum = s.sum(axis=1)
         derived = {"inv": np.where(row_sum > 0,
@@ -206,23 +222,30 @@ def _as_propagation(kind: str, s) -> _Propagation:
 
 
 def _forward(params: GnnParams, prop: _Propagation, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Logits plus the intermediates ``backward`` chains through."""
+    """Logits plus the intermediates ``_gradients`` chains through.
+
+    The second layer multiplies the structure into an n x classes matrix,
+    and on a propagation bound to ``x`` so does every n x n product here.
+    """
     if prop.x is not None and x is not prop.x:
         raise ValueError("structure prepared with other features than those passed")
     w = params.weights
     if params.kind == "gcn":
-        xw = x @ w["w1"]
-        z1 = prop.s_hat @ xw
+        if prop.s_hat_x is None:
+            z1 = prop.s_hat @ (x @ w["w1"])
+        else:
+            z1 = prop.s_hat_x @ w["w1"]
         h1 = np.maximum(z1, 0.0)
-        q = h1 @ w["w2"]
-        return prop.s_hat @ q, dict(xw=xw, z1=z1, h1=h1, q=q)
+        return prop.s_hat @ (h1 @ w["w2"]), dict(z1=z1, h1=h1)
     if params.kind == "sage":
         # Row-normalized aggregation; isolated rows aggregate to the zero vector.
         n1 = prop.inv[:, None] * (prop.s @ x) if prop.n1 is None else prop.n1
         z1 = x @ w["w1_self"] + n1 @ w["w1_neigh"]
         h1 = np.maximum(z1, 0.0)
-        n2 = prop.inv[:, None] * (prop.s @ h1)
-        return h1 @ w["w2_self"] + n2 @ w["w2_neigh"], dict(n1=n1, z1=z1, h1=h1, n2=n2)
+        # Layer 2's neighbour term mean(h) W2_neigh, projected to the classes
+        # before the aggregation, so the n x n product is at class width.
+        m2 = prop.inv[:, None] * (prop.s @ (h1 @ w["w2_neigh"]))
+        return h1 @ w["w2_self"] + m2, dict(n1=n1, z1=z1, h1=h1, m2=m2)
     z1 = x @ w["w1"]
     h1 = np.maximum(z1, 0.0)
     return h1 @ w["w2"], dict(z1=z1, h1=h1)
@@ -353,40 +376,46 @@ def _gradients(prop: _Propagation, x: np.ndarray, targets: _Targets,
         return loss, {"w1": x.T @ dz1, "w2": c["h1"].T @ g}, None
 
     if params.kind == "gcn":
-        s_hat, inv_sqrt = prop.s_hat, prop.inv_sqrt
+        s_hat, z1 = prop.s_hat, c["z1"]
         dq = s_hat.T @ g
-        dz1 = (dq @ w["w2"].T) * (c["z1"] > 0)
-        dxw = s_hat.T @ dz1
-        grads = {"w1": x.T @ dxw, "w2": c["h1"].T @ dq}
+        dz1 = (dq @ w["w2"].T) * (z1 > 0)
+        dxw = s_hat.T @ dz1 if structure or prop.s_hat_x is None else None
+        grads = {"w1": x.T @ dxw if prop.s_hat_x is None else prop.s_hat_x.T @ dz1,
+                 "w2": c["h1"].T @ dq}
         if structure:
-            # With M = g q^T + dz1 xw^T, the gradient for s_hat, chain through
-            # s_hat = D^{-1/2} (S + I) D^{-1/2}: the direct term
-            # D^{-1/2} M D^{-1/2}, plus the coupling through the degree of
-            # node i, phi_i = -(row sum + column sum of M * s_hat)_i / (2 d_i).
-            # Those sums come from the forward pass (s_hat q, s_hat xw) and
-            # from dq, dxw, with no n x n product.
-            row_sum = (g * logits).sum(axis=1) + (dz1 * c["z1"]).sum(axis=1)
-            col_sum = (c["q"] * dq).sum(axis=1) + (c["xw"] * dxw).sum(axis=1)
-            factors = _Factors(inv_sqrt[:, None] * np.hstack([g, dz1]),
-                               inv_sqrt[:, None] * np.hstack([c["q"], c["xw"]]),
+            # With M = g q^T + dz1 xw^T (q = h1 W2, xw = X W1), the gradient
+            # for s_hat, chain through s_hat = D^{-1/2} (S + I) D^{-1/2}: the
+            # direct term D^{-1/2} M D^{-1/2}, plus the coupling through the
+            # degree of node i, phi_i = -(row sum + column sum of M * s_hat)_i
+            # / (2 d_i). Those sums come from the forward pass (s_hat q,
+            # s_hat xw) and from dq, dxw, with no n x n product.
+            q, xw = c["h1"] @ w["w2"], x @ w["w1"]
+            row_sum = (g * logits).sum(axis=1) + (dz1 * z1).sum(axis=1)
+            col_sum = (q * dq).sum(axis=1) + (xw * dxw).sum(axis=1)
+            inv_sqrt = prop.inv_sqrt[:, None]
+            factors = _Factors(inv_sqrt * np.hstack([g, dz1]),
+                               inv_sqrt * np.hstack([q, xw]),
                                -(row_sum + col_sum) / (2.0 * prop.degree))
         return loss, grads, factors
 
-    inv, n1, n2, h1 = prop.inv, c["n1"], c["n2"], c["h1"]
-    t2 = inv[:, None] * (g @ w["w2_neigh"].T)
-    dz1 = (g @ w["w2_self"].T + prop.s.T @ t2) * (c["z1"] > 0)
+    inv, n1, h1 = prop.inv[:, None], c["n1"], c["h1"]
+    sg = prop.s.T @ (inv * g)  # S^T pushes the layer-2 neighbour term back
+    dz1 = (g @ w["w2_self"].T + sg @ w["w2_neigh"].T) * (c["z1"] > 0)
     grads = {
         "w1_self": x.T @ dz1,
         "w1_neigh": n1.T @ dz1,
         "w2_self": h1.T @ g,
-        "w2_neigh": n2.T @ g,
+        "w2_neigh": h1.T @ sg,
     }
     if structure:
         # d/dS[i,j] of the weighted mean row i is (h_j - mean_i) / rowsum_i;
-        # isolated rows have inv = 0 so nothing flows.
-        t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
+        # isolated rows have inv = 0 so nothing flows. The mean's term,
+        # (t2 * n2).sum(1) with n2 the mean of h, is inv (g * m2).sum(1).
+        t2 = inv * (g @ w["w2_neigh"].T)
+        t1 = inv * (dz1 @ w["w1_neigh"].T)
         factors = _Factors(np.hstack([t2, t1]), np.hstack([h1, x]),
-                           -((t2 * n2).sum(axis=1) + (t1 * n1).sum(axis=1)))
+                           -(prop.inv * (g * c["m2"]).sum(axis=1)
+                             + (t1 * n1).sum(axis=1)))
     return loss, grads, factors
 
 

@@ -29,7 +29,13 @@ from .numerics import require_matrix
 
 
 def _sig12(value: float) -> float:
-    """Round to at most 12 significant digits for stable serialization."""
+    """Round to at most 12 significant digits for stable serialization.
+
+    A zero, the weight of most pruned edges, is already round and keeps its
+    sign without the format and parse.
+    """
+    if value == 0:
+        return float(value)
     return float(f"{value:.12g}")
 
 

@@ -84,6 +84,14 @@ def random_symmetric(n, seed, density=0.5):
     return sym + sym.T
 
 
+def normalized_adjacency(s):
+    """The GCN's propagation matrix D^{-1/2} (S + I) D^{-1/2}, D the row sums
+    of S + I, as three array operations: the oracle for the package's
+    in-place build."""
+    inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1) + 1.0)
+    return (s + np.eye(len(s))) * np.outer(inv_sqrt, inv_sqrt)
+
+
 def task_factors(s, x, labels, mask, params):
     """The structure-gradient factors of the task loss at ``s``, as ``gsl.fit``
     takes them from ``models._gradients``; None for the MLP."""

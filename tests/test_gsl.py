@@ -460,29 +460,57 @@ def test_fit_prepares_each_structure_once(sbm60, masks60, monkeypatch):
     assert calls == ["sage"] * (4 + 1)
 
 
+def test_warm_started_belief_regression_matches_a_cold_start(sbm60, masks60,
+                                                             monkeypatch):
+    fits = []
+    original = gsl._fit_logistic
+
+    def recording(features, targets, start=None):
+        fits.append((features, targets, start, original(features, targets, start)))
+        return fits[-1][-1]
+
+    monkeypatch.setattr(gsl, "_fit_logistic", recording)
+    train_mask, _ = masks60
+    fit(sbm60.adjacency, sbm60.features, sbm60.labels, "gcn",
+        GslConfig(outer_iters=6), TrainConfig(), train_mask, seed=7)
+    assert len(fits) == 6 + 1
+    assert fits[0][2] is None  # the first refresh starts cold
+    for (features, targets, start, warm), before in zip(fits[1:], fits):
+        assert start is before[3]
+        cold = original(features, targets)
+        assert np.abs(warm - cold).max() <= 1e-9 * max(1.0, np.abs(cold).max())
+
+
 # -- the dense chain-rule gradients, kept as the reference for the factored ones --
 
 
 def _dense_task_gradient(s, x, labels, mask, params):
     """The symmetrized structure gradient of the task loss, built as n x n products."""
     prop = models._prepare(params.kind, s)
-    logits, c = models._forward(params, prop, x)
+    logits = models._forward(params, prop, x)[0]
     _, g = models._loss_grad_logits(logits, models._targets(labels, mask, *logits.shape))
     w = params.weights
     if params.kind == "mlp":
         return np.zeros_like(s)
     if params.kind == "gcn":
         s_hat, inv_sqrt = prop.s_hat, prop.inv_sqrt
+        xw = x @ w["w1"]
+        z1 = s_hat @ xw
+        q = np.maximum(z1, 0.0) @ w["w2"]
         dq = s_hat.T @ g
-        dz1 = (dq @ w["w2"].T) * (c["z1"] > 0)
-        grad_s = g @ c["q"].T + dz1 @ c["xw"].T
+        dz1 = (dq @ w["w2"].T) * (z1 > 0)
+        grad_s = g @ q.T + dz1 @ xw.T
         prod = grad_s * s_hat
         phi = -(prod.sum(axis=1) + prod.sum(axis=0)) / (2.0 * prop.degree)
         grad_s = grad_s * np.outer(inv_sqrt, inv_sqrt) + phi[:, None]
     else:
-        inv, n1, n2, h1 = prop.inv, c["n1"], c["n2"], c["h1"]
+        inv = prop.inv
+        n1 = inv[:, None] * (s @ x)
+        z1 = x @ w["w1_self"] + n1 @ w["w1_neigh"]
+        h1 = np.maximum(z1, 0.0)
+        n2 = inv[:, None] * (s @ h1)
         t2 = inv[:, None] * (g @ w["w2_neigh"].T)
-        dz1 = (g @ w["w2_self"].T + prop.s.T @ t2) * (c["z1"] > 0)
+        dz1 = (g @ w["w2_self"].T + s.T @ t2) * (z1 > 0)
         t1 = inv[:, None] * (dz1 @ w["w1_neigh"].T)
         grad_s = (t2 @ h1.T - (t2 * n2).sum(axis=1)[:, None]
                   + t1 @ x.T - (t1 * n1).sum(axis=1)[:, None])
