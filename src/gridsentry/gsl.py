@@ -54,7 +54,7 @@ from . import codec
 from .errors import NumericError
 from .graphs import _check_adjacency, smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
-                     _gradients, _prepare, _Propagation, _targets, adam_step,
+                     _gradients, _prepare, _targets, adam_step,
                      init_params, masked_cross_entropy, model_logits, own_logits,
                      softmax)
 from .numerics import (nuclear_norm, require_matrix, require_square,
@@ -141,14 +141,13 @@ class GslState:
     signal: Optional[np.ndarray] = None
 
 
-def objective(s, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
+def objective(s: np.ndarray, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
               mask, a: np.ndarray, cfg: GslConfig,
               signal: Optional[np.ndarray] = None,
               task: Optional[float] = None) -> ObjectiveParts:
     """Evaluate every objective term; weights of zero skip their computation.
 
-    ``s`` is the structure matrix, raw or prepared for ``theta``'s kind
-    (``models._prepare``), and must be an adjacency: symmetric, zero
+    ``s`` is the structure matrix and must be an adjacency: symmetric, zero
     diagonal, finite entries in [0, 1]. The smoothness term is measured on
     ``signal``, the features when omitted (``graphs.smoothness``). ``task``
     is the task loss at ``s`` and ``theta`` when the caller already holds it
@@ -158,8 +157,6 @@ def objective(s, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
     signal = x if signal is None else signal
     if task is None:
         task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
-    if isinstance(s, _Propagation):
-        s = s.s
     s = require_matrix(s, "structure matrix")
     if cfg.beta_smooth > 0:  # smoothness checks that s is an adjacency
         smooth = cfg.beta_smooth * smoothness(s, signal)
@@ -372,7 +369,8 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     are checked once, and the inner steps call ``models._gradients``
     directly. A recorded task term is the loss of the next inner step,
     taken at the same S and parameters, so only the last record (or every
-    record, without inner steps) runs a forward pass of its own. The
+    record, without inner steps) runs a pass of its own, on the prepared
+    S. The
     labelled-neighbour vote of the beliefs is computed once, and each
     refresh of the beliefs starts its regression from the coefficients of
     the refresh before. Every S is recorded, and so checked to be an
@@ -392,13 +390,15 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     prop = _prepare(gnn_kind, state.s, x)
 
     def record(task=None):
+        if task is None:
+            task = _gradients(prop, targets, theta)[0]
         state.objective_history.append(
-            objective(prop, theta, x, labels, mask, a, gsl_cfg, state.signal, task)
+            objective(state.s, theta, x, labels, mask, a, gsl_cfg, state.signal, task)
         )
 
     for it in range(gsl_cfg.outer_iters):
         for step in range(gsl_cfg.inner_theta_steps):
-            loss, grads, _ = _gradients(prop, x, targets, theta)
+            loss, grads, _ = _gradients(prop, targets, theta)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite task loss at outer iteration {it}")
             if step == 0:  # S and theta are still those of the record due
@@ -407,7 +407,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
         if gsl_cfg.inner_theta_steps == 0:
             record()
         state.signal, coef = _labelled_beliefs(theta, x, labels, mask, vote, coef)
-        _, _, task = _gradients(prop, x, targets, theta, structure=True)
+        _, _, task = _gradients(prop, targets, theta, structure=True)
         state.s = _structure_step(state, gsl_cfg, 1, task)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s, x)
@@ -436,10 +436,13 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
 
 @dataclass
 class StructureDiff:
-    """Edges the optimizer suppressed or invented, with learned weights."""
+    """Edges the optimizer suppressed or invented, with learned weights.
 
-    pruned: list[tuple[int, int, float]]
-    added: list[tuple[int, int, float]]
+    A pair names its nodes by index, or by device id in a saved report.
+    """
+
+    pruned: list[tuple[int | str, int | str, float]]
+    added: list[tuple[int | str, int | str, float]]
 
     def to_dict(self) -> dict:
         return codec.encode(self)

@@ -16,25 +16,22 @@ per-row term, so it comes as those factors (``_Factors``), in O(n (h + c))
 or O(n (h + d)) memory; ``gsl.structure_step`` folds them into one product.
 The MLP ignores the structure and has no factors.
 
-Everything a forward pass derives from the structure matrix alone (the
-GCN's normalized propagation matrix, GraphSAGE's inverse row sums) is built
-once per matrix by ``_prepare``. ``_prepare(kind, s, x)`` binds it to the
-features as well and propagates them once: the GCN's S_hat X and
+Every pass runs on a structure bound to its features by ``_prepare``,
+which builds what the pass derives from the structure (the GCN's
+normalized propagation matrix, GraphSAGE's inverse row sums) and
+propagates the features through it once: the GCN's S_hat X and
 GraphSAGE's first neighbour mean, as in SGC (Wu et al., ICML 2019).
-``backward`` and ``model_logits`` take the raw matrix or that prepared
-value, so ``train`` and ``gsl.fit`` prepare each structure once instead of
-once per pass; they also check their labels and mask once (``_targets``)
-and call ``_gradients`` directly.
+``backward`` and ``model_logits`` take plain arrays and prepare them for
+their one pass; ``train`` and ``gsl.fit`` prepare each structure once for
+all their passes, check their labels and mask once (``_targets``) and call
+``_gradients`` directly.
 
-The n x n products of one training step on a bound propagation are all at
-class width: the forward pass multiplies the structure into the n x c
-second-layer term (GCN: S_hat (H W2); GraphSAGE: S (H W2_neigh)), and the
-backward pass pushes the n x c logit gradient back through it once. That
-is 2 n^2 c multiply-adds a step. An unbound GCN pass also propagates
-X W1 forward and, for the weights, its gradient back (2 n^2 h more), and an
-unbound GraphSAGE pass aggregates X (n^2 d). Asked for the structure
-factors, the GCN adds one n x n product at hidden width, S_hat^T dz1;
-GraphSAGE's factors need none.
+The n x n products of a pass are then all at class width: the forward
+pass multiplies the structure into the n x c second-layer term (GCN:
+S_hat (H W2); GraphSAGE: S (H W2_neigh)), and the backward pass pushes the
+n x c logit gradient back through it once. That is 2 n^2 c multiply-adds
+a training step. Asked for the structure factors, the GCN adds one n x n
+product at hidden width, S_hat^T dz1; GraphSAGE's factors need none.
 """
 
 from __future__ import annotations
@@ -159,93 +156,71 @@ def init_params(kind: str, in_dim: int, hidden: int = 16, classes: int = 2,
 
 @dataclass(frozen=True)
 class _Propagation:
-    """The structure-only part of one model kind's forward pass.
+    """One structure matrix bound to one feature matrix for a model kind's passes.
 
-    Built once per structure matrix by ``_prepare`` and read by every
-    ``backward`` and ``model_logits`` call on that matrix. ``s`` is the
-    validated matrix itself. GCN: ``degree`` (row sums of S + I),
-    ``inv_sqrt`` = D^{-1/2}, ``s_hat`` = D^{-1/2} (S + I) D^{-1/2} and,
-    when prepared with features ``x``, ``s_hat_x`` = S_hat X. GraphSAGE:
-    ``inv``, the inverse row sums, 0 on isolated rows, and, when prepared
-    with features ``x``, ``n1``, their neighbour means. MLP: nothing. The
-    derived arrays are read-only.
+    Built by ``_prepare``; no public function takes or returns one.
+    ``model_logits`` and ``backward`` build one for their single pass, and
+    ``train`` and ``gsl.fit`` one per structure for all their passes. ``s``
+    is the validated matrix and ``x`` the features. GCN: ``degree`` (row sums of S + I),
+    ``inv_sqrt`` = D^{-1/2}, ``s_hat`` = D^{-1/2} (S + I) D^{-1/2} and
+    ``s_hat_x`` = S_hat X. GraphSAGE: ``inv``, the inverse row sums, 0 on
+    isolated rows, and ``n1``, the features' neighbour means. MLP: nothing.
+    The derived arrays are read-only.
     """
 
-    kind: str
     s: np.ndarray
+    x: np.ndarray
     degree: np.ndarray | None = None
     inv_sqrt: np.ndarray | None = None
     s_hat: np.ndarray | None = None
     s_hat_x: np.ndarray | None = None
     inv: np.ndarray | None = None
-    x: np.ndarray | None = None
     n1: np.ndarray | None = None
 
 
-def _prepare(kind: str, s, x: np.ndarray | None = None) -> _Propagation:
-    """Validate ``s`` and build what every forward pass of ``kind`` needs from it.
+def _prepare(kind: str, s, x: np.ndarray) -> _Propagation:
+    """Validate ``s`` and propagate the features ``x`` through it once for ``kind``.
 
     GCN and GraphSAGE need a finite square matrix; no adjacency check is
     made here (``model_logits`` makes it for the GCN). The MLP ignores ``s``.
-    ``x``, a checked feature matrix, binds the result to those features:
-    they are propagated once here (the GCN's S_hat X, GraphSAGE's neighbour
-    means), and a pass handed another array raises ValueError.
     """
     if kind == "mlp":
-        return _Propagation(kind, np.asarray(s, dtype=np.float64), x=x)
+        return _Propagation(np.asarray(s, dtype=np.float64), x)
     s = require_matrix(s, "structure matrix")
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"structure matrix must be square, got {s.shape}")
     if kind == "gcn":
         degree, inv_sqrt, s_hat = _gcn_normalization(s)
-        derived = {"degree": degree, "inv_sqrt": inv_sqrt, "s_hat": s_hat}
-        if x is not None:
-            derived["s_hat_x"] = s_hat @ x
+        derived = {"degree": degree, "inv_sqrt": inv_sqrt, "s_hat": s_hat,
+                   "s_hat_x": s_hat @ x}
     else:
         row_sum = s.sum(axis=1)
-        derived = {"inv": np.where(row_sum > 0,
-                                   1.0 / np.where(row_sum > 0, row_sum, 1.0), 0.0)}
-        if x is not None:
-            derived["n1"] = derived["inv"][:, None] * (s @ x)
+        inv = np.where(row_sum > 0, 1.0 / np.where(row_sum > 0, row_sum, 1.0), 0.0)
+        derived = {"inv": inv, "n1": inv[:, None] * (s @ x)}
     for arr in derived.values():
         arr.setflags(write=False)
-    return _Propagation(kind, s, x=x, **derived)
+    return _Propagation(s, x, **derived)
 
 
-def _as_propagation(kind: str, s) -> _Propagation:
-    """``s`` itself when it is already prepared for ``kind``, else ``_prepare``."""
-    if not isinstance(s, _Propagation):
-        return _prepare(kind, s)
-    if s.kind != kind:
-        raise ValueError(f"structure prepared for {s.kind!r} fed to a {kind!r} model")
-    return s
-
-
-def _forward(params: GnnParams, prop: _Propagation, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def _forward(params: GnnParams, prop: _Propagation) -> tuple[np.ndarray, dict]:
     """Logits plus the intermediates ``_gradients`` chains through.
 
-    The second layer multiplies the structure into an n x classes matrix,
-    and on a propagation bound to ``x`` so does every n x n product here.
+    Every n x n product here multiplies the structure into an n x classes
+    matrix, the second layer's.
     """
-    if prop.x is not None and x is not prop.x:
-        raise ValueError("structure prepared with other features than those passed")
-    w = params.weights
+    w, x = params.weights, prop.x
     if params.kind == "gcn":
-        if prop.s_hat_x is None:
-            z1 = prop.s_hat @ (x @ w["w1"])
-        else:
-            z1 = prop.s_hat_x @ w["w1"]
+        z1 = prop.s_hat_x @ w["w1"]
         h1 = np.maximum(z1, 0.0)
         return prop.s_hat @ (h1 @ w["w2"]), dict(z1=z1, h1=h1)
     if params.kind == "sage":
         # Row-normalized aggregation; isolated rows aggregate to the zero vector.
-        n1 = prop.inv[:, None] * (prop.s @ x) if prop.n1 is None else prop.n1
-        z1 = x @ w["w1_self"] + n1 @ w["w1_neigh"]
+        z1 = x @ w["w1_self"] + prop.n1 @ w["w1_neigh"]
         h1 = np.maximum(z1, 0.0)
         # Layer 2's neighbour term mean(h) W2_neigh, projected to the classes
         # before the aggregation, so the n x n product is at class width.
         m2 = prop.inv[:, None] * (prop.s @ (h1 @ w["w2_neigh"]))
-        return h1 @ w["w2_self"] + m2, dict(n1=n1, z1=z1, h1=h1, m2=m2)
+        return h1 @ w["w2_self"] + m2, dict(z1=z1, h1=h1, m2=m2)
     z1 = x @ w["w1"]
     h1 = np.maximum(z1, 0.0)
     return h1 @ w["w2"], dict(z1=z1, h1=h1)
@@ -262,16 +237,16 @@ def own_logits(params: GnnParams, x: np.ndarray) -> np.ndarray:
     return np.maximum(x @ w[first], 0.0) @ w[second]
 
 
-def model_logits(params: GnnParams, s, x: np.ndarray) -> np.ndarray:
-    """Kind-appropriate forward pass from the raw or prepared structure matrix.
+def model_logits(params: GnnParams, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Kind-appropriate forward pass on the structure matrix ``s`` and features ``x``.
 
-    The GCN path first checks that the structure is a valid adjacency:
-    symmetric, zero diagonal, entries in [0, 1].
+    The GCN path checks that the structure is a valid adjacency: symmetric,
+    zero diagonal, entries in [0, 1].
     """
-    prop = _as_propagation(params.kind, s)
+    prop = _prepare(params.kind, s, x)
     if params.kind == "gcn":
         _check_adjacency(prop.s, "structure matrix")
-    return _forward(params, prop, x)[0]
+    return _forward(params, prop)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +333,17 @@ class _Factors(NamedTuple):
     r: np.ndarray
 
 
-def _gradients(prop: _Propagation, x: np.ndarray, targets: _Targets,
-               params: GnnParams, structure: bool = False
+def _gradients(prop: _Propagation, targets: _Targets, params: GnnParams,
+               structure: bool = False
                ) -> tuple[float, dict[str, np.ndarray], _Factors | None]:
     """Loss, weight gradients and structure-gradient factors from one forward pass.
 
-    The factors are None with ``structure=False`` and for the MLP. ``x``
-    must already be a feature matrix, and ``targets`` come from ``_targets``.
+    The factors are None with ``structure=False`` and for the MLP. ``prop``
+    must be bound to a checked feature matrix, and ``targets`` come from
+    ``_targets``.
     """
-    w = params.weights
-    logits, c = _forward(params, prop, x)
+    w, x = params.weights, prop.x
+    logits, c = _forward(params, prop)
     loss, g = _loss_grad_logits(logits, targets)
     factors = None
 
@@ -379,9 +355,7 @@ def _gradients(prop: _Propagation, x: np.ndarray, targets: _Targets,
         s_hat, z1 = prop.s_hat, c["z1"]
         dq = s_hat.T @ g
         dz1 = (dq @ w["w2"].T) * (z1 > 0)
-        dxw = s_hat.T @ dz1 if structure or prop.s_hat_x is None else None
-        grads = {"w1": x.T @ dxw if prop.s_hat_x is None else prop.s_hat_x.T @ dz1,
-                 "w2": c["h1"].T @ dq}
+        grads = {"w1": prop.s_hat_x.T @ dz1, "w2": c["h1"].T @ dq}
         if structure:
             # With M = g q^T + dz1 xw^T (q = h1 W2, xw = X W1), the gradient
             # for s_hat, chain through s_hat = D^{-1/2} (S + I) D^{-1/2}: the
@@ -389,6 +363,7 @@ def _gradients(prop: _Propagation, x: np.ndarray, targets: _Targets,
             # degree of node i, phi_i = -(row sum + column sum of M * s_hat)_i
             # / (2 d_i). Those sums come from the forward pass (s_hat q,
             # s_hat xw) and from dq, dxw, with no n x n product.
+            dxw = s_hat.T @ dz1
             q, xw = c["h1"] @ w["w2"], x @ w["w1"]
             row_sum = (g * logits).sum(axis=1) + (dz1 * z1).sum(axis=1)
             col_sum = (q * dq).sum(axis=1) + (xw * dxw).sum(axis=1)
@@ -398,7 +373,7 @@ def _gradients(prop: _Propagation, x: np.ndarray, targets: _Targets,
                                -(row_sum + col_sum) / (2.0 * prop.degree))
         return loss, grads, factors
 
-    inv, n1, h1 = prop.inv[:, None], c["n1"], c["h1"]
+    inv, n1, h1 = prop.inv[:, None], prop.n1, c["h1"]
     sg = prop.s.T @ (inv * g)  # S^T pushes the layer-2 neighbour term back
     dz1 = (g @ w["w2_self"].T + sg @ w["w2_neigh"].T) * (c["z1"] > 0)
     grads = {
@@ -419,20 +394,18 @@ def _gradients(prop: _Propagation, x: np.ndarray, targets: _Targets,
     return loss, grads, factors
 
 
-def backward(s, x: np.ndarray, labels: np.ndarray, mask,
+def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
              params: GnnParams) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus exact gradients for all weights.
+    """Loss plus exact gradients for all weights at the structure matrix ``s``.
 
-    ``s`` is the raw structure matrix or one prepared for this model kind
-    (``_prepare``); a loop over one structure prepares it once. It is not
-    checked to be an adjacency, so gradients can be probed anywhere. The
-    features, labels and mask are checked on every call; ``train`` and
-    ``gsl.fit`` check theirs once and call ``_gradients``.
+    ``s`` is not checked to be an adjacency, so gradients can be probed
+    anywhere. The structure, features, labels and mask are checked and
+    prepared on every call; ``train`` and ``gsl.fit`` do that once per
+    structure and call ``_gradients``.
     """
     x = require_matrix(x, "features")
     targets = _targets(labels, mask, x.shape[0], params.classes)
-    loss, grads, _ = _gradients(_as_propagation(params.kind, s), x, targets,
-                                params)
+    loss, grads, _ = _gradients(_prepare(params.kind, s, x), targets, params)
     return loss, grads
 
 
@@ -528,7 +501,7 @@ def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
     prop = _prepare(kind, s, x)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
-        loss, grads, _ = _gradients(prop, x, targets, params)
+        loss, grads, _ = _gradients(prop, targets, params)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         losses.append(loss)

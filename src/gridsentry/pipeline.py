@@ -205,15 +205,12 @@ def train_pipeline(csv_path, cfg: PipelineConfig,
     out.mkdir(parents=True, exist_ok=True)
     bundle.save(out / "bundle.json")
     write_history_csv(state.objective_history, out / "objective_history.csv")
-    diff = gsl.refine_report(state)
-    named = {
-        "pruned": [[merged.node_ids[i], merged.node_ids[j], _sig12(w)]
-                   for i, j, w in diff.pruned],
-        "added": [[merged.node_ids[i], merged.node_ids[j], _sig12(w)]
-                  for i, j, w in diff.added],
-    }
+    ids = merged.node_ids
+    named = gsl.StructureDiff(**{
+        key: [(ids[i], ids[j], _sig12(w)) for i, j, w in pairs]
+        for key, pairs in vars(gsl.refine_report(state)).items()})
     (out / "refine_report.json").write_text(
-        json.dumps(named, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(named.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return bundle, state
 

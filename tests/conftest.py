@@ -92,13 +92,37 @@ def normalized_adjacency(s):
     return (s + np.eye(len(s))) * np.outer(inv_sqrt, inv_sqrt)
 
 
+def reference_logits(kind, s, x, w):
+    """A GCN's or GraphSAGE's logits with each product grouped as written:
+    S_hat (X W1) and S_hat (H W2) for the GCN, the row means of S X and of
+    S H for GraphSAGE (0 on an isolated row)."""
+    if kind == "gcn":
+        s_hat = normalized_adjacency(s)
+        h = np.maximum(s_hat @ (x @ w["w1"]), 0.0)
+        return s_hat @ (h @ w["w2"])
+    row_sum = s.sum(axis=1, keepdims=True)
+    safe = np.where(row_sum > 0, row_sum, 1.0)
+
+    def mean(m):
+        return np.where(row_sum > 0, (s @ m) / safe, 0.0)
+
+    h = np.maximum(x @ w["w1_self"] + mean(x) @ w["w1_neigh"], 0.0)
+    return h @ w["w2_self"] + mean(h) @ w["w2_neigh"]
+
+
+def reference_loss(logits, labels, mask):
+    """Mean cross-entropy of the masked rows, by log-softmax."""
+    z = logits[mask] - logits[mask].max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return -log_p[np.arange(len(z)), np.asarray(labels)[mask]].mean()
+
+
 def task_factors(s, x, labels, mask, params):
     """The structure-gradient factors of the task loss at ``s``, as ``gsl.fit``
     takes them from ``models._gradients``; None for the MLP."""
-    prop = models._prepare(params.kind, s)
+    prop = models._prepare(params.kind, s, np.asarray(x, dtype=np.float64))
     targets = models._targets(labels, mask, np.shape(s)[0], params.classes)
-    return models._gradients(prop, np.asarray(x, dtype=np.float64), targets,
-                             params, structure=True)[2]
+    return models._gradients(prop, targets, params, structure=True)[2]
 
 
 def dense_structure_gradient(s, x, labels, mask, params):

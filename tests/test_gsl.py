@@ -452,12 +452,13 @@ def test_fit_and_refine_check_the_dense_ceiling(sbm12, monkeypatch):
                          steps=5)
 
 
-def test_fit_prepares_each_structure_once(sbm60, masks60, monkeypatch):
+@pytest.mark.parametrize("kind", ["gcn", "sage"])
+def test_fit_prepares_each_structure_once(kind, sbm60, masks60, monkeypatch):
     calls = _count_preparations(monkeypatch, gsl)
     train_mask, _ = masks60
-    fit(sbm60.adjacency, sbm60.features, sbm60.labels, "sage",
+    fit(sbm60.adjacency, sbm60.features, sbm60.labels, kind,
         GslConfig(outer_iters=4), TrainConfig(), train_mask, seed=7)
-    assert calls == ["sage"] * (4 + 1)
+    assert calls == [kind] * (4 + 1)
 
 
 def test_warm_started_belief_regression_matches_a_cold_start(sbm60, masks60,
@@ -486,8 +487,8 @@ def test_warm_started_belief_regression_matches_a_cold_start(sbm60, masks60,
 
 def _dense_task_gradient(s, x, labels, mask, params):
     """The symmetrized structure gradient of the task loss, built as n x n products."""
-    prop = models._prepare(params.kind, s)
-    logits = models._forward(params, prop, x)[0]
+    prop = models._prepare(params.kind, s, x)
+    logits = models._forward(params, prop)[0]
     _, g = models._loss_grad_logits(logits, models._targets(labels, mask, *logits.shape))
     w = params.weights
     if params.kind == "mlp":

@@ -17,7 +17,8 @@ from gridsentry.models import (GnnParams, TrainConfig, backward, init_params,
                                masked_cross_entropy, model_logits, own_logits,
                                predict, train)
 
-from conftest import dense_structure_gradient, random_symmetric, task_factors
+from conftest import (dense_structure_gradient, random_symmetric, reference_logits,
+                      reference_loss, task_factors)
 
 
 def _problem(n=6, d=3, seed=0):
@@ -291,21 +292,7 @@ def test_model_load_rejects_inconsistent_dims():
 
 
 # ---------------------------------------------------------------------------
-# Structure preparation: built once per structure matrix, same bits as raw
-
-
-@pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
-def test_prepared_structure_matches_raw_bit_for_bit(kind):
-    s, x, labels, mask = _problem(n=9, d=3, seed=20)
-    params = init_params(kind, 3, hidden=4, seed=21)
-    prop = models._prepare(kind, s)
-    assert np.array_equal(model_logits(params, prop, x), model_logits(params, s, x))
-    raw = backward(s, x, labels, mask, params)
-    prepared = backward(prop, x, labels, mask, params)
-    assert prepared[0] == raw[0]
-    assert prepared[1].keys() == raw[1].keys()
-    for key in raw[1]:
-        assert np.array_equal(prepared[1][key], raw[1][key]), key
+# Structure preparation: each structure is bound to its features once
 
 
 @pytest.mark.parametrize("kind", ["gcn", "sage"])
@@ -315,73 +302,52 @@ def test_preparation_rejects_non_finite_and_non_square_structures(kind):
     bad = s.copy()
     bad[0, 1] = bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        models._prepare(kind, bad)
+        models._prepare(kind, bad, x)
     with pytest.raises(ValueError, match="non-finite"):
         backward(bad, x, labels, mask, params)
     with pytest.raises(ValueError, match="must be square"):
-        models._prepare(kind, s[:, :-1])
+        models._prepare(kind, s[:, :-1], x)
 
 
 def test_model_logits_checks_a_prepared_gcn_adjacency_on_every_call():
     s, x, labels, mask = _problem()
     s[0, 1] += 0.1  # asymmetric: fine for gradients, not a GCN adjacency
     params = init_params("gcn", 3, hidden=4, seed=23)
-    prop = models._prepare("gcn", s)
-    assert math.isfinite(backward(prop, x, labels, mask, params)[0])
+    assert math.isfinite(backward(s, x, labels, mask, params)[0])
     with pytest.raises(ValueError, match="symmetric"):
-        model_logits(params, prop, x)
-
-
-def test_prepared_structure_is_read_only_and_bound_to_its_kind():
-    s, x, labels, mask = _problem()
-    prop = models._prepare("gcn", s)
-    with pytest.raises(ValueError):
-        prop.s_hat[0, 0] = 1.0
-    with pytest.raises(ValueError, match="prepared for 'gcn'"):
-        backward(prop, x, labels, mask, init_params("sage", 3, hidden=4, seed=0))
-
-
-def test_structure_prepared_with_features_takes_no_others():
-    s, x, labels, mask = _problem(seed=24)
-    params = init_params("sage", 3, hidden=4, seed=25)
-    prop = models._prepare("sage", s, x)
-    assert np.array_equal(model_logits(params, prop, x), model_logits(params, s, x))
-    with pytest.raises(ValueError, match="other features"):
-        backward(prop, x.copy(), labels, mask, params)
-    with pytest.raises(ValueError, match="other features"):
-        model_logits(params, prop, x + 1.0)
+        model_logits(params, s, x)
 
 
 @pytest.mark.parametrize("kind", ["gcn", "sage"])
-def test_features_bound_propagation_matches_the_unbound_one(kind):
-    # Bound to the features, a pass propagates them once and multiplies the
-    # structure only at class width; the products are regrouped, so the
-    # results agree to rounding, not bit for bit.
+def test_prepared_structure_is_read_only(kind):
+    s, x, _, _ = _problem()
+    prop = models._prepare(kind, s, x)
+    derived = ("degree", "inv_sqrt", "s_hat", "s_hat_x") if kind == "gcn" \
+        else ("inv", "n1")
+    for name in derived:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prop, name)[0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage"])
+def test_passes_match_the_plain_numpy_reference(kind):
+    # A pass propagates the features first and multiplies the structure only
+    # at class width; the reference groups its products as written, so the
+    # two agree to rounding, not bit for bit.
     s, x, labels, mask = _problem(n=11, d=4, seed=26)
     params = init_params(kind, 4, hidden=5, seed=27)
-    targets = models._targets(labels, mask, 11, params.classes)
-
-    def rel(got, want):
-        return np.abs(got - want).max() / max(1.0, np.abs(want).max())
-
-    bound, unbound = models._prepare(kind, s, x), models._prepare(kind, s)
-    assert rel(model_logits(params, bound, x), model_logits(params, unbound, x)) <= 1e-12
-    loss, grads, factors = models._gradients(bound, x, targets, params, structure=True)
-    want_loss, want_grads, want_factors = models._gradients(unbound, x, targets, params,
-                                                            structure=True)
-    assert abs(loss - want_loss) <= 1e-12 * want_loss
-    for key in want_grads:
-        assert rel(grads[key], want_grads[key]) <= 1e-12, key
-    product = factors.u @ factors.v.T + factors.r[:, None]
-    want = want_factors.u @ want_factors.v.T + want_factors.r[:, None]
-    assert rel(product, want) <= 1e-12
+    want = reference_logits(kind, s, x, params.weights)
+    got = model_logits(params, s, x)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    want_loss = reference_loss(want, labels, mask)
+    assert abs(backward(s, x, labels, mask, params)[0] - want_loss) <= 1e-12 * want_loss
 
 
 def _count_preparations(monkeypatch, *modules):
     calls = []
     original = models._prepare
 
-    def counting(kind, s, x=None):
+    def counting(kind, s, x):
         calls.append(kind)
         return original(kind, s, x)
 

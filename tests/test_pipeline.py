@@ -6,6 +6,7 @@ replays one window with m00 active and one all-benign window.
 """
 
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -114,6 +115,24 @@ def test_train_pipeline_writes_artifacts(trained):
         if pair[0].startswith("m") or pair[1].startswith("m")
     ]
     assert scanner_edges, "no scanner edge was pruned during training"
+
+
+# sha256 of the fit diagnostics ``train_pipeline`` writes from the training
+# fixture. The history records every objective term of the fit, and the
+# report every pruned or added pair with its learned weight.
+PINNED_SHA256 = {
+    "objective_history.csv":
+        "75454f7c0dba77ce4482d004f4f816266305b232834c990031699c8f73771740",
+    "refine_report.json":
+        "ff86564c75003ba892bda43e553b9fb9d1cf134df7342ead8b399d87a4274ba5",
+}
+
+
+def test_train_pipeline_diagnostics_keep_their_bytes(trained):
+    _, _, out_dir = trained
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256
 
 
 def test_bundle_roundtrip_is_byte_stable(trained, tmp_path):
