@@ -18,16 +18,16 @@ zero diagonal.
 The task and smoothness gradients both have low rank (``models._gradients``
 returns the task gradient as factors), so a step multiplies one pair of
 n x k factors, with k a few dozen, instead of building the chain rule in
-n x n temporaries; only the anchor term is a full matrix. ``structure_step``
+n x n temporaries; only the anchor term is a full matrix. ``_structure_step``
 is the one structure update: ``fit`` takes one step at a time with the task
 factors, and ``refine_structure`` takes its whole label-free budget in one
-call. Both have checked S already and call ``_structure_step``, the same
-update without the symmetry check. Without the low-rank prior, the proximal
-maps and the projection are one in-place clamp.
+call. Both check the observed adjacency at entry; the step checks nothing.
+Without the low-rank prior, the proximal maps and the projection are one
+in-place clamp.
 
-Z defaults to the node features, the classic feature-smoothness prior. ``fit``
-and ``refine_structure`` measure smoothness on class beliefs instead (see
-``class_beliefs``): an edge whose endpoints are believed to sit in different
+Z is a node signal. ``fit`` and ``refine_structure`` measure smoothness on
+class beliefs, not on raw features (the classic prior): an edge whose
+endpoints are believed to sit in different
 classes pays up to ``beta_smooth``, an edge inside one class pays nothing. On
 raw features the pull grows with feature dimension and noise and cannot tell
 an attacker's cross-class edge from a genuine one once features are weak;
@@ -39,7 +39,7 @@ terms do the separating, and on the package's fixtures the prior bought no
 measurable accuracy while its eigendecompositions took about half of a
 robustness grid's time and most of detection's. With it off, no
 eigensolver runs, and the label-free refinement at detect time acts on each
-entry alone, so ``structure_step`` takes all its steps in one pass.
+entry alone, so ``_structure_step`` takes all its steps in one pass.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ from .errors import NumericError
 from .graphs import _check_adjacency, smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
                      _gradients, _prepare, _targets, adam_step,
-                     init_params, masked_cross_entropy, model_logits, own_logits,
-                     softmax)
+                     init_params, own_logits, softmax)
 from .numerics import (nuclear_norm, require_matrix, require_square,
                        soft_threshold, svt, symmetrize_clamp)
 
@@ -131,38 +130,29 @@ class ObjectiveParts(NamedTuple):
 
 @dataclass
 class GslState:
-    """Working state of one fit: current structure, anchor, and parameters."""
+    """Working state of one fit or refinement: structure, anchor and signal.
+
+    The state checks nothing; ``fit`` and ``refine_structure`` check ``a``.
+    """
 
     s: np.ndarray
     a: np.ndarray
-    theta: GnnParams
     objective_history: list[ObjectiveParts] = field(default_factory=list)
-    # Node signal the smoothness term is measured on; ``structure_step`` reads it.
+    # Node signal the smoothness term is measured on; ``_structure_step`` reads it.
     signal: Optional[np.ndarray] = None
 
 
-def objective(s: np.ndarray, theta: GnnParams, x: np.ndarray, labels: np.ndarray,
-              mask, a: np.ndarray, cfg: GslConfig,
-              signal: Optional[np.ndarray] = None,
-              task: Optional[float] = None) -> ObjectiveParts:
-    """Evaluate every objective term; weights of zero skip their computation.
+def objective(s: np.ndarray, a: np.ndarray, signal: np.ndarray, task: float,
+              cfg: GslConfig) -> ObjectiveParts:
+    """Weigh every objective term at ``s``; weights of zero skip their computation.
 
-    ``s`` is the structure matrix and must be an adjacency: symmetric, zero
-    diagonal, finite entries in [0, 1]. The smoothness term is measured on
-    ``signal``, the features when omitted (``graphs.smoothness``). ``task``
-    is the task loss at ``s`` and ``theta`` when the caller already holds it
-    (``backward`` returns the same value); otherwise a forward pass
-    computes it.
+    ``task`` is the task loss at ``s``, which the caller already holds
+    (``fit`` takes it from ``models._gradients``). The smoothness term is
+    measured on ``signal`` by ``graphs.smoothness``, which checks that ``s``
+    is an adjacency; with ``beta_smooth`` = 0 nothing here checks ``s``,
+    which ``fit`` builds from an observed adjacency it checked at entry.
     """
-    signal = x if signal is None else signal
-    if task is None:
-        task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
-    s = require_matrix(s, "structure matrix")
-    if cfg.beta_smooth > 0:  # smoothness checks that s is an adjacency
-        smooth = cfg.beta_smooth * smoothness(s, signal)
-    else:
-        smooth = 0.0
-        _check_adjacency(s, "structure matrix")
+    smooth = cfg.beta_smooth * smoothness(s, signal) if cfg.beta_smooth > 0 else 0.0
     nuclear = 0.0
     if cfg.alpha_nuclear > 0:
         nuclear = cfg.alpha_nuclear * nuclear_norm(s)
@@ -203,35 +193,20 @@ def _fit_logistic(features: np.ndarray, targets: np.ndarray,
     return coef
 
 
-def class_beliefs(theta: GnnParams, a: np.ndarray, x: np.ndarray,
-                  labels: Optional[np.ndarray] = None, mask=None) -> np.ndarray:
-    """Per-node class probabilities, the signal ``fit`` and refinement smooth.
-
-    The classifier's reading of each node's own features (the model applied
-    on an empty graph) is the evidence that needs no labels; without labels
-    (inference time) the beliefs are its softmax. With labels, masked nodes
-    are pinned to their one-hot label and every other node combines its own
-    logit margin with the label vote of its labelled neighbours in ``a``,
-    sum_j a_ij (2 y_j - 1). The combination is a logistic regression fitted
-    on the masked nodes, so strong features outweigh a poisoned neighbourhood
-    and weak features defer to it.
-    """
-    if mask is None:
-        return softmax(own_logits(theta, x))
-    m = np.asarray(mask, dtype=bool)
-    labels = np.asarray(labels, dtype=np.int64)
-    return _labelled_beliefs(theta, x, labels, m, _label_vote(a, labels, m))[0]
-
-
 def _labelled_beliefs(theta: GnnParams, x: np.ndarray, labels: np.ndarray,
                       m: np.ndarray, vote: np.ndarray,
                       start: Optional[np.ndarray] = None
                       ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """``class_beliefs`` with labels, given ``vote = _label_vote(a, labels, m)``,
-    and the regression's coefficients (None when every node is labelled).
+    """Per-node class probabilities, the signal ``fit`` smooths, and the
+    regression's coefficients (None when every node is labelled).
 
-    ``fit`` computes the vote once and asks many times, each time starting
-    the regression from the coefficients of the time before (``start``).
+    Masked nodes are pinned to their one-hot label. Every other node
+    combines its own logit margin (the model on an empty graph) with its
+    labelled neighbours' vote, ``vote = _label_vote(a, labels, m)``, by a
+    logistic regression fitted on the masked nodes, so strong features
+    outweigh a poisoned neighbourhood and weak features defer to it.
+    ``fit`` computes the vote once and starts each regression from the
+    coefficients of the one before (``start``).
     """
     p = labels.astype(np.float64)
     coef = None
@@ -271,12 +246,13 @@ def _descend(s: np.ndarray, a: np.ndarray, grad: np.ndarray, cfg: GslConfig,
     return stepped
 
 
-def structure_step(state: GslState, cfg: GslConfig, steps: int = 1, *,
-                   task: Optional[_Factors] = None) -> np.ndarray:
+def _structure_step(state: GslState, cfg: GslConfig, steps: int,
+                    task: Optional[_Factors]) -> np.ndarray:
     """``steps`` proximal structure updates; the state itself is left untouched.
 
-    ``state.s`` must be symmetric, as every structure the optimizer makes is
-    (``ValueError`` otherwise), and smoothness is measured on
+    ``state.s`` must be symmetric, with entries in [0, 1] and a zero
+    diagonal, as every structure the optimizer makes is; the step does not
+    check it, and returns such a structure again. Smoothness is measured on
     ``state.signal``. ``task`` holds the task-gradient factors
     ``models._gradients`` returns for ``state.s``; without them (inference
     time) only the priors drive S.
@@ -307,19 +283,11 @@ def structure_step(state: GslState, cfg: GslConfig, steps: int = 1, *,
     each step goes through ``soft_threshold``, ``svt`` and
     ``symmetrize_clamp``.
     """
-    if not np.array_equal(state.s, state.s.T):
-        raise ValueError("structure matrix must be symmetric")
-    return _structure_step(state, cfg, steps, task)
-
-
-def _structure_step(state: GslState, cfg: GslConfig, steps: int,
-                    task: Optional[_Factors]) -> np.ndarray:
-    """``structure_step`` on a ``state.s`` its caller knows to be symmetric."""
     s, a, signal = state.s, state.a, state.signal
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     if signal is None:
-        raise ValueError("structure_step needs state.signal to measure smoothness on")
+        raise ValueError("the structure step needs state.signal to measure smoothness on")
     half_sq = 0.5 * cfg.beta_smooth * np.einsum("ij,ij->i", signal, signal)
     left, right, rows = [-cfg.beta_smooth * signal], [signal], half_sq
     if task is not None:
@@ -359,24 +327,23 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     Starts from S = A and parameters Glorot-initialized from ``seed``; the
     task loss is taken over the nodes in ``mask``. Each outer iteration
     runs ``inner_theta_steps`` Adam updates of the classifier on the task
-    loss, refreshes the class beliefs the smoothness term is measured on,
-    then takes one structure step. The weighted objective, with that
-    iteration's beliefs, is recorded before the loop and after every outer
-    iteration. There is no convergence test: the budget is the schedule,
-    which keeps runs reproducible. Each S is prepared for the classifier and
-    the features once (``models._prepare``); its objective, the next inner
-    steps and its structure step share that. The features, labels and mask
-    are checked once, and the inner steps call ``models._gradients``
-    directly. A recorded task term is the loss of the next inner step,
-    taken at the same S and parameters, so only the last record (or every
-    record, without inner steps) runs a pass of its own, on the prepared
-    S. The
-    labelled-neighbour vote of the beliefs is computed once, and each
-    refresh of the beliefs starts its regression from the coefficients of
-    the refresh before. Every S is recorded, and so checked to be an
-    adjacency, before its structure step, which does not check it again.
+    loss, refreshes the class beliefs the smoothness term is measured on
+    (``_labelled_beliefs``), then takes one structure step. The weighted
+    objective, with that iteration's beliefs, is recorded before the loop
+    and after every outer iteration. There is no convergence test: the
+    budget is the schedule, which keeps runs reproducible.
+
+    ``fit`` checks its inputs once, here: ``a`` must be an adjacency
+    (symmetric, zero diagonal, entries in [0, 1]) within the dense ceiling.
+    Each later S comes from ``_structure_step``, which keeps those
+    properties without checking. Each S is prepared once
+    (``models._prepare``) for its ``models._gradients`` passes. A recorded
+    task term is the loss of the next pass at the same S and parameters,
+    the first inner step's or the structure step's, so only the last record
+    runs a pass of its own.
     """
-    a = require_square(a, "observed adjacency").copy()
+    a = _check_adjacency(require_square(a, "observed adjacency"),
+                         "observed adjacency").copy()
     x = require_matrix(x, "features")
     labels = np.asarray(labels, dtype=np.int64)
     mask = _check_mask(mask, a.shape[0])
@@ -386,15 +353,12 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     adam = AdamState.for_params(theta)
     vote = _label_vote(a, labels, mask)
     signal, coef = _labelled_beliefs(theta, x, labels, mask, vote)
-    state = GslState(s=a.copy(), a=a, theta=theta, signal=signal)
+    state = GslState(s=a.copy(), a=a, signal=signal)
     prop = _prepare(gnn_kind, state.s, x)
 
-    def record(task=None):
-        if task is None:
-            task = _gradients(prop, targets, theta)[0]
+    def record(task):
         state.objective_history.append(
-            objective(state.s, theta, x, labels, mask, a, gsl_cfg, state.signal, task)
-        )
+            objective(state.s, a, state.signal, task, gsl_cfg))
 
     for it in range(gsl_cfg.outer_iters):
         for step in range(gsl_cfg.inner_theta_steps):
@@ -404,14 +368,14 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
             if step == 0:  # S and theta are still those of the record due
                 record(loss)
             adam_step(theta, grads, adam, train_cfg)
-        if gsl_cfg.inner_theta_steps == 0:
-            record()
+        loss, _, task = _gradients(prop, targets, theta, structure=True)
+        if gsl_cfg.inner_theta_steps == 0:  # before the beliefs move on
+            record(loss)
         state.signal, coef = _labelled_beliefs(theta, x, labels, mask, vote, coef)
-        _, _, task = _gradients(prop, targets, theta, structure=True)
         state.s = _structure_step(state, gsl_cfg, 1, task)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s, x)
-    record()
+    record(_gradients(prop, targets, theta)[0])
     return state.s, theta, state
 
 
@@ -420,17 +384,17 @@ def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
     """Short label-free structure refinement with frozen parameters.
 
     This is the inference-time pass: starting from the observed adjacency,
-    ``structure_step`` takes ``steps`` updates driven by the priors alone,
+    ``_structure_step`` takes ``steps`` updates driven by the priors alone,
     with smoothness measured on the frozen classifier's reading of each
-    node's own features. Edges between nodes it places in different classes
-    are the ones cut. Without the nuclear prior, and with
-    2 eta_s lambda_prox <= 1, that is one O(n^2) pass whatever ``steps`` is.
-    ``a`` must be an adjacency: symmetric, zero diagonal, entries in [0, 1],
-    within the dense ceiling.
+    node's own features (its softmax on an empty graph). Edges between
+    nodes it places in different classes are the ones cut. Without the
+    nuclear prior, and with 2 eta_s lambda_prox <= 1, that is one O(n^2)
+    pass whatever ``steps`` is. ``a`` must be an adjacency within the dense
+    ceiling, and is checked here.
     """
     a = _check_adjacency(require_square(a, "observed adjacency"),
                          "observed adjacency")
-    state = GslState(s=a, a=a, theta=theta, signal=class_beliefs(theta, a, x))
+    state = GslState(s=a, a=a, signal=softmax(own_logits(theta, x)))
     return _structure_step(state, cfg, steps, None)
 
 

@@ -13,7 +13,7 @@ structure matrix feeding the model, the term that lets structure updates
 descend the task loss. It has low rank, G = U V^T + r 1^T with U and V of
 width hidden + classes (GCN) or hidden + features (GraphSAGE) and r a
 per-row term, so it comes as those factors (``_Factors``), in O(n (h + c))
-or O(n (h + d)) memory; ``gsl.structure_step`` folds them into one product.
+or O(n (h + d)) memory; ``gsl._structure_step`` folds them into one product.
 The MLP ignores the structure and has no factors.
 
 Every pass runs on a structure bound to its features by ``_prepare``,

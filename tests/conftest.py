@@ -117,12 +117,22 @@ def reference_loss(logits, labels, mask):
     return -log_p[np.arange(len(z)), np.asarray(labels)[mask]].mean()
 
 
+def _task_pass(s, x, labels, mask, params, structure):
+    prop = models._prepare(params.kind, s, np.asarray(x, dtype=np.float64))
+    targets = models._targets(labels, mask, np.shape(s)[0], params.classes)
+    return models._gradients(prop, targets, params, structure=structure)
+
+
+def task_loss(s, x, labels, mask, params):
+    """The task loss at ``s``, as ``gsl.fit`` records it from
+    ``models._gradients``."""
+    return _task_pass(s, x, labels, mask, params, False)[0]
+
+
 def task_factors(s, x, labels, mask, params):
     """The structure-gradient factors of the task loss at ``s``, as ``gsl.fit``
     takes them from ``models._gradients``; None for the MLP."""
-    prop = models._prepare(params.kind, s, np.asarray(x, dtype=np.float64))
-    targets = models._targets(labels, mask, np.shape(s)[0], params.classes)
-    return models._gradients(prop, targets, params, structure=True)[2]
+    return _task_pass(s, x, labels, mask, params, True)[2]
 
 
 def dense_structure_gradient(s, x, labels, mask, params):

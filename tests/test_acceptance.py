@@ -20,13 +20,13 @@ from gridsentry.attacks import PerturbationSpec, apply, perturb_structure
 from gridsentry.experiments import (Confusion, ExperimentConfig, metrics,
                                     run_experiment, split)
 from gridsentry.graphs import SbmSpec, sbm_generate, smoothness
-from gridsentry.gsl import GslConfig, GslState, fit, objective, refine_report, \
-    structure_step
+from gridsentry.gsl import GslConfig, GslState, _structure_step, fit, objective, \
+    refine_report
 from gridsentry.models import TrainConfig, backward, init_params, train
 from gridsentry.numerics import soft_threshold, svd, svt
 from gridsentry.pipeline import PipelineConfig, run_pipeline, train_pipeline
 
-from conftest import DATA_DIR, dense_structure_gradient, task_factors
+from conftest import DATA_DIR, dense_structure_gradient, task_factors, task_loss
 
 GOLDEN_ALERTS = DATA_DIR / "golden_alerts.jsonl"
 REGEN_ENV = "GRIDSENTRY_REGEN_GOLDEN"
@@ -239,14 +239,17 @@ def test_criterion_05_structure_descent(grid, sbm12):
                   mask, seed=11).params
     cfg = GslConfig(eta_s=1e-3)
     state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy(),
-                     theta=theta, signal=sbm12.features)
-    values = [objective(state.s, theta, sbm12.features, sbm12.labels, mask,
-                        state.a, cfg).total]
+                     signal=sbm12.features)
+
+    def total():
+        loss = task_loss(state.s, sbm12.features, sbm12.labels, mask, theta)
+        return objective(state.s, state.a, sbm12.features, loss, cfg).total
+
+    values = [total()]
     for _ in range(10):
         task = task_factors(state.s, sbm12.features, sbm12.labels, mask, theta)
-        state.s = structure_step(state, cfg, task=task)
-        values.append(objective(state.s, theta, sbm12.features, sbm12.labels,
-                                mask, state.a, cfg).total)
+        state.s = _structure_step(state, cfg, 1, task)
+        values.append(total())
     worst_rise = float(np.diff(values).max())
 
     result = grid

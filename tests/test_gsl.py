@@ -5,7 +5,6 @@ step-level checks run on tiny matrices with independent oracles.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +16,14 @@ from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.experiments import split, write_history_csv
 from gridsentry.graphs import sbm_generate
 from gridsentry.gsl import (ADDED_WEIGHT, PRUNED_WEIGHT, GslConfig, GslState,
-                            StructureDiff, class_beliefs, fit, objective,
-                            refine_report, refine_structure, structure_step)
+                            StructureDiff, _label_vote, _labelled_beliefs,
+                            _structure_step, fit, objective, refine_report,
+                            refine_structure)
 from gridsentry.models import TrainConfig, init_params, masked_cross_entropy, \
-    model_logits, train
+    model_logits, own_logits, softmax, train
 
-from conftest import SBM12, dense_structure_gradient, random_symmetric, task_factors
+from conftest import (SBM12, dense_structure_gradient, random_symmetric,
+                      task_factors, task_loss)
 from test_acceptance import ROBUST_SBM
 from test_models import _count_preparations
 
@@ -41,7 +42,7 @@ def test_objective_terms_match_independent_oracles():
     s, a, x, labels, mask, theta = _tiny()
     cfg = GslConfig(alpha_nuclear=0.7, alpha_l1=0.11, beta_smooth=0.13,
                     lambda_prox=0.17)
-    parts = objective(s, theta, x, labels, mask, a, cfg)
+    parts = objective(s, a, x, task_loss(s, x, labels, mask, theta), cfg)
 
     task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
     nuclear = 0.7 * float(np.abs(np.linalg.eigvalsh(s)).sum())
@@ -64,7 +65,7 @@ def test_objective_zero_weights_reduce_to_task():
     s, a, x, labels, mask, theta = _tiny()
     cfg = GslConfig(alpha_nuclear=0.0, alpha_l1=0.0, beta_smooth=0.0,
                     lambda_prox=0.0)
-    parts = objective(s, theta, x, labels, mask, a, cfg)
+    parts = objective(s, a, x, task_loss(s, x, labels, mask, theta), cfg)
     assert parts.nuclear == 0.0 and parts.l1 == 0.0
     assert parts.smooth == 0.0 and parts.prox == 0.0
     assert parts.total == parts.task
@@ -81,33 +82,33 @@ def test_config_validation():
 
 def test_structure_step_identity_at_zero_step_size():
     s, a, x, labels, mask, theta = _tiny()
-    state = GslState(s=s.copy(), a=a, theta=theta, signal=x)
-    out = structure_step(state, GslConfig(eta_s=0.0),
-                         task=task_factors(s, x, labels, mask, theta))
+    state = GslState(s=s.copy(), a=a, signal=x)
+    out = _structure_step(state, GslConfig(eta_s=0.0), 1,
+                          task_factors(s, x, labels, mask, theta))
     assert np.array_equal(out, s)
 
 
 def test_structure_step_needs_a_step_count_and_a_signal():
-    s, a, x, _, _, theta = _tiny()
+    s, a, x, _, _, _ = _tiny()
     with pytest.raises(ValueError, match="non-negative"):
-        structure_step(GslState(s=s, a=a, theta=theta, signal=x), GslConfig(), -1)
+        _structure_step(GslState(s=s, a=a, signal=x), GslConfig(), -1, None)
     with pytest.raises(ValueError, match="state.signal"):
-        structure_step(GslState(s=s, a=a, theta=theta), GslConfig())
+        _structure_step(GslState(s=s, a=a), GslConfig(), 1, None)
 
 
 def test_structure_step_huge_l1_empties_the_graph():
     s, a, x, labels, mask, theta = _tiny()
-    state = GslState(s=s.copy(), a=a, theta=theta, signal=x)
-    out = structure_step(state, GslConfig(alpha_l1=1e6),
-                         task=task_factors(s, x, labels, mask, theta))
+    state = GslState(s=s.copy(), a=a, signal=x)
+    out = _structure_step(state, GslConfig(alpha_l1=1e6), 1,
+                          task_factors(s, x, labels, mask, theta))
     assert np.array_equal(out, np.zeros((3, 3)))
 
 
 def test_structure_step_output_is_valid_adjacency():
     s, a, x, labels, mask, theta = _tiny()
-    state = GslState(s=s.copy(), a=a, theta=theta, signal=x)
-    out = structure_step(state, GslConfig(),
-                         task=task_factors(s, x, labels, mask, theta))
+    state = GslState(s=s.copy(), a=a, signal=x)
+    out = _structure_step(state, GslConfig(), 1,
+                          task_factors(s, x, labels, mask, theta))
     assert np.array_equal(out, out.T)
     assert np.all(np.diagonal(out) == 0.0)
     assert out.min() >= 0.0 and out.max() <= 1.0
@@ -123,14 +124,17 @@ def test_descent_on_small_fixture(theta_source, sbm12):
                       mask, seed=11).params
     cfg = GslConfig(eta_s=1e-3)
     state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy(),
-                     theta=theta, signal=sbm12.features)
-    values = [objective(state.s, theta, sbm12.features, sbm12.labels, mask,
-                        state.a, cfg).total]
+                     signal=sbm12.features)
+
+    def total():
+        loss = task_loss(state.s, sbm12.features, sbm12.labels, mask, theta)
+        return objective(state.s, state.a, sbm12.features, loss, cfg).total
+
+    values = [total()]
     for _ in range(10):
         task = task_factors(state.s, sbm12.features, sbm12.labels, mask, theta)
-        state.s = structure_step(state, cfg, task=task)
-        values.append(objective(state.s, theta, sbm12.features, sbm12.labels,
-                                mask, state.a, cfg).total)
+        state.s = _structure_step(state, cfg, 1, task)
+        values.append(total())
     increases = np.diff(values)
     assert np.all(increases <= 1e-8), f"objective rose by {increases.max()}"
 
@@ -140,20 +144,23 @@ def test_descent_with_belief_signal(sbm12):
     mask = np.arange(12) % 3 != 0
     theta = train(sbm12, sbm12.adjacency, TrainConfig(epochs=30), "gcn",
                   mask, seed=11).params
-    signal = class_beliefs(theta, sbm12.adjacency, sbm12.features,
-                           sbm12.labels, mask)
+    vote = _label_vote(sbm12.adjacency, sbm12.labels, mask)
+    signal = _labelled_beliefs(theta, sbm12.features, sbm12.labels, mask, vote)[0]
     assert np.array_equal(signal[mask, 1], sbm12.labels[mask])
     assert np.allclose(signal.sum(axis=1), 1.0)
     cfg = GslConfig(eta_s=1e-3)
     state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy(),
-                     theta=theta, signal=signal)
-    values = [objective(state.s, theta, sbm12.features, sbm12.labels, mask,
-                        state.a, cfg, signal).total]
+                     signal=signal)
+
+    def total():
+        loss = task_loss(state.s, sbm12.features, sbm12.labels, mask, theta)
+        return objective(state.s, state.a, signal, loss, cfg).total
+
+    values = [total()]
     for _ in range(10):
         task = task_factors(state.s, sbm12.features, sbm12.labels, mask, theta)
-        state.s = structure_step(state, cfg, task=task)
-        values.append(objective(state.s, theta, sbm12.features, sbm12.labels,
-                                mask, state.a, cfg, signal).total)
+        state.s = _structure_step(state, cfg, 1, task)
+        values.append(total())
     increases = np.diff(values)
     assert np.all(increases <= 1e-8), f"objective rose by {increases.max()}"
 
@@ -274,7 +281,7 @@ def test_pruning_mostly_hits_attack_edges(fit_poisoned, poisoned60):
 def test_refine_report_thresholds():
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     s = np.array([[0.0, 0.05, 0.7], [0.05, 0.0, 0.1], [0.7, 0.1, 0.0]])
-    state = GslState(s=s, a=a, theta=None)
+    state = GslState(s=s, a=a)
     diff = refine_report(state)
     # (1, 2) sits exactly at the pruning threshold and stays kept
     assert diff.pruned == [(0, 1, 0.05)]
@@ -284,8 +291,7 @@ def test_refine_report_thresholds():
 
 
 def test_refine_report_empty_when_structure_unchanged(sbm12):
-    state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy(),
-                     theta=None)
+    state = GslState(s=sbm12.adjacency.copy(), a=sbm12.adjacency.copy())
     diff = refine_report(state)
     assert diff == StructureDiff(pruned=[], added=[])
 
@@ -302,7 +308,7 @@ def test_refine_report_matches_pair_loop_reference():
             elif s[i, j] > ADDED_WEIGHT:
                 added.append((i, j, float(s[i, j])))
     assert pruned and added
-    diff = refine_report(GslState(s=s, a=a, theta=None))
+    diff = refine_report(GslState(s=s, a=a))
     assert diff == StructureDiff(pruned=pruned, added=added)
     assert all(type(v) is int for i, j, _ in diff.pruned + diff.added for v in (i, j))
 
@@ -326,9 +332,9 @@ def test_refine_structure_is_label_free_and_valid(sbm12):
 
 def _step_loop(a, signal, cfg, steps, s=None, task=None):
     """``steps`` structure steps from ``s`` (default ``a``), one call each."""
-    state = GslState(s=a if s is None else s, a=a, theta=None, signal=signal)
+    state = GslState(s=a if s is None else s, a=a, signal=signal)
     for _ in range(steps):
-        state.s = structure_step(state, cfg, task=task)
+        state.s = _structure_step(state, cfg, 1, task)
     return state.s
 
 
@@ -357,7 +363,7 @@ def test_closed_form_refinement_matches_the_step_loop(data):
                     beta_smooth=data.draw(st.floats(0.0, 5.0), label="beta"))
     steps = data.draw(st.integers(0, 80), label="steps")
 
-    out = structure_step(GslState(s=a, a=a, theta=None, signal=beliefs), cfg, steps)
+    out = _structure_step(GslState(s=a, a=a, signal=beliefs), cfg, steps, None)
     assert np.abs(out - _step_loop(a, beliefs, cfg, steps)).max(initial=0.0) <= 1e-12
     assert np.array_equal(out, out.T)
     assert np.all(np.diagonal(out) == 0.0)
@@ -399,8 +405,8 @@ def test_a_run_of_steps_matches_single_steps(data):
                     beta_smooth=data.draw(st.floats(0.0, 5.0), label="beta"))
     steps = data.draw(st.integers(0, 40), label="steps")
 
-    state = GslState(s=s.copy(), a=a, theta=None, signal=beliefs)
-    out = structure_step(state, cfg, steps, task=task)
+    state = GslState(s=s.copy(), a=a, signal=beliefs)
+    out = _structure_step(state, cfg, steps, task)
     assert np.array_equal(state.s, s)
     single = _step_loop(a, beliefs, cfg, steps, s=s, task=task)
     if regime == "closed form":
@@ -417,7 +423,7 @@ def test_a_run_of_steps_matches_single_steps(data):
                          ids=["nuclear-prior", "oscillating-step"])
 def test_refine_structure_keeps_the_step_loop(cfg, sbm12):
     theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
-    beliefs = class_beliefs(theta, sbm12.adjacency, sbm12.features)
+    beliefs = softmax(own_logits(theta, sbm12.features))
     out = refine_structure(sbm12.adjacency, sbm12.features, theta, cfg, steps=7)
     assert np.array_equal(out, _step_loop(sbm12.adjacency, beliefs, cfg, 7))
 
@@ -425,7 +431,7 @@ def test_refine_structure_keeps_the_step_loop(cfg, sbm12):
 @pytest.mark.parametrize("steps", [1, 20, 60])
 def test_refine_structure_in_closed_form_by_default(steps, sbm12):
     theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
-    beliefs = class_beliefs(theta, sbm12.adjacency, sbm12.features)
+    beliefs = softmax(own_logits(theta, sbm12.features))
     out = refine_structure(sbm12.adjacency, sbm12.features, theta, GslConfig(),
                            steps=steps)
     loop = _step_loop(sbm12.adjacency, beliefs, GslConfig(), steps)
@@ -482,6 +488,44 @@ def test_warm_started_belief_regression_matches_a_cold_start(sbm60, masks60,
         assert np.abs(warm - cold).max() <= 1e-9 * max(1.0, np.abs(cold).max())
 
 
+@pytest.mark.parametrize("inner, passes", [(0, 4 + 1), (5, 4 * (5 + 1) + 1)])
+def test_fit_runs_one_pass_per_inner_step_and_structure_step(inner, passes, sbm60,
+                                                             masks60, monkeypatch):
+    # Without inner steps a record takes its task term from the structure
+    # step's pass; only the last record runs a pass of its own.
+    structure = []
+    original = gsl._gradients
+
+    def counting(prop, targets, params, **kwargs):
+        structure.append(kwargs.get("structure", False))
+        return original(prop, targets, params, **kwargs)
+
+    monkeypatch.setattr(gsl, "_gradients", counting)
+    train_mask, _ = masks60
+    fit(sbm60.adjacency, sbm60.features, sbm60.labels, "gcn",
+        GslConfig(outer_iters=4, inner_theta_steps=inner), TrainConfig(),
+        train_mask, seed=7)
+    assert len(structure) == passes
+    assert structure.count(True) == 4
+
+
+@pytest.mark.parametrize("beta", [GslConfig().beta_smooth, 0.0])
+@pytest.mark.parametrize("entries, fault", [
+    ([(0, 1, 0.25)], "must be symmetric"),
+    ([(0, 0, 1.0)], "must have a zero diagonal"),
+    ([(0, 1, 1.5), (1, 0, 1.5)], r"entries must lie in \[0, 1\]"),
+], ids=["asymmetric", "diagonal", "above-one"])
+def test_fit_rejects_an_observed_graph_that_is_no_adjacency(entries, fault, beta,
+                                                             sbm12):
+    bad = sbm12.adjacency.copy()
+    for i, j, value in entries:
+        bad[i, j] = value
+    with pytest.raises(ValueError, match=f"^observed adjacency {fault}"):
+        fit(bad, sbm12.features, sbm12.labels, "gcn",
+            GslConfig(beta_smooth=beta, outer_iters=1), TrainConfig(),
+            np.ones(12, dtype=bool), seed=7)
+
+
 # -- the dense chain-rule gradients, kept as the reference for the factored ones --
 
 
@@ -518,7 +562,7 @@ def _dense_task_gradient(s, x, labels, mask, params):
     return (grad_s + grad_s.T) / 2.0
 
 
-def _reference_step(state, x, labels, mask, cfg):
+def _reference_step(state, theta, x, labels, mask, cfg):
     """A structure step from dense gradients; returns the step and the gradient."""
     s, a, signal = state.s, state.a, state.signal
     sq = np.einsum("ij,ij->i", signal, signal)
@@ -526,7 +570,7 @@ def _reference_step(state, x, labels, mask, cfg):
                                      0.0)
     grad = cfg.beta_smooth * half_sq_dists + 2.0 * cfg.lambda_prox * (s - a)
     if mask is not None:
-        grad = grad + _dense_task_gradient(s, x, labels, mask, state.theta)
+        grad = grad + _dense_task_gradient(s, x, labels, mask, theta)
     stepped = numerics.soft_threshold(s - cfg.eta_s * grad, cfg.eta_s * cfg.alpha_l1)
     if cfg.eta_s * cfg.alpha_nuclear > 0:
         stepped = numerics.svt(stepped, cfg.eta_s * cfg.alpha_nuclear)
@@ -574,18 +618,15 @@ def test_structure_step_matches_the_dense_reference(problem, prior, labelled, be
                     beta_smooth=float(rng.random()) * 2.0,
                     lambda_prox=float(rng.random()),
                     eta_s=float(rng.random()))
-    state = GslState(s=s, a=a, theta=theta,
-                     signal=np.column_stack([1.0 - p, p]) if beliefs else x)
+    state = GslState(s=s, a=a, signal=np.column_stack([1.0 - p, p]) if beliefs else x)
     if not labelled:
         labels = mask = None
-    want, grad = _reference_step(state, x, labels, mask, cfg)
+    want, grad = _reference_step(state, theta, x, labels, mask, cfg)
     task = task_factors(s, x, labels, mask, theta) if labelled else None
-    got = structure_step(state, cfg, task=task)
+    got = _structure_step(state, cfg, 1, task)
     assert np.array_equal(got, got.T) and np.all(np.diagonal(got) == 0.0)
+    assert got.min(initial=0.0) >= 0.0 and got.max(initial=0.0) <= 1.0
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(grad).max())
-    if not np.array_equal(drawn, drawn.T):  # the step would symmetrize it silently
-        with pytest.raises(ValueError, match="symmetric"):
-            structure_step(replace(state, s=drawn), cfg, task=task)
 
 
 @pytest.mark.parametrize("inner", [5, 0])

@@ -202,8 +202,7 @@ def test_alert_flags_are_the_refine_report_pairs_of_the_node(n, seed, threshold,
     scores = softmax(model_logits(bundle.params, refined, features))[:, 1]
     assert [a.device_id for a in alerts] == [
         ids[k] for k in range(n) if scores[k] >= threshold]
-    pruned = gsl.refine_report(gsl.GslState(s=refined, a=snapshot.adjacency,
-                                            theta=bundle.params)).pruned
+    pruned = gsl.refine_report(gsl.GslState(s=refined, a=snapshot.adjacency)).pruned
     for alert in alerts:
         k = ids.index(alert.device_id)
         want = sorted([(ids[j], w) for i, j, w in pruned if i == k]
