@@ -20,11 +20,11 @@ bytes    bytes               src_bytes + dst_bytes
 pkts     pkts                src_pkts + dst_pkts
 dur      dur                 duration
 label    label               label
-type     attack_type         type
 ======== =================== ==========================
 
-Ports and attack type are optional; everything else must be present or
-parsing fails hard listing the missing logical fields. Malformed rows are
+Ports are optional, and they are checked but not kept; everything else must
+be present or parsing fails hard listing the missing logical fields. Any
+other column, an attack type among them, is ignored. Malformed rows are
 skipped and counted under the first field, in table order, that fails; if
 more than half of the data rows are skipped the dataset is rejected as
 unusable.
@@ -73,7 +73,6 @@ _ALIASES = {
     "dst_port": ("dst_port",),
     "dur": ("dur", "duration"),
     "label": ("label",),
-    "type": ("attack_type", "type"),
 }
 # bytes and pkts accept a single generic column or a ToN_IoT sent/received pair.
 _PAIRED = {"bytes": ("bytes", ("src_bytes", "dst_bytes")),
@@ -91,21 +90,19 @@ _BLOCK_ROWS = 512
 class FlowTable:
     """Parsed network flows between devices, as equal-length columns.
 
-    Row ``i`` of every column is one flow. ``table[idx]`` selects rows by a
-    slice, an index array or a boolean mask.
+    The columns are the fields :func:`build_snapshot` reads; parsing checks
+    the ports but does not keep them. Row ``i`` of every column is one flow.
+    ``table[idx]`` selects rows by a slice, an index array or a boolean mask.
     """
 
-    timestamp: np.ndarray    # float64
-    src: np.ndarray          # str objects
-    dst: np.ndarray          # str objects
-    protocol: np.ndarray     # str objects, one of PROTOCOLS
-    src_port: np.ndarray     # int64
-    dst_port: np.ndarray     # int64
-    bytes: np.ndarray        # int64
-    packets: np.ndarray      # int64
-    duration: np.ndarray     # float64
-    label: np.ndarray        # int64, 0 or 1
-    attack_type: np.ndarray  # str objects, "" when absent
+    timestamp: np.ndarray  # float64
+    src: np.ndarray        # str objects
+    dst: np.ndarray        # str objects
+    protocol: np.ndarray   # str objects, one of PROTOCOLS
+    bytes: np.ndarray      # int64
+    packets: np.ndarray    # int64
+    duration: np.ndarray   # float64
+    label: np.ndarray      # int64, 0 or 1
 
     def __post_init__(self):
         if len({len(column) for column in self._columns().values()}) > 1:
@@ -273,9 +270,10 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
 
     A row is skipped under the first rule it breaks, in the order of the
     fields ts, src, dst, proto, src_port, dst_port, bytes, pkts, dur, label.
-    Each rule is a mask over the block: ``reject`` counts the rows it is the
-    first to catch. A masked-out row's value is replaced before any cast or
-    sum, so a rejected cell never reaches the arithmetic.
+    Ports are checked but not kept. Each rule is a mask over the block:
+    ``reject`` counts the rows it is the first to catch. A masked-out row's
+    value is replaced before any cast or sum, so a rejected cell never
+    reaches the arithmetic.
     """
     n = len(rows)
     stats.rows_total += n
@@ -286,10 +284,6 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
         """The column's cells as read; ``_floats`` strips only where needed."""
         return cells_by_column[position[name]]
 
-    def texts(name, convert=sys.intern) -> np.ndarray:
-        stripped = map(str.strip, cells(name))
-        return np.array(list(map(convert, stripped)), dtype=object)
-
     def reject(reason: str, mask: np.ndarray) -> None:
         hit = mask & ok
         count = int(np.count_nonzero(hit))
@@ -298,7 +292,8 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
             ok[hit] = False
 
     def text(logical: str, convert=sys.intern) -> np.ndarray:
-        values = texts(columns[logical], convert)
+        stripped = map(str.strip, cells(columns[logical]))
+        values = np.array(list(map(convert, stripped)), dtype=object)
         reject(f"missing {logical}", values == "")
         return values
 
@@ -323,23 +318,23 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
         reject(f"invalid {logical}", total > _MAX_EXACT)
         return total
 
-    def port(logical: str) -> np.ndarray:
-        """Port number; an absent column or empty cell reads 0."""
+    def port(logical: str) -> None:
+        """Check a port; an absent column or empty cell passes."""
         if logical not in columns:
-            return np.zeros(n, np.int64)
+            return
         values, empty, _ = _floats(cells(columns[logical]))
         values[empty] = 0.0
         reject(f"non-numeric {logical}", ~np.isfinite(values))
-        # int() truncates toward zero, so (-1, 65536) holds the ports 0..65535.
+        # A port is its value truncated toward zero, so (-1, 65536) holds
+        # the ports 0..65535.
         reject(f"invalid {logical}", ~((values > -1) & (values < 65536)))
-        return np.where(ok, values, 0.0).astype(np.int64)
 
     ts = number("ts")
     src = text("src")
     dst = text("dst")
     protocol = text("proto", str.lower)
-    src_port = port("src_port")
-    dst_port = port("dst_port")
+    port("src_port")
+    port("dst_port")
     nbytes = number("bytes")
     pkts = number("pkts")
     dur = number("dur")
@@ -351,21 +346,16 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
     self_flow = ok & (src == dst)
     stats.self_flows_dropped += int(np.count_nonzero(self_flow))
     keep = ok & ~self_flow
-    attack_type = (texts(columns["type"]) if "type" in columns
-                   else np.full(n, "", dtype=object))
     return FlowTable(
         timestamp=ts[keep],
         src=src[keep],
         dst=dst[keep],
         protocol=np.array(list(map(_PROTOCOL_NAMES.get, protocol[keep],
                                    repeat("other"))), dtype=object),
-        src_port=src_port[keep],
-        dst_port=dst_port[keep],
         bytes=nbytes[keep].astype(np.int64),
         packets=pkts[keep].astype(np.int64),
         duration=dur[keep],
         label=(label[keep] == 1).astype(np.int64),
-        attack_type=attack_type[keep],
     ), keep
 
 

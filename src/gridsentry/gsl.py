@@ -54,8 +54,8 @@ from . import codec
 from .errors import NumericError
 from .graphs import _check_adjacency, smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
-                     _gradients, _prepare, _targets, adam_step,
-                     init_params, own_logits, softmax)
+                     _forward, _gradients, _loss_grad_logits, _prepare,
+                     _targets, adam_step, init_params, own_logits, softmax)
 from .numerics import (nuclear_norm, require_matrix, require_square,
                        soft_threshold, svt, symmetrize_clamp)
 
@@ -339,8 +339,8 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     properties without checking. Each S is prepared once
     (``models._prepare``) for its ``models._gradients`` passes. A recorded
     task term is the loss of the next pass at the same S and parameters,
-    the first inner step's or the structure step's, so only the last record
-    runs a pass of its own.
+    the first inner step's or the structure step's; the last record takes
+    its own from a forward pass, with no gradients.
     """
     a = _check_adjacency(require_square(a, "observed adjacency"),
                          "observed adjacency").copy()
@@ -375,7 +375,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
         state.s = _structure_step(state, gsl_cfg, 1, task)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s, x)
-    record(_gradients(prop, targets, theta)[0])
+    record(_loss_grad_logits(_forward(theta, prop)[0], targets)[0])
     return state.s, theta, state
 
 

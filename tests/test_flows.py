@@ -32,7 +32,7 @@ def _flow(ts, src, dst, proto="tcp", bytes_=100, pkts=10, dur=2.0, label=0,
 # -- the per-row parser, kept as the reference the columnar one must match --
 
 _Row = namedtuple("_Row", [f.name for f in fields(FlowTable)])
-_OBJECT_COLUMNS = {"src", "dst", "protocol", "attack_type"}
+_OBJECT_COLUMNS = {"src", "dst", "protocol"}
 _FLOAT_COLUMNS = {"timestamp", "duration"}
 
 
@@ -89,16 +89,16 @@ def _number(row, columns, logical):
 
 
 def _port(row, column, logical):
+    """Check a port, which the table does not keep; a blank one passes."""
     text = _cell(row, column)
     if not text:
-        return 0
+        return
     try:
         port = int(float(text))
     except (ValueError, OverflowError):
         raise _Skip(f"non-numeric {logical}") from None
     if not 0 <= port <= 65535:
         raise _Skip(f"invalid {logical}")
-    return port
 
 
 def _label(row, column):
@@ -128,8 +128,8 @@ def _reference_parse(text, limit=None):
             src = _text(row, columns["src"], "src")
             dst = _text(row, columns["dst"], "dst")
             proto = _text(row, columns["proto"], "proto").lower()
-            src_port = _port(row, columns.get("src_port"), "src_port")
-            dst_port = _port(row, columns.get("dst_port"), "dst_port")
+            _port(row, columns.get("src_port"), "src_port")
+            _port(row, columns.get("dst_port"), "dst_port")
             nbytes = _number(row, columns["bytes"], "bytes")
             pkts = _number(row, columns["pkts"], "pkts")
             dur = _number(row, columns["dur"], "dur")
@@ -141,8 +141,7 @@ def _reference_parse(text, limit=None):
             stats.self_flows_dropped += 1
             continue
         rows.append(_Row(ts, src, dst, proto if proto in PROTOCOLS else "other",
-                         src_port, dst_port, int(nbytes), int(pkts), dur, label,
-                         _cell(row, columns.get("type"))))
+                         int(nbytes), int(pkts), dur, label))
         if len(rows) == limit:
             break
     if stats.rows_total and stats.rows_skipped / stats.rows_total > 0.5:
@@ -368,8 +367,34 @@ def test_ton_iot_column_names():
     records, stats = parse_flows(io.StringIO(header + "\n" + row + "\n"))
     assert len(records) == 1
     assert records.bytes[0] == 100 and records.packets[0] == 5
-    assert records.duration[0] == 1.5 and records.attack_type[0] == "backdoor"
-    assert records.src_port[0] == 0 and records.dst_port[0] == 0
+    assert records.duration[0] == 1.5
+
+
+def test_unread_columns_are_ignored():
+    # Ports are checked but not kept, and no attack type is read: the same
+    # flows parse alike with and without those columns.
+    # Fields {0} ts,src,dst,proto {1} bytes {2} pkts {3} dur,label {4} ports {5} type
+    flows = [
+        ("1.0,a,b,tcp", "100", "10", "2.0,0", "1000,80", ""),
+        ("2.0,b,c,UDP", "250", "3", "0.5,1", ",502", "scanning"),
+        ("soon,a,c,icmp", "1", "1", "0.1,0", "1000,80", ""),
+        ("3.0,c,c,tcp", "1", "1", "0.1,0", "1000,80", ""),
+        ("4.0,a,b,gre", "-5", "1", "0.1,1", "1000,80", "ddos"),
+        ("5.0,c,a,icmp", "7", "2", "1.5,1", ",", "backdoor"),
+    ]
+    layouts = [
+        ("ts,src_ip,dst_ip,proto,bytes,pkts,dur,label", "{0},{1},{2},{3}",
+         HEADER, "{0},{4},{1},{2},{3},{5}"),
+        (TON_HEADER.removesuffix(",type"), "{0},{1},0,{2},0,{3}",
+         TON_HEADER, "{0},{1},0,{2},0,{3},{5}"),
+    ]
+    for header, row, header_unread, row_unread in layouts:
+        without = "\n".join([header] + [row.format(*f) for f in flows]) + "\n"
+        rows, stats = _outcome(_columnar_parse, without)
+        assert len(rows) == 3 and stats["self_flows_dropped"] == 1
+        assert stats["reasons"] == {"non-numeric ts": 1, "negative bytes": 1}
+        text = "\n".join([header_unread] + [row_unread.format(*f) for f in flows]) + "\n"
+        assert _outcome(_columnar_parse, text) == (rows, stats)
 
 
 TRICKY_CELLS = ["", " 3 ", "nan", "inf", "-inf", "1e308", "-1e308",
@@ -570,18 +595,19 @@ def test_build_snapshot_matches_flow_loop_reference():
         j = int(rng.integers(0, 30))
         if i == j:
             continue
+        timestamp = float(rng.uniform(0.0, 300.0))
+        protocol = str(rng.choice(["tcp", "udp", "icmp", "other"]))
+        # The table keeps no ports, but their draws fix the values after them.
+        rng.integers(1024, 65536), rng.choice([22, 80, 443, 502])
         flows.append(_Row(
-            timestamp=float(rng.uniform(0.0, 300.0)),
+            timestamp=timestamp,
             src=devices[i],
             dst=devices[j],
-            protocol=str(rng.choice(["tcp", "udp", "icmp", "other"])),
-            src_port=int(rng.integers(1024, 65536)),
-            dst_port=int(rng.choice([22, 80, 443, 502])),
+            protocol=protocol,
             bytes=int(rng.integers(0, 10**9)),
             packets=int(rng.integers(0, 10**5)),
             duration=float(rng.exponential(3.0)),
             label=int(rng.random() < 0.4),
-            attack_type="",
         ))
     assert len(flows) >= 300 and len({(f.src, f.dst) for f in flows}) < len(flows)
     node_ids, adjacency, features, labels, span = _flow_loop_reference(flows, 300)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gridsentry import gsl, models, numerics
 from gridsentry.attacks import PerturbationSpec, apply
+from gridsentry.errors import NumericError
 from gridsentry.experiments import split, write_history_csv
 from gridsentry.graphs import sbm_generate
 from gridsentry.gsl import (ADDED_WEIGHT, PRUNED_WEIGHT, GslConfig, GslState,
@@ -488,11 +489,11 @@ def test_warm_started_belief_regression_matches_a_cold_start(sbm60, masks60,
         assert np.abs(warm - cold).max() <= 1e-9 * max(1.0, np.abs(cold).max())
 
 
-@pytest.mark.parametrize("inner, passes", [(0, 4 + 1), (5, 4 * (5 + 1) + 1)])
+@pytest.mark.parametrize("inner, passes", [(0, 4), (5, 4 * (5 + 1))])
 def test_fit_runs_one_pass_per_inner_step_and_structure_step(inner, passes, sbm60,
                                                              masks60, monkeypatch):
     # Without inner steps a record takes its task term from the structure
-    # step's pass; only the last record runs a pass of its own.
+    # step's pass; the last record runs a forward pass alone.
     structure = []
     original = gsl._gradients
 
@@ -507,6 +508,15 @@ def test_fit_runs_one_pass_per_inner_step_and_structure_step(inner, passes, sbm6
         train_mask, seed=7)
     assert len(structure) == passes
     assert structure.count(True) == 4
+
+
+def test_fit_raises_when_the_last_record_overflows(sbm60, masks60):
+    # With no outer iteration the last record is the only pass, so its
+    # loss-only forward pass must itself reject overflowed logits.
+    train_mask, _ = masks60
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="overflowed"):
+        fit(sbm60.adjacency, np.full_like(sbm60.features, 1e308), sbm60.labels,
+            "gcn", GslConfig(outer_iters=0), TrainConfig(), train_mask, seed=7)
 
 
 @pytest.mark.parametrize("beta", [GslConfig().beta_smooth, 0.0])
