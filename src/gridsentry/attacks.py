@@ -11,15 +11,12 @@ can reconcile exactly what changed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import codec
 from .graphs import GraphSnapshot, _check_adjacency
 from .numerics import make_rng, require_matrix
 
@@ -74,13 +71,6 @@ class PerturbationReceipt:
     edges_removed: list[tuple[int, int]] = field(default_factory=list)
     nodes_feature_perturbed: list[int] = field(default_factory=list)
     warning: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return codec.encode(self)
-
-    def save(self, path) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _flip(out: np.ndarray, rows: np.ndarray, cols: np.ndarray,

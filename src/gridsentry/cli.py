@@ -29,9 +29,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import attacks, codec, experiments, pipeline
-from .errors import DataError, NumericError, load_json_object
+from .errors import DataError, NumericError
 from .flows import build_snapshot, parse_flows, window
-from .graphs import SbmSpec, load_snapshot, save_snapshot, sbm_generate
+from .graphs import GraphSnapshot, SbmSpec, sbm_generate
 
 
 class _UsageError(Exception):
@@ -48,7 +48,7 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        return load_json_object(path, "config file", dict)
+        return codec.load(path, "config file")
     except DataError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -108,7 +108,7 @@ def cmd_generate(args) -> int:
     spec = _decode(SbmSpec, _load_config(args.config), "generate", args)
     snapshot = sbm_generate(spec)
     with _writing(_require_output(args)):
-        save_snapshot(snapshot, args.output)
+        codec.save(snapshot, args.output)
     print(f"wrote {snapshot.n_nodes}-node snapshot to {args.output}")
     return 0
 
@@ -117,11 +117,11 @@ def cmd_ingest(args) -> int:
     cfg = _decode(pipeline.PipelineConfig, _load_config(args.config), "pipeline", args)
     out = _output_dir(args)
     flows, stats = parse_flows(args.input)
-    print(json.dumps(stats.to_dict(), sort_keys=True), file=sys.stderr)
+    print(json.dumps(codec.encode(stats), sort_keys=True), file=sys.stderr)
     windows = window(flows, cfg.window_seconds)
     with _writing(out):
         for k, (bounds, bucket) in enumerate(windows):
-            save_snapshot(build_snapshot(bucket, bounds), out / f"window_{k:04d}.json")
+            codec.save(build_snapshot(bucket, bounds), out / f"window_{k:04d}.json")
     print(f"wrote {len(windows)} window snapshot(s) to {out}")
     return 0
 
@@ -131,12 +131,12 @@ def cmd_attack(args) -> int:
     phase = args.phase
     if phase is None:
         phase = "training" if spec.kind == "poisoning" else "inference"
-    snapshot = load_snapshot(args.input)
+    snapshot = codec.load(args.input, "snapshot", GraphSnapshot)
     perturbed, receipt = attacks.apply(snapshot, spec, phase)
     out = _require_output(args)
     with _writing(out):
-        save_snapshot(perturbed, out)
-        receipt.save(str(out) + ".receipt.json")
+        codec.save(perturbed, out)
+        codec.save(receipt, str(out) + ".receipt.json")
     if receipt.warning:
         print(f"warning: {receipt.warning}", file=sys.stderr)
     print(
@@ -177,9 +177,7 @@ def cmd_experiment(args) -> int:
     out = _output_dir(args)
     result = experiments.run_experiment(cfg)
     with _writing(out):
-        (out / "report.json").write_text(
-            experiments.report_to_json(result.report), encoding="utf-8"
-        )
+        codec.save(result.report, out / "report.json", indent=2)
         (out / "report.md").write_text(
             experiments.report_to_markdown(result.report) + "\n", encoding="utf-8"
         )
@@ -195,8 +193,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = load_json_object(args.input, "report",
-                              experiments.MetricsReport.from_dict)
+    report = codec.load(args.input, "report", experiments.MetricsReport)
     text = experiments.render_report(report, args.format)
     if args.output:
         with _writing(args.output):

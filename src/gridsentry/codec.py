@@ -16,15 +16,61 @@ dataclass with a ``FORMAT_VERSION`` class variable. ``encode`` writes it as
 every field of the document and of everything nested in it, configs too: a
 saved file holds all it was written with, so a missing key is an error,
 never a default. Arrays decode as float64.
+
+``save`` writes every JSON file the package keeps, with sorted keys and a
+trailing newline: snapshots (``generate``, ``ingest``, ``attack``) and attack
+receipts compact, detector bundles (``bundle.json``), refine reports
+(``refine_report.json``) and grid reports (``report.json``) with a two-space
+indent. ``load`` reads config files and saved documents. The alert JSONL and
+the summary lines on stderr keep their own layouts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
+
+from .errors import DataError
+
+
+def dumps(obj, indent: int | None = None) -> str:
+    """``obj`` as JSON text: sorted keys, a trailing newline, and no spaces
+    between items unless ``indent`` is given."""
+    separators = (",", ":") if indent is None else None
+    return json.dumps(encode(obj), sort_keys=True, indent=indent,
+                      separators=separators) + "\n"
+
+
+def save(obj, path, indent: int | None = None) -> None:
+    """Write ``dumps(obj, indent)`` to ``path`` as UTF-8."""
+    Path(path).write_text(dumps(obj, indent), encoding="utf-8")
+
+
+def load(path, what: str, cls=None, level: str | None = None):
+    """The JSON object stored at ``path``, decoded as ``cls`` if one is given.
+
+    ``decode`` names ``level``, or ``what`` if no level is given, in its
+    messages. A file that cannot be read or parsed, a document that is not a
+    JSON object, and a KeyError, IndexError, TypeError or ValueError raised
+    while building from it all become DataError naming ``what`` and ``path``.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"malformed {what} {path}: not a JSON object")
+    if cls is None:
+        return doc
+    try:
+        return decode(cls, doc, level or what)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {what} {path}: {exc}") from exc
 
 
 def encode(obj):

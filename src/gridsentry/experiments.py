@@ -11,7 +11,6 @@ F1 on held-out nodes, with the malicious class as the positive class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -170,10 +169,6 @@ class ExperimentConfig:
         del doc["csv_path" if self.sbm is not None else "sbm"]
         return doc
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return codec.decode(cls, doc, "experiment")
-
 
 @dataclass
 class CellResult:
@@ -199,13 +194,6 @@ class MetricsReport:
             if c.model == model and c.rate == rate:
                 return c
         raise KeyError(f"no cell for ({model}, {rate})")
-
-    def to_dict(self) -> dict:
-        return codec.encode(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetricsReport":
-        return codec.decode(cls, doc, "report")
 
 
 @dataclass
@@ -346,8 +334,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def report_to_json(report: MetricsReport) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The ``report.json`` text: ``codec.dumps`` with a two-space indent."""
+    return codec.dumps(report, indent=2)
 
 
 def report_to_markdown(report: MetricsReport) -> str:

@@ -43,7 +43,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import codec
 from .errors import DataError
 from .graphs import GraphSnapshot
 
@@ -135,9 +134,6 @@ class ParseStats:
     def skip(self, reason: str, count: int) -> None:
         self.rows_skipped += count
         self.reasons[reason] = self.reasons.get(reason, 0) + count
-
-    def to_dict(self) -> dict:
-        return codec.encode(self)
 
 
 def _resolve_columns(fieldnames) -> dict:

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import codec
-from .errors import load_json_object
 from .numerics import make_rng, require_matrix
 
 
@@ -89,24 +85,6 @@ class GraphSnapshot:
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
-
-    def to_dict(self) -> dict:
-        return codec.encode(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GraphSnapshot":
-        return codec.decode(cls, doc, "snapshot")
-
-
-def save_snapshot(snapshot: GraphSnapshot, path) -> None:
-    """Canonical JSON on disk: sorted keys, compact separators, newline at end."""
-    text = json.dumps(snapshot.to_dict(), sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def load_snapshot(path) -> GraphSnapshot:
-    """Read a snapshot file; one that cannot be read or built from is a DataError."""
-    return load_json_object(path, "snapshot", GraphSnapshot.from_dict)
 
 
 def _gcn_normalization(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

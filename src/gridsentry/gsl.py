@@ -50,7 +50,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import codec
 from .errors import NumericError
 from .graphs import _check_adjacency, smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
@@ -322,15 +321,17 @@ def _structure_step(state: GslState, cfg: GslConfig, steps: int,
 def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
         gsl_cfg: GslConfig, train_cfg: TrainConfig, mask,
         seed: int) -> tuple[np.ndarray, GnnParams, GslState]:
-    """Alternate classifier epochs with structure steps for a fixed budget.
+    """Alternate classifier Adam steps with structure steps for a fixed budget.
 
     Starts from S = A and parameters Glorot-initialized from ``seed``; the
     task loss is taken over the nodes in ``mask``. Each outer iteration
     runs ``inner_theta_steps`` Adam updates of the classifier on the task
     loss, refreshes the class beliefs the smoothness term is measured on
-    (``_labelled_beliefs``), then takes one structure step. The weighted
-    objective, with that iteration's beliefs, is recorded before the loop
-    and after every outer iteration. There is no convergence test: the
+    (``_labelled_beliefs``), then takes one structure step. So a fit takes
+    ``outer_iters`` x ``inner_theta_steps`` Adam steps: it reads the Adam
+    settings of ``train_cfg``, never its ``epochs``. The weighted objective,
+    with that iteration's beliefs, is recorded before the loop and after
+    every outer iteration. There is no convergence test: the
     budget is the schedule, which keeps runs reproducible.
 
     ``fit`` checks its inputs once, here: ``a`` must be an adjacency
@@ -407,9 +408,6 @@ class StructureDiff:
 
     pruned: list[tuple[int | str, int | str, float]]
     added: list[tuple[int | str, int | str, float]]
-
-    def to_dict(self) -> dict:
-        return codec.encode(self)
 
 
 def refine_report(state: GslState) -> StructureDiff:

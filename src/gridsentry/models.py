@@ -42,7 +42,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import codec
 from .errors import NumericError
 from .graphs import GraphSnapshot, _check_adjacency, _gcn_normalization
 from .numerics import make_rng, require_matrix
@@ -117,21 +116,6 @@ class GnnParams:
                     f"weight {key} has shape {self.weights[key].shape}, which "
                     f"disagrees with hidden={self.hidden}, classes={self.classes} "
                     f"and {in_dim} features")
-
-    def copy(self) -> "GnnParams":
-        return GnnParams(
-            kind=self.kind,
-            weights={k: w.copy() for k, w in self.weights.items()},
-            hidden=self.hidden,
-            classes=self.classes,
-        )
-
-    def to_dict(self) -> dict:
-        return codec.encode(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GnnParams":
-        return codec.decode(cls, doc, "model params")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -300,16 +284,8 @@ def _mean_nll(shifted: np.ndarray, total: np.ndarray, picked: np.ndarray) -> flo
     return float(-(nll.sum() / len(nll)))  # the bits of nll.mean(), faster
 
 
-def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
-    """Mean negative log-likelihood over the masked nodes."""
-    logits = require_matrix(logits, "logits")
-    rows, picked = _targets(labels, mask, *logits.shape)
-    shifted, _, total = _shifted_exp(logits.take(rows, axis=0))
-    return _mean_nll(shifted, total, picked)
-
-
 def _loss_grad_logits(logits, targets: _Targets) -> tuple[float, np.ndarray]:
-    """``masked_cross_entropy`` and its logit gradient from one exp pass.
+    """The mean masked cross-entropy and its logit gradient from one exp pass.
 
     Only the masked rows are exponentiated; the others have zero gradient.
     """
@@ -420,10 +396,12 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full-batch Adam settings; training runs a fixed number of epochs.
+    """Full-batch Adam settings.
 
-    ``weight_decay`` is classic L2-in-the-gradient decay applied to every
-    weight matrix.
+    ``epochs`` is read only by ``train``, which the grid's plain models use;
+    ``gsl.fit`` reads the Adam settings alone and takes ``outer_iters`` x
+    ``inner_theta_steps`` Adam steps. ``weight_decay`` is classic
+    L2-in-the-gradient decay applied to every weight matrix.
     """
 
     epochs: int = 200

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, gsl
-from .errors import DataError, NumericError, load_json_object
+from .errors import DataError, NumericError
 from .experiments import (MIN_WINDOW_NODES, load_merged_snapshot,
                           write_history_csv)
 from .flows import (apply_zscore, build_snapshot, compute_zscore_stats,
@@ -77,10 +77,6 @@ class PipelineConfig(DetectSettings):
         if self.min_nodes < 1:
             raise ValueError("min_nodes must be positive")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineConfig":
-        return codec.decode(cls, doc, "pipeline")
-
 
 @dataclass(frozen=True, kw_only=True)
 class DetectorBundle(DetectSettings):
@@ -110,7 +106,7 @@ class DetectorBundle(DetectSettings):
             raise ValueError("feature_names length disagrees with zscore stats")
         self.params.check_shapes(len(self.feature_names))
         digest = hashlib.sha256(
-            json.dumps(self.params.to_dict(), sort_keys=True).encode()
+            json.dumps(codec.encode(self.params), sort_keys=True).encode()
         ).hexdigest()[:12]
         version = f"{self.params.kind}-b{self.FORMAT_VERSION}-{digest}"
         if self.model_version and self.model_version != version:
@@ -118,20 +114,9 @@ class DetectorBundle(DetectSettings):
                              f"match the weights, which hash to {version!r}")
         object.__setattr__(self, "model_version", version)
 
-    def to_dict(self) -> dict:
-        return codec.encode(self)
-
-    def save(self, path) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True, indent=2)
-        Path(path).write_text(text + "\n", encoding="utf-8")
-
     @classmethod
     def load(cls, path) -> "DetectorBundle":
-        return load_json_object(path, "detector bundle", cls.from_dict)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DetectorBundle":
-        return codec.decode(cls, doc, "bundle")
+        return codec.load(path, "detector bundle", cls, level="bundle")
 
 
 @dataclass
@@ -203,15 +188,13 @@ def train_pipeline(csv_path, cfg: PipelineConfig,
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle.save(out / "bundle.json")
+    codec.save(bundle, out / "bundle.json", indent=2)
     write_history_csv(state.objective_history, out / "objective_history.csv")
     ids = merged.node_ids
     named = gsl.StructureDiff(**{
         key: [(ids[i], ids[j], _sig12(w)) for i, j, w in pairs]
         for key, pairs in vars(gsl.refine_report(state)).items()})
-    (out / "refine_report.json").write_text(
-        json.dumps(named.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    codec.save(named, out / "refine_report.json", indent=2)
     return bundle, state
 
 
@@ -305,7 +288,7 @@ def run_pipeline(csv_path, bundle_path, out_path, diag=None) -> dict:
         "windows_processed": processed,
         "windows_failed": failed,
         "alerts": alert_count,
-        "parse_stats": stats.to_dict(),
+        "parse_stats": codec.encode(stats),
         "failures": failures,
     }
     print(json.dumps(summary, sort_keys=True), file=diag)

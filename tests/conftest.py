@@ -13,6 +13,7 @@ from gridsentry import models
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.experiments import split
 from gridsentry.graphs import SbmSpec, sbm_generate
+from gridsentry.numerics import require_matrix
 
 from pathlib import Path
 
@@ -108,6 +109,22 @@ def reference_logits(kind, s, x, w):
 
     h = np.maximum(x @ w["w1_self"] + mean(x) @ w["w1_neigh"], 0.0)
     return h @ w["w2_self"] + mean(h) @ w["w2_neigh"]
+
+
+def masked_cross_entropy(logits, labels, mask):
+    """Mean negative log-likelihood over the masked nodes, from the package's
+    own loss helpers: the oracle for ``models._loss_grad_logits``."""
+    logits = require_matrix(logits, "logits")
+    rows, picked = models._targets(labels, mask, *logits.shape)
+    shifted, _, total = models._shifted_exp(logits.take(rows, axis=0))
+    return models._mean_nll(shifted, total, picked)
+
+
+def copy_params(params):
+    """``params`` with its weights copied, so a probe can edit them in place."""
+    return models.GnnParams(kind=params.kind,
+                            weights={k: w.copy() for k, w in params.weights.items()},
+                            hidden=params.hidden, classes=params.classes)
 
 
 def reference_loss(logits, labels, mask):

@@ -26,7 +26,8 @@ from gridsentry.models import TrainConfig, backward, init_params, train
 from gridsentry.numerics import soft_threshold, svd, svt
 from gridsentry.pipeline import PipelineConfig, run_pipeline, train_pipeline
 
-from conftest import DATA_DIR, dense_structure_gradient, task_factors, task_loss
+from conftest import (DATA_DIR, copy_params, dense_structure_gradient, task_factors,
+                      task_loss)
 
 GOLDEN_ALERTS = DATA_DIR / "golden_alerts.jsonl"
 REGEN_ENV = "GRIDSENTRY_REGEN_GOLDEN"
@@ -198,7 +199,7 @@ def test_criterion_04_numerical_oracles():
         for key, w in params.weights.items():
             for a in range(w.shape[0]):
                 for b in range(w.shape[1]):
-                    probe = params.copy()
+                    probe = copy_params(params)
                     probe.weights[key][a, b] += eps
                     up = backward(s, x, labels, mask, probe)[0]
                     probe.weights[key][a, b] -= 2 * eps

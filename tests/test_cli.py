@@ -10,7 +10,7 @@ from gridsentry import cli, codec, experiments, pipeline
 from gridsentry.cli import main
 from gridsentry.errors import NumericError
 from gridsentry.flows import FEATURE_NAMES, parse_flows, window
-from gridsentry.graphs import SbmSpec, load_snapshot, save_snapshot, sbm_generate
+from gridsentry.graphs import GraphSnapshot, SbmSpec, sbm_generate
 from gridsentry.gsl import GslConfig
 from gridsentry.models import init_params
 
@@ -113,7 +113,8 @@ def test_snapshot_window_is_the_bucket_bounds(window_seconds, tmp_path,
                  "--window-seconds", str(window_seconds)]) == 0
     records, _ = parse_flows(flows_detect_csv)
     want = [bounds for bounds, _ in window(records, window_seconds)]
-    got = [load_snapshot(path).window for path in sorted(out.iterdir())]
+    got = [codec.load(path, "snapshot", GraphSnapshot).window
+           for path in sorted(out.iterdir())]
     assert got == want and len(want) > 1
 
 
@@ -127,7 +128,7 @@ def test_ingest_reads_window_seconds_from_pipeline_config(tmp_path,
     assert main(["ingest", "-i", str(flows_detect_csv), "-o", str(out),
                  "--config", cfg]) == 0
     assert "wrote 8 window snapshot(s)" in capsys.readouterr().out
-    first = load_snapshot(out / "window_0000.json")
+    first = codec.load(out / "window_0000.json", "snapshot", GraphSnapshot)
     assert first.window == (600.0, 660.0)
 
 
@@ -226,7 +227,7 @@ def _untrained_bundle(path, **edits):
         zscore_mean=np.zeros(len(FEATURE_NAMES)),
         zscore_std=np.ones(len(FEATURE_NAMES)),
         feature_names=list(FEATURE_NAMES), window_seconds=300)
-    return _write_json(path, {**bundle.to_dict(), **edits})
+    return _write_json(path, {**codec.encode(bundle), **edits})
 
 
 @pytest.mark.parametrize("edit", [
@@ -440,9 +441,9 @@ def test_unwritable_output_is_usage_error(command, tmp_path, flows_train_csv,
     regular = tmp_path / "regular_file"  # stands where a directory must go
     regular.write_text("", encoding="utf-8")
     snap = tmp_path / "snap.json"
-    save_snapshot(sbm_generate(SbmSpec(n=20, p_in=0.4, p_out=0.05)), snap)
-    report = _write_json(tmp_path / "report.json", experiments.MetricsReport(
-        config={}, seeds=[], cells=[]).to_dict())
+    codec.save(sbm_generate(SbmSpec(n=20, p_in=0.4, p_out=0.05)), snap)
+    report = _write_json(tmp_path / "report.json", codec.encode(
+        experiments.MetricsReport(config={}, seeds=[], cells=[])))
     argv, out = {
         "generate": (["generate", "--n", "20", "--p-in", "0.4", "--p-out", "0.05"],
                      missing),
@@ -470,7 +471,7 @@ def test_unwritable_output_is_usage_error(command, tmp_path, flows_train_csv,
 
 def test_detect_rejects_weights_that_do_not_fit_the_features(
         tmp_path, flows_detect_csv, monkeypatch, capsys):
-    narrow = init_params("gcn", len(FEATURE_NAMES) - 1).to_dict()
+    narrow = codec.encode(init_params("gcn", len(FEATURE_NAMES) - 1))
     bundle = _untrained_bundle(tmp_path / "bundle.json", params=narrow)
     monkeypatch.setattr(pipeline, "parse_flows", _must_not_run)
     out = tmp_path / "alerts.jsonl"

@@ -12,12 +12,13 @@ import json
 import numpy as np
 import pytest
 
+from gridsentry import codec
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.cli import main
-from gridsentry.errors import DataError, load_json_object
+from gridsentry.errors import DataError
 from gridsentry.experiments import (ExperimentConfig, MetricsReport,
                                     report_to_json, run_experiment)
-from gridsentry.graphs import SbmSpec, load_snapshot, save_snapshot, sbm_generate
+from gridsentry.graphs import GraphSnapshot, SbmSpec, sbm_generate
 from gridsentry.models import GnnParams, TrainConfig, init_params
 from gridsentry.pipeline import DetectorBundle
 
@@ -40,16 +41,16 @@ PINNED_SHA256 = {
 def _write_documents(out):
     """Save one of each document, built from fixed seeds, under ``out``."""
     snapshot = sbm_generate(SPEC)
-    save_snapshot(snapshot, out / "snapshot.json")
+    codec.save(snapshot, out / "snapshot.json")
     _, receipt = apply(snapshot, PerturbationSpec(rate=0.3, feature_fraction=0.25,
                                                   seed=2), "training")
-    receipt.save(out / "receipt.json")
+    codec.save(receipt, out / "receipt.json")
     d = SPEC.feature_dim
-    DetectorBundle(params=init_params("sage", d, hidden=4, seed=1),
-                   zscore_mean=np.linspace(-1.0, 1.0, d),
-                   zscore_std=np.linspace(0.5, 2.0, d),
-                   feature_names=list(snapshot.feature_names),
-                   ).save(out / "bundle.json")
+    codec.save(DetectorBundle(params=init_params("sage", d, hidden=4, seed=1),
+                              zscore_mean=np.linspace(-1.0, 1.0, d),
+                              zscore_std=np.linspace(0.5, 2.0, d),
+                              feature_names=list(snapshot.feature_names)),
+               out / "bundle.json", indent=2)
     cfg = ExperimentConfig(sbm=SPEC, models=("DNN", "GCN"), rates=(0.0, 0.2),
                            runs=2, train=TrainConfig(epochs=20))
     (out / "report.json").write_text(report_to_json(run_experiment(cfg).report),
@@ -70,8 +71,10 @@ def test_saved_documents_keep_their_bytes(saved):
 
 
 def test_saved_documents_load_and_save_back_byte_for_byte(saved, tmp_path):
-    save_snapshot(load_snapshot(saved / "snapshot.json"), tmp_path / "snapshot.json")
-    DetectorBundle.load(saved / "bundle.json").save(tmp_path / "bundle.json")
+    codec.save(codec.load(saved / "snapshot.json", "snapshot", GraphSnapshot),
+               tmp_path / "snapshot.json")
+    codec.save(DetectorBundle.load(saved / "bundle.json"), tmp_path / "bundle.json",
+               indent=2)
     assert main(["report", "-i", str(saved / "report.json"), "--format", "json",
                  "-o", str(tmp_path / "report.json")]) == 0
     for name in ("snapshot.json", "bundle.json", "report.json"):
@@ -151,10 +154,11 @@ BROKEN = {
                        "unsupported report format_version 2"),
 }
 
-LOADERS = {"snapshot.json": ("snapshot", load_snapshot),
+LOADERS = {"snapshot.json": ("snapshot", lambda path: codec.load(
+               path, "snapshot", GraphSnapshot)),
            "bundle.json": ("detector bundle", DetectorBundle.load),
-           "report.json": ("report", lambda path: load_json_object(
-               path, "report", MetricsReport.from_dict))}
+           "report.json": ("report", lambda path: codec.load(
+               path, "report", MetricsReport))}
 
 
 def _broken_copy(saved, tmp_path, case):

@@ -106,7 +106,7 @@ TINY_OVERRIDES = {
 
 def _tiny_config(**extra):
     doc = {"sbm": dict(TINY_SBM), **TINY_OVERRIDES, **extra}
-    return ExperimentConfig.from_dict(doc)
+    return codec.decode(ExperimentConfig, doc, "experiment")
 
 
 @pytest.fixture(scope="module")
@@ -161,30 +161,33 @@ def test_evasion_grid_trains_clean_and_evaluates_perturbed():
 
 
 def test_report_roundtrip_through_dict(tiny_result):
-    doc = tiny_result.report.to_dict()
-    back = MetricsReport.from_dict(doc)
-    assert back.to_dict() == doc
+    doc = codec.encode(tiny_result.report)
+    back = codec.decode(MetricsReport, doc, "report")
+    assert codec.encode(back) == doc
     doc["format_version"] = 42
     with pytest.raises(ValueError):
-        MetricsReport.from_dict(doc)
+        codec.decode(MetricsReport, doc, "report")
 
 
 def test_config_roundtrip_and_validation():
     cfg = _tiny_config()
-    again = ExperimentConfig.from_dict(cfg.to_dict())
+    again = codec.decode(ExperimentConfig, cfg.to_dict(), "experiment")
     assert again.to_dict() == cfg.to_dict()
     assert again.gsl == GslConfig(outer_iters=5, inner_theta_steps=5)
     assert again.train.epochs == 20
 
     with pytest.raises(ValueError, match="unknown experiment config keys"):
-        ExperimentConfig.from_dict({"sbm": dict(TINY_SBM), "typo_key": 1})
+        codec.decode(ExperimentConfig, {"sbm": dict(TINY_SBM), "typo_key": 1},
+                     "experiment")
     with pytest.raises(ValueError, match="unknown sbm config keys"):
-        ExperimentConfig.from_dict({"sbm": {**TINY_SBM, "extra": 2}})
+        codec.decode(ExperimentConfig, {"sbm": {**TINY_SBM, "extra": 2}},
+                     "experiment")
     with pytest.raises(ValueError, match="unknown gsl config keys"):
-        ExperimentConfig.from_dict({"sbm": dict(TINY_SBM), "gsl": {"alpha": 1}})
+        codec.decode(ExperimentConfig, {"sbm": dict(TINY_SBM), "gsl": {"alpha": 1}},
+                     "experiment")
     with pytest.raises(ValueError, match="unknown train config keys"):
-        ExperimentConfig.from_dict(
-            {"sbm": dict(TINY_SBM), "train": {"seed": 3}})
+        codec.decode(ExperimentConfig,
+                     {"sbm": dict(TINY_SBM), "train": {"seed": 3}}, "experiment")
 
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -237,7 +240,8 @@ def test_config_codec_roundtrip_through_json(name, data):
     doc = json.loads(json.dumps(codec.encode(cfg)))
     assert codec.decode(type(cfg), doc, name) == cfg
     if name == "experiment":
-        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        doc = json.loads(json.dumps(cfg.to_dict()))
+        assert codec.decode(ExperimentConfig, doc, "experiment") == cfg
 
 
 @pytest.mark.parametrize("top, path", [
@@ -254,7 +258,7 @@ def test_config_rejects_an_extra_key_at_every_level(top, path):
     inner["bogus"] = 1
     level = path[-1] if path else top
     with pytest.raises(ValueError, match=rf"unknown {level} config keys: \['bogus'\]"):
-        cls.from_dict(doc)
+        codec.decode(cls, doc, top)
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -267,19 +271,21 @@ def test_config_rejects_an_extra_key_at_every_level(top, path):
 ])
 def test_config_rejects_a_value_of_the_wrong_json_type(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        PipelineConfig.from_dict(doc)
+        codec.decode(PipelineConfig, doc, "pipeline")
 
 
 def test_config_keeps_values_as_given():
-    cfg = PipelineConfig.from_dict({"score_threshold": 1, "isolate_threshold": 0.75})
+    cfg = codec.decode(PipelineConfig,
+                       {"score_threshold": 1, "isolate_threshold": 0.75}, "pipeline")
     assert type(cfg.score_threshold) is int and cfg.isolate_threshold == 0.75
-    exp = ExperimentConfig.from_dict({"sbm": {"signal": 2}, "rates": [0, 0.5],
-                                      "models": ["GCN"], "max_flows": None})
+    exp = codec.decode(ExperimentConfig, {"sbm": {"signal": 2}, "rates": [0, 0.5],
+                                          "models": ["GCN"], "max_flows": None},
+                       "experiment")
     assert type(exp.sbm.signal) is int and exp.rates == (0.0, 0.5)
     with pytest.raises(ValueError, match="rates must be a number, got '0.1'"):
-        ExperimentConfig.from_dict({"sbm": {}, "rates": ["0.1"]})
+        codec.decode(ExperimentConfig, {"sbm": {}, "rates": ["0.1"]}, "experiment")
     with pytest.raises(ValueError, match="models must be a list"):
-        ExperimentConfig.from_dict({"sbm": {}, "models": "GCN"})
+        codec.decode(ExperimentConfig, {"sbm": {}, "models": "GCN"}, "experiment")
 
 
 PINNED_SETTINGS = {
@@ -419,10 +425,11 @@ def test_load_merged_snapshot_reads_no_further_than_max_flows(tmp_path):
     capped = load_merged_snapshot(path, 300, 10, max_flows=40)
     clean = tmp_path / "clean.csv"
     clean.write_text("\n".join([header] + good) + "\n")
-    assert capped.to_dict() == load_merged_snapshot(clean, 300, 10).to_dict()
+    full = codec.encode(load_merged_snapshot(clean, 300, 10))
+    assert codec.encode(capped) == full
     shorter = load_merged_snapshot(path, 300, 10, max_flows=25)
     clean.write_text("\n".join([header] + good[:25]) + "\n")
-    assert shorter.to_dict() == load_merged_snapshot(clean, 300, 10).to_dict()
+    assert codec.encode(shorter) == codec.encode(load_merged_snapshot(clean, 300, 10))
 
 
 def test_load_merged_snapshot_spans_its_first_and_last_kept_window(

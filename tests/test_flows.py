@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridsentry import codec
 from gridsentry import flows as flows_module
 from gridsentry.errors import DataError
 from gridsentry.flows import (FEATURE_NAMES, PROTOCOLS, FlowTable, ParseStats,
@@ -161,7 +162,7 @@ def _outcome(parse, text):
     except DataError as exc:
         return str(exc)
     return ([row._replace(timestamp=row.timestamp.hex(), duration=row.duration.hex())
-             for row in rows], stats.to_dict())
+             for row in rows], codec.encode(stats))
 
 
 def _columnar_parse(text, limit=None):

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridsentry import codec
 from gridsentry.errors import DataError
 from gridsentry.graphs import (GraphSnapshot, SbmSpec, _gcn_normalization,
-                               load_snapshot, save_snapshot, sbm_generate,
-                               smoothness)
+                               sbm_generate, smoothness)
 
 from conftest import SBM60, normalized_adjacency, random_symmetric
 
@@ -124,8 +124,8 @@ def test_sbm_edge_count_within_three_sigma():
 def test_sbm_is_deterministic_per_seed(tmp_path):
     a = sbm_generate(SBM60)
     b = sbm_generate(SBM60)
-    save_snapshot(a, tmp_path / "a.json")
-    save_snapshot(b, tmp_path / "b.json")
+    codec.save(a, tmp_path / "a.json")
+    codec.save(b, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     c = sbm_generate(dataclasses.replace(SBM60, seed=8))
     assert not np.array_equal(a.adjacency, c.adjacency)
@@ -160,8 +160,8 @@ def test_sbm_spec_validation():
 
 def test_snapshot_roundtrip(tmp_path, sbm60):
     path = tmp_path / "snap.json"
-    save_snapshot(sbm60, path)
-    back = load_snapshot(path)
+    codec.save(sbm60, path)
+    back = codec.load(path, "snapshot", GraphSnapshot)
     assert list(back.node_ids) == list(sbm60.node_ids)
     assert np.array_equal(back.adjacency, sbm60.adjacency)
     assert np.array_equal(back.features, sbm60.features)
@@ -189,12 +189,12 @@ def test_snapshot_arrays_are_frozen(sbm60):
 
 def test_snapshot_format_version_checked(tmp_path, sbm60):
     path = tmp_path / "snap.json"
-    save_snapshot(sbm60, path)
+    codec.save(sbm60, path)
     doc = json.loads(path.read_text())
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="format_version"):
-        load_snapshot(path)
+        codec.load(path, "snapshot", GraphSnapshot)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -224,9 +224,9 @@ def snapshots(draw):
 def test_snapshot_round_trip_property(snap):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
-        save_snapshot(snap, first)
-        back = load_snapshot(first)
-        save_snapshot(back, second)
+        codec.save(snap, first)
+        back = codec.load(first, "snapshot", GraphSnapshot)
+        codec.save(back, second)
         assert second.read_bytes() == first.read_bytes()
     assert back.node_ids == snap.node_ids
     assert back.feature_names == snap.feature_names
@@ -241,11 +241,11 @@ def test_snapshot_round_trip_property(snap):
 
 def test_unreadable_snapshot_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read snapshot"):
-        load_snapshot(tmp_path / "missing.json")
+        codec.load(tmp_path / "missing.json", "snapshot", GraphSnapshot)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(DataError, match="cannot read snapshot"):
-        load_snapshot(bad)
+        codec.load(bad, "snapshot", GraphSnapshot)
     bad.write_bytes(b"\xff\xfe")
     with pytest.raises(DataError, match="cannot read snapshot"):
-        load_snapshot(bad)
+        codec.load(bad, "snapshot", GraphSnapshot)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridsentry import gsl, models, numerics
+from gridsentry import codec, gsl, models, numerics
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.errors import NumericError
 from gridsentry.experiments import split, write_history_csv
@@ -20,11 +20,11 @@ from gridsentry.gsl import (ADDED_WEIGHT, PRUNED_WEIGHT, GslConfig, GslState,
                             StructureDiff, _label_vote, _labelled_beliefs,
                             _structure_step, fit, objective, refine_report,
                             refine_structure)
-from gridsentry.models import TrainConfig, init_params, masked_cross_entropy, \
-    model_logits, own_logits, softmax, train
+from gridsentry.models import TrainConfig, init_params, model_logits, \
+    own_logits, softmax, train
 
-from conftest import (SBM12, dense_structure_gradient, random_symmetric,
-                      task_factors, task_loss)
+from conftest import (SBM12, dense_structure_gradient, masked_cross_entropy,
+                      random_symmetric, task_factors, task_loss)
 from test_acceptance import ROBUST_SBM
 from test_models import _count_preparations
 
@@ -287,7 +287,7 @@ def test_refine_report_thresholds():
     # (1, 2) sits exactly at the pruning threshold and stays kept
     assert diff.pruned == [(0, 1, 0.05)]
     assert diff.added == [(0, 2, 0.7)]
-    assert diff.to_dict() == {"pruned": [[0, 1, 0.05]], "added": [[0, 2, 0.7]]}
+    assert codec.encode(diff) == {"pruned": [[0, 1, 0.05]], "added": [[0, 2, 0.7]]}
     assert PRUNED_WEIGHT == 0.1 and ADDED_WEIGHT == 0.5
 
 

@@ -10,15 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from gridsentry import models
+from gridsentry import codec, models
 from gridsentry.errors import NumericError
 from gridsentry.gsl import GslConfig, fit
 from gridsentry.models import (GnnParams, TrainConfig, backward, init_params,
-                               masked_cross_entropy, model_logits, own_logits,
-                               predict, train)
+                               model_logits, own_logits, predict, train)
 
-from conftest import (dense_structure_gradient, random_symmetric, reference_logits,
-                      reference_loss, task_factors)
+from conftest import (copy_params, dense_structure_gradient, masked_cross_entropy,
+                      random_symmetric, reference_logits, reference_loss,
+                      task_factors)
 
 
 def _problem(n=6, d=3, seed=0):
@@ -173,7 +173,7 @@ def test_weight_gradients_match_finite_differences(kind):
     for key, w in params.weights.items():
         for a in range(w.shape[0]):
             for b in range(w.shape[1]):
-                probe = params.copy()
+                probe = copy_params(params)
                 probe.weights[key][a, b] += eps
                 up = backward(s, x, labels, mask, probe)[0]
                 probe.weights[key][a, b] -= 2 * eps
@@ -274,21 +274,22 @@ def test_mask_validation(sbm12):
 
 def test_model_save_load_roundtrip():
     params = init_params("sage", 5, hidden=3, classes=2, seed=9)
-    back = GnnParams.from_dict(json.loads(json.dumps(params.to_dict())))
+    back = codec.decode(GnnParams, json.loads(json.dumps(codec.encode(params))),
+                        "model params")
     assert back.kind == "sage" and back.hidden == 3
     for key in params.weights:
         assert np.array_equal(back.weights[key], params.weights[key])
 
 
 def test_model_load_rejects_inconsistent_dims():
-    doc = init_params("gcn", 4, hidden=3, seed=0).to_dict()
+    doc = codec.encode(init_params("gcn", 4, hidden=3, seed=0))
     doc["hidden"] = 8
     with pytest.raises(ValueError, match="disagrees with hidden"):
-        GnnParams.from_dict(doc)
+        codec.decode(GnnParams, doc, "model params")
     doc["hidden"] = 3
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="format_version"):
-        GnnParams.from_dict(doc)
+        codec.decode(GnnParams, doc, "model params")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsentry import gsl, numerics, pipeline
+from gridsentry import codec, gsl, numerics, pipeline
 from gridsentry.errors import DataError, NumericError
 from gridsentry.flows import (FEATURE_NAMES, apply_zscore, build_snapshot,
                               parse_flows, window)
@@ -55,26 +55,26 @@ def test_config_validation():
 
 
 def test_config_from_dict():
-    cfg = PipelineConfig.from_dict({
+    cfg = codec.decode(PipelineConfig, {
         "seed": 3,
         "gnn_kind": "sage",
         "gsl": {"outer_iters": 7},
         "train": {"epochs": 11},
-    })
+    }, "pipeline")
     assert cfg.seed == 3 and cfg.gnn_kind == "sage"
     assert cfg.gsl == GslConfig(outer_iters=7)
     assert cfg.train.epochs == 11
     with pytest.raises(ValueError, match="unknown pipeline config keys"):
-        PipelineConfig.from_dict({"refine": 5})
+        codec.decode(PipelineConfig, {"refine": 5}, "pipeline")
     with pytest.raises(ValueError, match="gsl config must be a JSON object"):
-        PipelineConfig.from_dict({"gsl": ["outer_iters"]})
+        codec.decode(PipelineConfig, {"gsl": ["outer_iters"]}, "pipeline")
 
 
 @pytest.mark.parametrize("key", ["seed", "train_mask", "val_mask", "test_mask"])
 def test_config_rejects_program_set_train_keys(key):
     # The training seed is the pipeline's top-level seed; masks come from the data.
     with pytest.raises(ValueError, match=rf"unknown train config keys: \['{key}'\]"):
-        PipelineConfig.from_dict({"train": {key: 3}})
+        codec.decode(PipelineConfig, {"train": {key: 3}}, "pipeline")
 
 
 def test_train_from_snapshot_stores_raw_feature_stats(sbm60):
@@ -139,7 +139,7 @@ def test_bundle_roundtrip_is_byte_stable(trained, tmp_path):
     bundle, _, out_dir = trained
     reloaded = DetectorBundle.load(out_dir / "bundle.json")
     again = tmp_path / "bundle2.json"
-    reloaded.save(again)
+    codec.save(reloaded, again, indent=2)
     assert again.read_bytes() == (out_dir / "bundle.json").read_bytes()
     assert reloaded.model_version == bundle.model_version
 
@@ -309,7 +309,7 @@ def test_run_pipeline_orders_alerts(trained, flows_detect_csv, tmp_path):
     bundle, _, _ = trained
     loose = dataclasses.replace(bundle, score_threshold=0.0)
     bundle_path = tmp_path / "loose.json"
-    loose.save(bundle_path)
+    codec.save(loose, bundle_path, indent=2)
     out_path = tmp_path / "alerts.jsonl"
     summary = run_pipeline(flows_detect_csv, bundle_path, out_path,
                            diag=io.StringIO())
@@ -374,8 +374,8 @@ def test_bundle_rejects_weights_that_do_not_fit_its_features(tmp_path):
     with pytest.raises(ValueError, match=r"weight w1 has shape \(9, 16\)"):
         DetectorBundle(**_bundle_fields(n_inputs=9))
     # the same weights written by hand into a saved bundle fail to load
-    doc = DetectorBundle(**_bundle_fields()).to_dict()
-    doc["params"] = init_params("gcn", 9).to_dict()
+    doc = codec.encode(DetectorBundle(**_bundle_fields()))
+    doc["params"] = codec.encode(init_params("gcn", 9))
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="malformed detector bundle.*weight w1"):
@@ -386,7 +386,7 @@ def test_bundle_is_frozen_and_stores_each_detect_setting_once(trained):
     bundle, _, _ = trained
     with pytest.raises(dataclasses.FrozenInstanceError):
         bundle.score_threshold = 0.1
-    doc = bundle.to_dict()
+    doc = codec.encode(bundle)
     for f in dataclasses.fields(pipeline.DetectSettings):
         assert f.name in doc
     assert doc["gsl"] == dataclasses.asdict(GOLDEN_CONFIG.gsl)
