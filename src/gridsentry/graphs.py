@@ -87,8 +87,10 @@ class GraphSnapshot:
         return len(self.node_ids)
 
 
-def _gcn_normalization(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degrees of S + I, D^{-1/2}, and D^{-1/2} (S + I) D^{-1/2}; ``s`` is not checked.
+def _gcn_normalization(s: np.ndarray, row_sum: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees of S + I, D^{-1/2}, and D^{-1/2} (S + I) D^{-1/2}, from S and
+    its row sums ``row_sum``; ``s`` is not checked.
 
     The propagation matrix is built in one n x n array with the bits of
     (S + I) * outer(d^{-1/2}, d^{-1/2}): adding 0.0 after the product turns
@@ -96,7 +98,7 @@ def _gcn_normalization(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     gives. (Only a negative entry whose product underflows could tell the
     two apart; an adjacency has none.)
     """
-    degree = s.sum(axis=1) + 1.0
+    degree = row_sum + 1.0
     inv_sqrt = 1.0 / np.sqrt(degree)
     s_hat = np.outer(inv_sqrt, inv_sqrt)
     diagonal = (np.diagonal(s) + 1.0) * np.diagonal(s_hat)
@@ -106,13 +108,22 @@ def _gcn_normalization(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return degree, inv_sqrt, s_hat
 
 
+def _smoothness(s: np.ndarray, row_sum: np.ndarray, x: np.ndarray) -> float:
+    """tr(X^T L X) = sum_i d_i ||x_i||^2 - sum(X * (S X)), with the degrees
+    d = ``row_sum``, the row sums of S, and without forming L; nothing is
+    checked."""
+    sq = np.einsum("ij,ij->i", x, x)
+    return float(row_sum @ sq - np.einsum("ij,ij->", x, s @ x))
+
+
 def smoothness(s, x) -> float:
     """Quadratic feature variation tr(X^T L X) over the graph.
 
     Equals 0.5 * sum_ij S[i, j] * ||x_i - x_j||^2 for symmetric S, so it is
     non-negative whenever S is non-negative. ``s`` must be an adjacency
-    (symmetric, zero diagonal, finite entries in [0, 1]). Computed as
-    sum_i d_i ||x_i||^2 - sum(X * (S X)), d the degrees, without forming L.
+    (symmetric, zero diagonal, finite entries in [0, 1]): this checks it and
+    the features, then sums the rows of S and calls the formula that
+    ``gsl.objective`` shares, which does not form L.
     """
     feats = require_matrix(x, "features")
     arr = _check_adjacency(require_matrix(s, "structure matrix"), "structure matrix")
@@ -120,8 +131,7 @@ def smoothness(s, x) -> float:
         raise ValueError(
             f"features has {feats.shape[0]} rows for a {arr.shape[0]}-node graph"
         )
-    sq = np.einsum("ij,ij->i", feats, feats)
-    return float(arr.sum(axis=1) @ sq - np.einsum("ij,ij->", feats, arr @ feats))
+    return _smoothness(arr, arr.sum(axis=1), feats)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,17 @@ n x k factors, with k a few dozen, instead of building the chain rule in
 n x n temporaries; only the anchor term is a full matrix. ``_structure_step``
 is the one structure update: ``fit`` takes one step at a time with the task
 factors, and ``refine_structure`` takes its whole label-free budget in one
-call. Both check the observed adjacency at entry; the step checks nothing.
-Without the low-rank prior, the proximal maps and the projection are one
-in-place clamp.
+call. Without the low-rank prior, the proximal maps and the projection are
+one in-place clamp.
+
+Each property of a structure matrix is checked in one place. ``fit`` and
+``refine_structure`` check the observed adjacency at entry (symmetric, zero
+diagonal, entries in [0, 1], within the dense ceiling). ``models._prepare``
+checks each S a GCN or GraphSAGE fit makes for finite entries, once, and
+sums its rows for every kind. ``_structure_step`` checks nothing and keeps
+the adjacency properties by construction, and ``objective`` checks only
+that its total is finite: ``fit`` records each S with the row sums
+``_prepare`` formed and an S - A that the next step then consumes in place.
 
 Z is a node signal. ``fit`` and ``refine_structure`` measure smoothness on
 class beliefs, not on raw features (the classic prior): an edge whose
@@ -51,7 +59,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NumericError
-from .graphs import _check_adjacency, smoothness
+from .graphs import _check_adjacency, _smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
                      _forward, _gradients, _loss_grad_logits, _prepare,
                      _targets, adam_step, init_params, own_logits, softmax)
@@ -141,22 +149,26 @@ class GslState:
     signal: Optional[np.ndarray] = None
 
 
-def objective(s: np.ndarray, a: np.ndarray, signal: np.ndarray, task: float,
-              cfg: GslConfig) -> ObjectiveParts:
+def objective(s: np.ndarray, row_sum: np.ndarray, anchor: np.ndarray,
+              signal: np.ndarray, task: float, cfg: GslConfig) -> ObjectiveParts:
     """Weigh every objective term at ``s``; weights of zero skip their computation.
 
-    ``task`` is the task loss at ``s``, which the caller already holds
-    (``fit`` takes it from ``models._gradients``). The smoothness term is
-    measured on ``signal`` by ``graphs.smoothness``, which checks that ``s``
-    is an adjacency; with ``beta_smooth`` = 0 nothing here checks ``s``,
-    which ``fit`` builds from an observed adjacency it checked at entry.
+    Each argument is a piece the caller already holds: ``row_sum`` the row
+    sums of ``s`` and ``anchor`` = S - A, both of which ``fit`` forms once
+    per S (``models._prepare`` sums the rows), and ``task`` the task loss at
+    ``s``, which ``fit`` takes from ``models._gradients``. The smoothness
+    term is measured on ``signal`` with the formula of ``graphs.smoothness``.
+    Nothing here checks ``s``: ``fit`` checks the observed adjacency at
+    entry, ``models._prepare`` checks each S for finite entries (the MLP's
+    excepted), and the structure step keeps S an adjacency by construction.
+    A non-finite total raises NumericError. ``anchor`` is read, not changed.
     """
-    smooth = cfg.beta_smooth * smoothness(s, signal) if cfg.beta_smooth > 0 else 0.0
+    smooth = cfg.beta_smooth * _smoothness(s, row_sum, signal) if cfg.beta_smooth > 0 else 0.0
     nuclear = 0.0
     if cfg.alpha_nuclear > 0:
         nuclear = cfg.alpha_nuclear * nuclear_norm(s)
     l1 = cfg.alpha_l1 * float(s.sum()) if cfg.alpha_l1 > 0 else 0.0
-    prox = cfg.lambda_prox * float(((s - a) ** 2).sum()) if cfg.lambda_prox > 0 else 0.0
+    prox = cfg.lambda_prox * float((anchor ** 2).sum()) if cfg.lambda_prox > 0 else 0.0
     total = task + nuclear + l1 + smooth + prox
     if not math.isfinite(total):
         raise NumericError(
@@ -231,30 +243,36 @@ def _geometric_total(q: float, steps: int) -> float:
     return -math.expm1(steps * math.log1p(-q)) / q  # accurate for r near 1
 
 
-def _descend(s: np.ndarray, a: np.ndarray, grad: np.ndarray, cfg: GslConfig,
+def _descend(s: np.ndarray, anchor: np.ndarray, grad: np.ndarray, cfg: GslConfig,
              scale: float) -> np.ndarray:
-    """s - scale eta_s (grad + 2 lambda_prox (s - a)), averaged with its
-    transpose; ``grad`` is overwritten."""
-    stepped = s - a
-    stepped *= 2.0 * cfg.lambda_prox
-    grad += stepped
+    """s - scale eta_s (grad + 2 lambda_prox anchor), averaged with its
+    transpose, for ``anchor`` = S - A. ``grad`` is overwritten, and the
+    result is built in ``anchor``'s memory."""
+    anchor *= 2.0 * cfg.lambda_prox
+    grad += anchor
     grad *= -(cfg.eta_s * scale)
     grad += s
-    np.add(grad, grad.T, out=stepped)
-    stepped *= 0.5
-    return stepped
+    np.add(grad, grad.T, out=anchor)
+    anchor *= 0.5
+    return anchor
 
 
 def _structure_step(state: GslState, cfg: GslConfig, steps: int,
-                    task: Optional[_Factors]) -> np.ndarray:
+                    task: Optional[_Factors],
+                    anchor: Optional[np.ndarray] = None) -> np.ndarray:
     """``steps`` proximal structure updates; the state itself is left untouched.
 
     ``state.s`` must be symmetric, with entries in [0, 1] and a zero
     diagonal, as every structure the optimizer makes is; the step does not
-    check it, and returns such a structure again. Smoothness is measured on
-    ``state.signal``. ``task`` holds the task-gradient factors
-    ``models._gradients`` returns for ``state.s``; without them (inference
-    time) only the priors drive S.
+    check it, and returns such a structure again by construction (the
+    symmetric average, the clamp and the zeroed diagonal below), so what
+    ``fit`` checks of the observed adjacency at entry holds for every S.
+    Smoothness is measured on ``state.signal``. ``task`` holds the
+    task-gradient factors ``models._gradients`` returns for ``state.s``;
+    without them (inference time) only the priors drive S. ``anchor`` is
+    S - A for ``state.s`` when the caller holds it (``fit`` formed it for
+    its objective record); the first step consumes it in place, and it is
+    formed here when omitted.
 
     The task and smoothness gradients have low rank, so their sum is one
     product L R^T of n x k factors, with k = h + c + z + 2 for the GCN
@@ -304,15 +322,18 @@ def _structure_step(state: GslState, cfg: GslConfig, steps: int,
         )
     q = 2.0 * cfg.eta_s * cfg.lambda_prox  # 1 - r
     tau = cfg.eta_s * cfg.alpha_l1
+    if anchor is None:
+        anchor = s - a
     if cfg.eta_s * cfg.alpha_nuclear == 0 and q <= 1.0:
         total = _geometric_total(q, steps)
-        stepped = _descend(s, a, grad, cfg, total)
+        stepped = _descend(s, anchor, grad, cfg, total)
         stepped -= total * tau
         np.clip(stepped, 0.0, 1.0, out=stepped)
         np.fill_diagonal(stepped, 0.0)
         return stepped
     for t in range(steps):
-        stepped = _descend(s, a, grad if t == steps - 1 else grad.copy(), cfg, 1.0)
+        stepped = _descend(s, anchor if t == 0 else s - a,
+                           grad if t == steps - 1 else grad.copy(), cfg, 1.0)
         s = symmetrize_clamp(svt(soft_threshold(stepped, tau),
                                  cfg.eta_s * cfg.alpha_nuclear))
     return s if steps else s.copy()
@@ -337,11 +358,15 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     ``fit`` checks its inputs once, here: ``a`` must be an adjacency
     (symmetric, zero diagonal, entries in [0, 1]) within the dense ceiling.
     Each later S comes from ``_structure_step``, which keeps those
-    properties without checking. Each S is prepared once
-    (``models._prepare``) for its ``models._gradients`` passes. A recorded
-    task term is the loss of the next pass at the same S and parameters,
-    the first inner step's or the structure step's; the last record takes
-    its own from a forward pass, with no gradients.
+    properties by construction, without checking. Each S is prepared once
+    (``models._prepare``) for its ``models._gradients`` passes, which is
+    its one check (for finite entries; the MLP's S is not checked) and its
+    one sum of rows; S - A is formed once alongside, and both serve the
+    record at that S (``objective``) before the structure step consumes
+    S - A. With every node labelled the beliefs are the labels, built once.
+    A recorded task term is the loss of the next pass at the same S and
+    parameters, the first inner step's or the structure step's; the last
+    record takes its own from a forward pass, with no gradients.
     """
     a = _check_adjacency(require_square(a, "observed adjacency"),
                          "observed adjacency").copy()
@@ -356,10 +381,12 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     signal, coef = _labelled_beliefs(theta, x, labels, mask, vote)
     state = GslState(s=a.copy(), a=a, signal=signal)
     prop = _prepare(gnn_kind, state.s, x)
+    anchor = state.s - a
+    refresh = not mask.all()  # with every node labelled the beliefs stay put
 
     def record(task):
         state.objective_history.append(
-            objective(state.s, a, state.signal, task, gsl_cfg))
+            objective(state.s, prop.row_sum, anchor, state.signal, task, gsl_cfg))
 
     for it in range(gsl_cfg.outer_iters):
         for step in range(gsl_cfg.inner_theta_steps):
@@ -372,10 +399,12 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
         loss, _, task = _gradients(prop, targets, theta, structure=True)
         if gsl_cfg.inner_theta_steps == 0:  # before the beliefs move on
             record(loss)
-        state.signal, coef = _labelled_beliefs(theta, x, labels, mask, vote, coef)
-        state.s = _structure_step(state, gsl_cfg, 1, task)
+        if refresh:
+            state.signal, coef = _labelled_beliefs(theta, x, labels, mask, vote, coef)
+        state.s = _structure_step(state, gsl_cfg, 1, task, anchor)
         prop = None  # free the old arrays before the new ones are built
         prop = _prepare(gnn_kind, state.s, x)
+        anchor = state.s - a
     record(_loss_grad_logits(_forward(theta, prop)[0], targets)[0])
     return state.s, theta, state
 

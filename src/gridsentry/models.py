@@ -17,8 +17,8 @@ or O(n (h + d)) memory; ``gsl._structure_step`` folds them into one product.
 The MLP ignores the structure and has no factors.
 
 Every pass runs on a structure bound to its features by ``_prepare``,
-which builds what the pass derives from the structure (the GCN's
-normalized propagation matrix, GraphSAGE's inverse row sums) and
+which builds what the pass derives from the structure (its row sums, the
+GCN's normalized propagation matrix, GraphSAGE's inverse row sums) and
 propagates the features through it once: the GCN's S_hat X and
 GraphSAGE's first neighbour mean, as in SGC (Wu et al., ICML 2019).
 ``backward`` and ``model_logits`` take plain arrays and prepare them for
@@ -145,15 +145,18 @@ class _Propagation:
     Built by ``_prepare``; no public function takes or returns one.
     ``model_logits`` and ``backward`` build one for their single pass, and
     ``train`` and ``gsl.fit`` one per structure for all their passes. ``s``
-    is the validated matrix and ``x`` the features. GCN: ``degree`` (row sums of S + I),
+    is the validated matrix, ``x`` the features and, for every kind,
+    ``row_sum`` the row sums of S, which ``gsl.fit``'s objective record
+    reads too. GCN: ``degree`` = ``row_sum`` + 1 (row sums of S + I),
     ``inv_sqrt`` = D^{-1/2}, ``s_hat`` = D^{-1/2} (S + I) D^{-1/2} and
     ``s_hat_x`` = S_hat X. GraphSAGE: ``inv``, the inverse row sums, 0 on
-    isolated rows, and ``n1``, the features' neighbour means. MLP: nothing.
-    The derived arrays are read-only.
+    isolated rows, and ``n1``, the features' neighbour means. The derived
+    arrays are read-only.
     """
 
     s: np.ndarray
     x: np.ndarray
+    row_sum: np.ndarray
     degree: np.ndarray | None = None
     inv_sqrt: np.ndarray | None = None
     s_hat: np.ndarray | None = None
@@ -163,24 +166,29 @@ class _Propagation:
 
 
 def _prepare(kind: str, s, x: np.ndarray) -> _Propagation:
-    """Validate ``s`` and propagate the features ``x`` through it once for ``kind``.
+    """Validate ``s``, sum its rows, and propagate the features ``x`` through
+    it once for ``kind``.
 
     GCN and GraphSAGE need a finite square matrix; no adjacency check is
-    made here (``model_logits`` makes it for the GCN). The MLP ignores ``s``.
+    made here (``model_logits`` makes it for the GCN). The MLP's passes
+    ignore ``s``, which is not checked, but its row sums are formed too:
+    ``gsl.fit``'s objective record reads them for every kind.
     """
     if kind == "mlp":
-        return _Propagation(np.asarray(s, dtype=np.float64), x)
-    s = require_matrix(s, "structure matrix")
-    if s.shape[0] != s.shape[1]:
-        raise ValueError(f"structure matrix must be square, got {s.shape}")
-    if kind == "gcn":
-        degree, inv_sqrt, s_hat = _gcn_normalization(s)
-        derived = {"degree": degree, "inv_sqrt": inv_sqrt, "s_hat": s_hat,
-                   "s_hat_x": s_hat @ x}
+        s = np.asarray(s, dtype=np.float64)
     else:
-        row_sum = s.sum(axis=1)
+        s = require_matrix(s, "structure matrix")
+        if s.shape[0] != s.shape[1]:
+            raise ValueError(f"structure matrix must be square, got {s.shape}")
+    row_sum = s.sum(axis=1)
+    derived = {"row_sum": row_sum}
+    if kind == "gcn":
+        degree, inv_sqrt, s_hat = _gcn_normalization(s, row_sum)
+        derived.update(degree=degree, inv_sqrt=inv_sqrt, s_hat=s_hat,
+                       s_hat_x=s_hat @ x)
+    elif kind == "sage":
         inv = np.where(row_sum > 0, 1.0 / np.where(row_sum > 0, row_sum, 1.0), 0.0)
-        derived = {"inv": inv, "n1": inv[:, None] * (s @ x)}
+        derived.update(inv=inv, n1=inv[:, None] * (s @ x))
     for arr in derived.values():
         arr.setflags(write=False)
     return _Propagation(s, x, **derived)
@@ -196,7 +204,8 @@ def _forward(params: GnnParams, prop: _Propagation) -> tuple[np.ndarray, dict]:
     if params.kind == "gcn":
         z1 = prop.s_hat_x @ w["w1"]
         h1 = np.maximum(z1, 0.0)
-        return prop.s_hat @ (h1 @ w["w2"]), dict(z1=z1, h1=h1)
+        q = h1 @ w["w2"]
+        return prop.s_hat @ q, dict(z1=z1, h1=h1, q=q)
     if params.kind == "sage":
         # Row-normalized aggregation; isolated rows aggregate to the zero vector.
         z1 = x @ w["w1_self"] + prop.n1 @ w["w1_neigh"]
@@ -340,7 +349,7 @@ def _gradients(prop: _Propagation, targets: _Targets, params: GnnParams,
             # / (2 d_i). Those sums come from the forward pass (s_hat q,
             # s_hat xw) and from dq, dxw, with no n x n product.
             dxw = s_hat.T @ dz1
-            q, xw = c["h1"] @ w["w2"], x @ w["w1"]
+            q, xw = c["q"], x @ w["w1"]
             row_sum = (g * logits).sum(axis=1) + (dz1 * z1).sum(axis=1)
             col_sum = (q * dq).sum(axis=1) + (xw * dxw).sum(axis=1)
             inv_sqrt = prop.inv_sqrt[:, None]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gridsentry import models
+from gridsentry import gsl, models
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.experiments import split
 from gridsentry.graphs import SbmSpec, sbm_generate
@@ -150,6 +150,12 @@ def task_factors(s, x, labels, mask, params):
     """The structure-gradient factors of the task loss at ``s``, as ``gsl.fit``
     takes them from ``models._gradients``; None for the MLP."""
     return _task_pass(s, x, labels, mask, params, True)[2]
+
+
+def objective_at(s, a, signal, task, cfg):
+    """``gsl.objective`` at ``s``, with the row sums and S - A it takes formed
+    here as ``gsl.fit`` forms them."""
+    return gsl.objective(s, s.sum(axis=1), s - a, signal, task, cfg)
 
 
 def dense_structure_gradient(s, x, labels, mask, params):

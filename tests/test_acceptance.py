@@ -20,14 +20,13 @@ from gridsentry.attacks import PerturbationSpec, apply, perturb_structure
 from gridsentry.experiments import (Confusion, ExperimentConfig, metrics,
                                     run_experiment, split)
 from gridsentry.graphs import SbmSpec, sbm_generate, smoothness
-from gridsentry.gsl import GslConfig, GslState, _structure_step, fit, objective, \
-    refine_report
+from gridsentry.gsl import GslConfig, GslState, _structure_step, fit, refine_report
 from gridsentry.models import TrainConfig, backward, init_params, train
 from gridsentry.numerics import soft_threshold, svd, svt
 from gridsentry.pipeline import PipelineConfig, run_pipeline, train_pipeline
 
-from conftest import (DATA_DIR, copy_params, dense_structure_gradient, task_factors,
-                      task_loss)
+from conftest import (DATA_DIR, copy_params, dense_structure_gradient, objective_at,
+                      task_factors, task_loss)
 
 GOLDEN_ALERTS = DATA_DIR / "golden_alerts.jsonl"
 REGEN_ENV = "GRIDSENTRY_REGEN_GOLDEN"
@@ -244,7 +243,7 @@ def test_criterion_05_structure_descent(grid, sbm12):
 
     def total():
         loss = task_loss(state.s, sbm12.features, sbm12.labels, mask, theta)
-        return objective(state.s, state.a, sbm12.features, loss, cfg).total
+        return objective_at(state.s, state.a, sbm12.features, loss, cfg).total
 
     values = [total()]
     for _ in range(10):

@@ -11,20 +11,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridsentry import codec, gsl, models, numerics
+from gridsentry import codec, graphs, gsl, models, numerics
 from gridsentry.attacks import PerturbationSpec, apply
 from gridsentry.errors import NumericError
 from gridsentry.experiments import split, write_history_csv
-from gridsentry.graphs import sbm_generate
+from gridsentry.graphs import sbm_generate, smoothness
 from gridsentry.gsl import (ADDED_WEIGHT, PRUNED_WEIGHT, GslConfig, GslState,
-                            StructureDiff, _label_vote, _labelled_beliefs,
-                            _structure_step, fit, objective, refine_report,
-                            refine_structure)
+                            ObjectiveParts, StructureDiff, _label_vote,
+                            _labelled_beliefs, _structure_step, fit,
+                            refine_report, refine_structure)
 from gridsentry.models import TrainConfig, init_params, model_logits, \
     own_logits, softmax, train
 
 from conftest import (SBM12, dense_structure_gradient, masked_cross_entropy,
-                      random_symmetric, task_factors, task_loss)
+                      objective_at, random_symmetric, task_factors, task_loss)
 from test_acceptance import ROBUST_SBM
 from test_models import _count_preparations
 
@@ -43,7 +43,7 @@ def test_objective_terms_match_independent_oracles():
     s, a, x, labels, mask, theta = _tiny()
     cfg = GslConfig(alpha_nuclear=0.7, alpha_l1=0.11, beta_smooth=0.13,
                     lambda_prox=0.17)
-    parts = objective(s, a, x, task_loss(s, x, labels, mask, theta), cfg)
+    parts = objective_at(s, a, x, task_loss(s, x, labels, mask, theta), cfg)
 
     task = masked_cross_entropy(model_logits(theta, s, x), labels, mask)
     nuclear = 0.7 * float(np.abs(np.linalg.eigvalsh(s)).sum())
@@ -66,7 +66,7 @@ def test_objective_zero_weights_reduce_to_task():
     s, a, x, labels, mask, theta = _tiny()
     cfg = GslConfig(alpha_nuclear=0.0, alpha_l1=0.0, beta_smooth=0.0,
                     lambda_prox=0.0)
-    parts = objective(s, a, x, task_loss(s, x, labels, mask, theta), cfg)
+    parts = objective_at(s, a, x, task_loss(s, x, labels, mask, theta), cfg)
     assert parts.nuclear == 0.0 and parts.l1 == 0.0
     assert parts.smooth == 0.0 and parts.prox == 0.0
     assert parts.total == parts.task
@@ -129,7 +129,7 @@ def test_descent_on_small_fixture(theta_source, sbm12):
 
     def total():
         loss = task_loss(state.s, sbm12.features, sbm12.labels, mask, theta)
-        return objective(state.s, state.a, sbm12.features, loss, cfg).total
+        return objective_at(state.s, state.a, sbm12.features, loss, cfg).total
 
     values = [total()]
     for _ in range(10):
@@ -155,7 +155,7 @@ def test_descent_with_belief_signal(sbm12):
 
     def total():
         loss = task_loss(state.s, sbm12.features, sbm12.labels, mask, theta)
-        return objective(state.s, state.a, signal, loss, cfg).total
+        return objective_at(state.s, state.a, signal, loss, cfg).total
 
     values = [total()]
     for _ in range(10):
@@ -466,6 +466,81 @@ def test_fit_prepares_each_structure_once(kind, sbm60, masks60, monkeypatch):
     fit(sbm60.adjacency, sbm60.features, sbm60.labels, kind,
         GslConfig(outer_iters=4), TrainConfig(), train_mask, seed=7)
     assert calls == [kind] * (4 + 1)
+
+
+@pytest.mark.parametrize("labelled", ["partial", "all"])
+@pytest.mark.parametrize("inner", [5, 0])
+@pytest.mark.parametrize("kind", ["gcn", "sage", "mlp"])
+def test_fit_checks_each_structure_once_and_records_the_checked_objective(
+        kind, inner, labelled, sbm60, masks60, monkeypatch):
+    # The record does not check S: every S fit prepares must be an adjacency
+    # by construction, and each record must equal what the public, checked
+    # smoothness path gives on that iteration's S and signal.
+    cfg = GslConfig(outer_iters=3, inner_theta_steps=inner)
+    mask = masks60[0] if labelled == "partial" else np.ones(60, dtype=bool)
+    prepared, records, checks = [], [], []
+    prepare, record, check = gsl._prepare, gsl.objective, graphs._check_adjacency
+
+    def preparing(kind, s, x):
+        prepared.append(s.copy())
+        return prepare(kind, s, x)
+
+    def recording(s, row_sum, anchor, signal, task, cfg):
+        parts = record(s, row_sum, anchor, signal, task, cfg)
+        records.append((s.copy(), signal.copy(), task, parts))
+        return parts
+
+    def checking(a, name="adjacency"):
+        checks.append(name)
+        return check(a, name)
+
+    def never(s, x):
+        raise AssertionError("graphs.smoothness ran inside fit")
+
+    monkeypatch.setattr(gsl, "_prepare", preparing)
+    monkeypatch.setattr(gsl, "objective", recording)
+    for module in (gsl, graphs, models):
+        monkeypatch.setattr(module, "_check_adjacency", checking)
+    monkeypatch.setattr(graphs, "smoothness", never)
+    fit(sbm60.adjacency, sbm60.features, sbm60.labels, kind, cfg, TrainConfig(),
+        mask, seed=7)
+    monkeypatch.undo()
+
+    assert checks == ["observed adjacency"]
+    assert len(prepared) == len(records) == cfg.outer_iters + 1
+    zeros = np.zeros(60).tobytes()
+    for s in prepared:
+        assert np.isfinite(s).all()
+        assert s.tobytes() == np.ascontiguousarray(s.T).tobytes()
+        assert np.diagonal(s).tobytes() == zeros
+        assert s.min() >= 0.0 and s.max() <= 1.0
+    a = sbm60.adjacency
+    for s_prepared, (s, signal, task, parts) in zip(prepared, records):
+        assert s.tobytes() == s_prepared.tobytes()
+        smooth = cfg.beta_smooth * smoothness(s, signal)
+        l1 = cfg.alpha_l1 * float(s.sum())
+        prox = cfg.lambda_prox * float(((s - a) ** 2).sum())
+        want = ObjectiveParts(task + 0.0 + l1 + smooth + prox, task, 0.0, l1,
+                              smooth, prox)
+        assert np.array(parts).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("labelled, refreshes", [("partial", 3 + 1), ("all", 1)])
+def test_fit_builds_the_beliefs_of_an_all_labelled_graph_once(labelled, refreshes,
+                                                              sbm60, masks60,
+                                                              monkeypatch):
+    calls = []
+    original = gsl._labelled_beliefs
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gsl, "_labelled_beliefs", counting)
+    mask = masks60[0] if labelled == "partial" else np.ones(60, dtype=bool)
+    fit(sbm60.adjacency, sbm60.features, sbm60.labels, "gcn",
+        GslConfig(outer_iters=3), TrainConfig(), mask, seed=7)
+    assert len(calls) == refreshes
 
 
 def test_warm_started_belief_regression_matches_a_cold_start(sbm60, masks60,
