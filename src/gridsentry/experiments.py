@@ -219,9 +219,13 @@ def load_merged_snapshot(csv_path, window_seconds: int, min_nodes: int,
     start to the last one's end: node and edge sets are the unions over the
     kept windows and features summarize every kept flow. With ``max_flows``,
     only the first ``max_flows`` usable flows are read (``parse_flows``'
-    ``limit``).
+    ``limit``). Training and the grid read the labels, so a CSV without a
+    label column raises DataError.
     """
     flows, _ = parse_flows(csv_path, limit=max_flows)
+    if flows.label is None:
+        raise DataError(f"{csv_path} has no label column; training needs "
+                        "labelled flows")
     if not len(flows):
         raise DataError(f"no usable flows in {csv_path}")
     kept: list[FlowTable] = []
@@ -270,8 +274,8 @@ def _predictions(trained: _Trained, snapshot: GraphSnapshot,
     if trained.structure is None:
         s = snapshot.adjacency
     elif evasion:
-        s = gsl.refine_structure(snapshot.adjacency, snapshot.features,
-                                 trained.params, gsl_cfg, gsl.REFINE_STEPS)
+        s = gsl.refine_structure(snapshot, snapshot.features, trained.params,
+                                 gsl_cfg, gsl.REFINE_STEPS)
     else:
         s = trained.structure
     return predict(model_logits(trained.params, s, snapshot.features))

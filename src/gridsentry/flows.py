@@ -22,9 +22,11 @@ dur      dur                 duration
 label    label               label
 ======== =================== ==========================
 
-Ports are optional, and they are checked but not kept; everything else must
-be present or parsing fails hard listing the missing logical fields. Any
-other column, an attack type among them, is ignored. Malformed rows are
+Ports are optional, and they are checked but not kept. The label is
+optional too: detection never reads it, while training and the CSV grid
+fail without it (``experiments.load_merged_snapshot``). Everything else
+must be present or parsing fails hard listing the missing logical fields.
+Any other column, an attack type among them, is ignored. Malformed rows are
 skipped and counted under the first field, in table order, that fails; if
 more than half of the data rows are skipped the dataset is rejected as
 unusable.
@@ -76,7 +78,7 @@ _ALIASES = {
 # bytes and pkts accept a single generic column or a ToN_IoT sent/received pair.
 _PAIRED = {"bytes": ("bytes", ("src_bytes", "dst_bytes")),
            "pkts": ("pkts", ("src_pkts", "dst_pkts"))}
-_REQUIRED = ("ts", "src", "dst", "proto", "bytes", "pkts", "dur", "label")
+_REQUIRED = ("ts", "src", "dst", "proto", "bytes", "pkts", "dur")
 _MAX_EXACT = 2.0**53
 # Rows read and checked together: enough to make the per-column work cheap,
 # few enough that a block's cell strings take little memory. Blocks of 1,024
@@ -90,7 +92,8 @@ class FlowTable:
     """Parsed network flows between devices, as equal-length columns.
 
     The columns are the fields :func:`build_snapshot` reads; parsing checks
-    the ports but does not keep them. Row ``i`` of every column is one flow.
+    the ports but does not keep them. ``label`` is None when the CSV has no
+    label column. Row ``i`` of every column is one flow.
     ``table[idx]`` selects rows by a slice, an index array or a boolean mask.
     """
 
@@ -101,14 +104,16 @@ class FlowTable:
     bytes: np.ndarray      # int64
     packets: np.ndarray    # int64
     duration: np.ndarray   # float64
-    label: np.ndarray      # int64, 0 or 1
+    label: Optional[np.ndarray] = None  # int64, 0 or 1
 
     def __post_init__(self):
         if len({len(column) for column in self._columns().values()}) > 1:
             raise ValueError("FlowTable columns differ in length")
 
     def _columns(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The columns present: every field but an absent ``label``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -119,9 +124,10 @@ class FlowTable:
 
     @classmethod
     def concat(cls, tables: list["FlowTable"]) -> "FlowTable":
-        """The rows of ``tables``, in order; ``tables`` must not be empty."""
-        return cls(**{f.name: np.concatenate([getattr(t, f.name) for t in tables])
-                      for f in fields(cls)})
+        """The rows of ``tables``, in order; ``tables`` must not be empty,
+        and all must have a label column or none."""
+        return cls(**{name: np.concatenate([getattr(t, name) for t in tables])
+                      for name in tables[0]._columns()})
 
 
 @dataclass
@@ -266,7 +272,8 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
 
     A row is skipped under the first rule it breaks, in the order of the
     fields ts, src, dst, proto, src_port, dst_port, bytes, pkts, dur, label.
-    Ports are checked but not kept. Each rule is a mask over the block:
+    Ports are checked but not kept; a label is checked and kept when the
+    CSV has the column. Each rule is a mask over the block:
     ``reject`` counts the rows it is the first to catch. A masked-out row's
     value is replaced before any cast or sum, so a rejected cell never
     reaches the arithmetic.
@@ -334,10 +341,12 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
     nbytes = number("bytes")
     pkts = number("pkts")
     dur = number("dur")
-    label, empty, failed = _floats(cells(columns["label"]))
-    reject("missing label", empty)
-    reject("non-numeric label", failed)
-    reject("invalid label", (label != 0) & (label != 1))
+    label = None
+    if "label" in columns:
+        label, empty, failed = _floats(cells(columns["label"]))
+        reject("missing label", empty)
+        reject("non-numeric label", failed)
+        reject("invalid label", (label != 0) & (label != 1))
 
     self_flow = ok & (src == dst)
     stats.self_flows_dropped += int(np.count_nonzero(self_flow))
@@ -351,7 +360,7 @@ def _parse_block(rows: list[list[str]], columns: dict, position: dict,
         bytes=nbytes[keep].astype(np.int64),
         packets=pkts[keep].astype(np.int64),
         duration=dur[keep],
-        label=(label[keep] == 1).astype(np.int64),
+        label=None if label is None else (label[keep] == 1).astype(np.int64),
     ), keep
 
 
@@ -400,7 +409,8 @@ def build_snapshot(flows: FlowTable,
     windows, and every flow must fall inside it. Node order is the
     lexicographic sort of device identifiers, which makes the construction
     independent of flow order. A device is labeled malicious when more than
-    half of the flows touching it are attack flows.
+    half of the flows touching it are attack flows; flows without labels
+    give a snapshot without labels.
     """
     if not len(flows):
         raise ValueError("build_snapshot needs at least one flow")
@@ -447,7 +457,9 @@ def build_snapshot(flows: FlowTable,
         ]
     )
 
-    labels = (per_end(flows.label) / touch > 0.5).astype(np.int64)
+    labels = None
+    if flows.label is not None:
+        labels = (per_end(flows.label) / touch > 0.5).astype(np.int64)
     return GraphSnapshot(
         node_ids=node_ids,
         adjacency=adjacency,

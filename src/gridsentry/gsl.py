@@ -24,14 +24,19 @@ factors, and ``refine_structure`` takes its whole label-free budget in one
 call. Without the low-rank prior, the proximal maps and the projection are
 one in-place clamp.
 
-Each property of a structure matrix is checked in one place. ``fit`` and
-``refine_structure`` check the observed adjacency at entry (symmetric, zero
-diagonal, entries in [0, 1], within the dense ceiling). ``models._prepare``
-checks each S a GCN or GraphSAGE fit makes for finite entries, once, and
-sums its rows for every kind. ``_structure_step`` checks nothing and keeps
+Each property of a structure matrix is checked in one place. ``fit``
+checks the observed adjacency at entry (symmetric, zero diagonal, entries
+in [0, 1], within the dense ceiling). ``refine_structure`` reads it from a
+``graphs.GraphSnapshot``, which made those checks when it was built, and
+checks only its side against the dense ceiling. ``models._prepare`` checks
+each S a GCN or GraphSAGE pass reads for finite entries, once, and sums its
+rows for every kind: each S of a fit, and the refined S that
+``pipeline.detect`` scores. ``_structure_step`` checks nothing and keeps
 the adjacency properties by construction, and ``objective`` checks only
 that its total is finite: ``fit`` records each S with the row sums
 ``_prepare`` formed and an S - A that the next step then consumes in place.
+Refinement starts at S = A, where S - A is zero, so its first step skips
+the anchor term.
 
 Z is a node signal. ``fit`` and ``refine_structure`` measure smoothness on
 class beliefs, not on raw features (the classic prior): an edge whose
@@ -59,12 +64,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NumericError
-from .graphs import _check_adjacency, _smoothness
+from .graphs import GraphSnapshot, _check_adjacency, _smoothness
 from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
                      _forward, _gradients, _loss_grad_logits, _prepare,
                      _targets, adam_step, init_params, own_logits, softmax)
-from .numerics import (nuclear_norm, require_matrix, require_square,
-                       soft_threshold, svt, symmetrize_clamp)
+from .numerics import (_check_dense_side, nuclear_norm, require_matrix,
+                       require_square, soft_threshold, svt, symmetrize_clamp)
 
 # refine_report weight thresholds: an original edge whose learned weight
 # falls below PRUNED_WEIGHT counts as pruned, a non-edge rising above
@@ -139,7 +144,9 @@ class ObjectiveParts(NamedTuple):
 class GslState:
     """Working state of one fit or refinement: structure, anchor and signal.
 
-    The state checks nothing; ``fit`` and ``refine_structure`` check ``a``.
+    The state checks nothing. ``fit`` checks ``a``; ``refine_structure``
+    takes it from a ``GraphSnapshot``, which checked it, and starts with
+    ``s`` the same array as ``a``.
     """
 
     s: np.ndarray
@@ -243,18 +250,25 @@ def _geometric_total(q: float, steps: int) -> float:
     return -math.expm1(steps * math.log1p(-q)) / q  # accurate for r near 1
 
 
-def _descend(s: np.ndarray, anchor: np.ndarray, grad: np.ndarray, cfg: GslConfig,
-             scale: float) -> np.ndarray:
+def _descend(s: np.ndarray, anchor: Optional[np.ndarray], grad: np.ndarray,
+             cfg: GslConfig, scale: float) -> np.ndarray:
     """s - scale eta_s (grad + 2 lambda_prox anchor), averaged with its
     transpose, for ``anchor`` = S - A. ``grad`` is overwritten, and the
-    result is built in ``anchor``'s memory."""
-    anchor *= 2.0 * cfg.lambda_prox
-    grad += anchor
+    result is built in ``anchor``'s memory.
+
+    ``anchor`` None stands for S = A: the zero anchor term is skipped and the
+    result is a new array. Adding it would change no bit. It could only turn
+    a -0.0 of ``grad`` into +0.0, and ``grad`` has none: a matrix product
+    sums each entry from +0.0.
+    """
+    if anchor is not None:
+        anchor *= 2.0 * cfg.lambda_prox
+        grad += anchor
     grad *= -(cfg.eta_s * scale)
     grad += s
-    np.add(grad, grad.T, out=anchor)
-    anchor *= 0.5
-    return anchor
+    out = np.add(grad, grad.T, out=anchor)
+    out *= 0.5
+    return out
 
 
 def _structure_step(state: GslState, cfg: GslConfig, steps: int,
@@ -271,8 +285,9 @@ def _structure_step(state: GslState, cfg: GslConfig, steps: int,
     task-gradient factors ``models._gradients`` returns for ``state.s``;
     without them (inference time) only the priors drive S. ``anchor`` is
     S - A for ``state.s`` when the caller holds it (``fit`` formed it for
-    its objective record); the first step consumes it in place, and it is
-    formed here when omitted.
+    its objective record); the first step consumes it in place. When it is
+    omitted it is formed here, unless ``state.s`` is ``state.a`` itself
+    (refinement's start): that anchor is zero, and the first step skips it.
 
     The task and smoothness gradients have low rank, so their sum is one
     product L R^T of n x k factors, with k = h + c + z + 2 for the GCN
@@ -322,7 +337,7 @@ def _structure_step(state: GslState, cfg: GslConfig, steps: int,
         )
     q = 2.0 * cfg.eta_s * cfg.lambda_prox  # 1 - r
     tau = cfg.eta_s * cfg.alpha_l1
-    if anchor is None:
+    if anchor is None and s is not a:
         anchor = s - a
     if cfg.eta_s * cfg.alpha_nuclear == 0 and q <= 1.0:
         total = _geometric_total(q, steps)
@@ -409,21 +424,27 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     return state.s, theta, state
 
 
-def refine_structure(a: np.ndarray, x: np.ndarray, theta: GnnParams,
+def refine_structure(snapshot: GraphSnapshot, x: np.ndarray, theta: GnnParams,
                      cfg: GslConfig, steps: int) -> np.ndarray:
-    """Short label-free structure refinement with frozen parameters.
+    """Short label-free structure refinement of ``snapshot``'s graph with
+    frozen parameters.
 
     This is the inference-time pass: starting from the observed adjacency,
     ``_structure_step`` takes ``steps`` updates driven by the priors alone,
     with smoothness measured on the frozen classifier's reading of each
-    node's own features (its softmax on an empty graph). Edges between
-    nodes it places in different classes are the ones cut. Without the
-    nuclear prior, and with 2 eta_s lambda_prox <= 1, that is one O(n^2)
-    pass whatever ``steps`` is. ``a`` must be an adjacency within the dense
-    ceiling, and is checked here.
+    node's own features ``x`` (its softmax on an empty graph), one row per
+    node of the snapshot; ``pipeline.detect`` passes them standardized.
+    Edges between nodes it places in different classes are the ones cut.
+    Without the nuclear prior, and with 2 eta_s lambda_prox <= 1, that is
+    one O(n^2) pass whatever ``steps`` is.
+
+    The snapshot checked its adjacency when it was built (symmetric, zero
+    diagonal, finite entries in [0, 1]) and holds it read-only, so it is not
+    checked again: only its side is checked against the dense ceiling. The
+    result keeps those properties by construction.
     """
-    a = _check_adjacency(require_square(a, "observed adjacency"),
-                         "observed adjacency")
+    a = snapshot.adjacency
+    _check_dense_side(a.shape[0], "observed adjacency")
     state = GslState(s=a, a=a, signal=softmax(own_logits(theta, x)))
     return _structure_step(state, cfg, steps, None)
 

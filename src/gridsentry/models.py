@@ -24,7 +24,8 @@ GraphSAGE's first neighbour mean, as in SGC (Wu et al., ICML 2019).
 ``backward`` and ``model_logits`` take plain arrays and prepare them for
 their one pass; ``train`` and ``gsl.fit`` prepare each structure once for
 all their passes, check their labels and mask once (``_targets``) and call
-``_gradients`` directly.
+``_gradients`` directly, and ``pipeline.detect`` scores its refined
+structure through ``_forward`` on one ``_prepare``.
 
 The n x n products of a pass are then all at class width: the forward
 pass multiplies the structure into the n x c second-layer term (GCN:
@@ -143,11 +144,11 @@ class _Propagation:
     """One structure matrix bound to one feature matrix for a model kind's passes.
 
     Built by ``_prepare``; no public function takes or returns one.
-    ``model_logits`` and ``backward`` build one for their single pass, and
-    ``train`` and ``gsl.fit`` one per structure for all their passes. ``s``
-    is the validated matrix, ``x`` the features and, for every kind,
-    ``row_sum`` the row sums of S, which ``gsl.fit``'s objective record
-    reads too. GCN: ``degree`` = ``row_sum`` + 1 (row sums of S + I),
+    ``model_logits``, ``backward`` and ``pipeline.detect`` build one for
+    their single pass, and ``train`` and ``gsl.fit`` one per structure for
+    all their passes. ``s`` is the validated matrix, ``x`` the features
+    and, for every kind, ``row_sum`` the row sums of S, which ``gsl.fit``'s
+    objective record reads too. GCN: ``degree`` = ``row_sum`` + 1 (row sums of S + I),
     ``inv_sqrt`` = D^{-1/2}, ``s_hat`` = D^{-1/2} (S + I) D^{-1/2} and
     ``s_hat_x`` = S_hat X. GraphSAGE: ``inv``, the inverse row sums, 0 on
     isolated rows, and ``n1``, the features' neighbour means. The derived
@@ -170,9 +171,11 @@ def _prepare(kind: str, s, x: np.ndarray) -> _Propagation:
     it once for ``kind``.
 
     GCN and GraphSAGE need a finite square matrix; no adjacency check is
-    made here (``model_logits`` makes it for the GCN). The MLP's passes
-    ignore ``s``, which is not checked, but its row sums are formed too:
-    ``gsl.fit``'s objective record reads them for every kind.
+    made here (``model_logits`` makes it for the GCN; the structures that
+    ``gsl.fit`` and ``pipeline.detect`` prepare are adjacencies by
+    construction). The MLP's passes ignore ``s``, which is not checked, but
+    its row sums are formed too: ``gsl.fit``'s objective record reads them
+    for every kind.
     """
     if kind == "mlp":
         s = np.asarray(s, dtype=np.float64)

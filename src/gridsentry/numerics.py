@@ -7,9 +7,11 @@ same seed reproduces the identical stream within one build.
 
 Dense problems are capped at a side of 2,000 (``_MAX_SVD_SIDE``), where one
 float64 matrix takes 32 MB: :func:`require_square` raises ValueError naming
-the dense ceiling above it. ``gsl.fit`` and ``gsl.refine_structure`` check
-the observed adjacency that way when they start, and every factorization
-checks its input again.
+the dense ceiling above it. ``gsl.fit`` checks the observed adjacency that
+way when it starts, and every factorization checks its input again.
+``gsl.refine_structure`` reads a ``GraphSnapshot``, whose adjacency was
+checked when the snapshot was built, so it checks only the side against
+the ceiling, with the same message.
 
 The structure matrices the optimizer works on are symmetric, so the spectral
 operators of the opt-in nuclear-norm prior, :func:`svt` and
@@ -111,15 +113,20 @@ def soft_threshold(m, tau: float) -> np.ndarray:
     return np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
 
 
+def _check_dense_side(side: int, name: str) -> None:
+    """Raise ValueError naming the dense ceiling if ``side`` is above it."""
+    if side > _MAX_SVD_SIDE:
+        raise ValueError(
+            f"{name} side {side} is above the dense ceiling of {_MAX_SVD_SIDE}"
+        )
+
+
 def require_square(m, name: str = "matrix") -> np.ndarray:
     """A finite, square matrix within the dense ceiling, or ValueError."""
     arr = require_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if arr.shape[0] > _MAX_SVD_SIDE:
-        raise ValueError(
-            f"{name} side {arr.shape[0]} is above the dense ceiling of {_MAX_SVD_SIDE}"
-        )
+    _check_dense_side(arr.shape[0], name)
     return arr
 
 

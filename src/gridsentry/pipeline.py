@@ -24,8 +24,7 @@ from .experiments import (MIN_WINDOW_NODES, load_merged_snapshot,
 from .flows import (apply_zscore, build_snapshot, compute_zscore_stats,
                     parse_flows, window)
 from .graphs import GraphSnapshot
-from .models import GnnParams, TrainConfig, model_logits, softmax
-from .numerics import require_matrix
+from .models import GnnParams, TrainConfig, _forward, _prepare, softmax
 
 
 def _sig12(value: float) -> float:
@@ -207,8 +206,13 @@ def detect(snapshot: GraphSnapshot, bundle: DetectorBundle) -> list[Alert]:
     the score threshold produces an alert. Alerts carry the refined-away
     edges touching the node as structural flags, the pairs
     ``gsl.refine_report`` lists as pruned, read for the alerted nodes only.
+
+    The snapshot checked its adjacency and features when it was built, and
+    nothing here checks them again. The refined structure is an adjacency
+    by construction; ``models._prepare`` checks it for finite entries, as
+    it does every structure a fit or training pass reads, before scoring.
     """
-    feats = require_matrix(snapshot.features, "snapshot features")
+    feats = snapshot.features
     if feats.shape[1] != bundle.zscore_mean.shape[0]:
         raise DataError(
             f"snapshot has {feats.shape[1]} features but the bundle expects "
@@ -217,20 +221,23 @@ def detect(snapshot: GraphSnapshot, bundle: DetectorBundle) -> list[Alert]:
     if list(snapshot.feature_names) != list(bundle.feature_names):
         raise DataError("snapshot feature names do not match the bundle")
     features = apply_zscore(feats, (bundle.zscore_mean, bundle.zscore_std))
-    refined = gsl.refine_structure(snapshot.adjacency, features, bundle.params,
-                                   bundle.gsl, bundle.detect_refine_steps)
-    scores = softmax(model_logits(bundle.params, refined, features))[:, 1]
+    params = bundle.params
+    refined = gsl.refine_structure(snapshot, features, params, bundle.gsl,
+                                   bundle.detect_refine_steps)
+    logits, _ = _forward(params, _prepare(params.kind, refined, features))
+    scores = softmax(logits)[:, 1]
 
     # Both matrices are symmetric, so a node's row holds all its pairs.
-    pruned = (snapshot.adjacency > 0) & (refined < gsl.PRUNED_WEIGHT)
+    adjacency = snapshot.adjacency
     ids = snapshot.node_ids
     alerts = []
     # Every node not below the threshold alerts, a NaN score too.
     for idx in np.flatnonzero(~(scores < bundle.score_threshold)):
         score = float(scores[idx])
         row = refined[idx]
+        pruned = (adjacency[idx] > 0) & (row < gsl.PRUNED_WEIGHT)
         flags = sorted(({"pruned_edge_to": ids[j], "learned_weight": float(row[j])}
-                        for j in np.flatnonzero(pruned[idx])),
+                        for j in np.flatnonzero(pruned)),
                        key=lambda f: f["pruned_edge_to"])
         action = "isolate" if score >= bundle.isolate_threshold else "notify"
         alerts.append(

@@ -5,6 +5,8 @@ determinism of the generator is itself under test, so the constants here
 are the committed ground truth.
 """
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -75,6 +77,16 @@ def flows_train_csv():
 @pytest.fixture(scope="session")
 def flows_detect_csv():
     return DATA_DIR / "flows_detect.csv"
+
+
+def without_column(src, dst, name):
+    """Copy the flow CSV ``src`` to ``dst`` without the column ``name``."""
+    with open(src, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    k = rows[0].index(name)
+    with open(dst, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            row[:k] + row[k + 1:] for row in rows)
 
 
 def random_symmetric(n, seed, density=0.5):

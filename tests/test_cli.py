@@ -14,6 +14,8 @@ from gridsentry.graphs import GraphSnapshot, SbmSpec, sbm_generate
 from gridsentry.gsl import GslConfig
 from gridsentry.models import init_params
 
+from conftest import without_column
+
 TINY_EXPERIMENT = {
     "sbm": {"n": 40, "classes": 2, "p_in": 0.3, "p_out": 0.05,
             "feature_dim": 4, "signal": 1.5, "noise_sigma": 0.8, "seed": 0},
@@ -427,6 +429,17 @@ def test_experiment_missing_csv_is_data_error(tmp_path, capsys):
                       {"csv_path": str(tmp_path / "missing.csv"), "runs": 1})
     assert main(["experiment", "--config", cfg, "-o", str(tmp_path / "r")]) == 2
     assert "data error: cannot read flow file" in capsys.readouterr().err
+
+
+def test_train_and_grid_without_labels_are_data_errors(tmp_path,
+                                                       flows_train_csv, capsys):
+    unlabelled = tmp_path / "unlabelled.csv"
+    without_column(flows_train_csv, unlabelled, "label")
+    assert main(["train", "-i", str(unlabelled), "-o", str(tmp_path / "m")]) == 2
+    assert "has no label column" in capsys.readouterr().err
+    cfg = _write_json(tmp_path / "exp.json", {"csv_path": str(unlabelled), "runs": 1})
+    assert main(["experiment", "--config", cfg, "-o", str(tmp_path / "r")]) == 2
+    assert "has no label column" in capsys.readouterr().err
 
 
 def _must_not_run(*args, **kwargs):

@@ -294,6 +294,21 @@ def test_self_flows_dropped_separately():
     assert stats.self_flows_dropped == 1 and stats.rows_skipped == 0
 
 
+def test_the_label_column_is_optional():
+    text = ("ts,src_ip,dst_ip,proto,bytes,pkts,dur\n"
+            "1.0,a,b,tcp,100,10,2.0\n2.0,b,c,udp,5,1,0.5\n400.0,c,a,icmp,1,1,0\n")
+    table, stats = parse_flows(io.StringIO(text))
+    assert table.label is None and len(table) == 3 and stats.rows_skipped == 0
+    buckets = window(table, 300)
+    assert [bucket.label for _, bucket in buckets] == [None, None]
+    assert FlowTable.concat([bucket for _, bucket in buckets]).label is None
+    unlabelled = build_snapshot(*reversed(buckets[0]))
+    assert unlabelled.labels is None
+    labelled, _ = _parse(_flow(1.0, "a", "b", label=1), _flow(2.0, "b", "c", "udp", 5, 1, 0.5))
+    assert codec.encode(unlabelled) == {
+        **codec.encode(build_snapshot(labelled, (0.0, 300.0))), "labels": None}
+
+
 def test_missing_columns_fail_hard():
     with pytest.raises(DataError, match="dst"):
         parse_flows(io.StringIO("ts,src_ip,proto,bytes,pkts,dur,label\n"))

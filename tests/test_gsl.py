@@ -4,6 +4,7 @@ The slow checks share three module-scoped fits on the 60-node fixture; the
 step-level checks run on tiny matrices with independent oracles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -316,14 +317,14 @@ def test_refine_report_matches_pair_loop_reference():
 
 def test_refine_structure_zero_steps_is_identity(sbm12):
     theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
-    out = refine_structure(sbm12.adjacency, sbm12.features, theta,
+    out = refine_structure(sbm12, sbm12.features, theta,
                            GslConfig(), steps=0)
     assert np.array_equal(out, sbm12.adjacency)
 
 
 def test_refine_structure_is_label_free_and_valid(sbm12):
     theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
-    out = refine_structure(sbm12.adjacency, sbm12.features, theta,
+    out = refine_structure(sbm12, sbm12.features, theta,
                            GslConfig(), steps=5)
     assert np.array_equal(out, out.T)
     assert np.all(np.diagonal(out) == 0.0)
@@ -425,7 +426,7 @@ def test_a_run_of_steps_matches_single_steps(data):
 def test_refine_structure_keeps_the_step_loop(cfg, sbm12):
     theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
     beliefs = softmax(own_logits(theta, sbm12.features))
-    out = refine_structure(sbm12.adjacency, sbm12.features, theta, cfg, steps=7)
+    out = refine_structure(sbm12, sbm12.features, theta, cfg, steps=7)
     assert np.array_equal(out, _step_loop(sbm12.adjacency, beliefs, cfg, 7))
 
 
@@ -433,18 +434,48 @@ def test_refine_structure_keeps_the_step_loop(cfg, sbm12):
 def test_refine_structure_in_closed_form_by_default(steps, sbm12):
     theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
     beliefs = softmax(own_logits(theta, sbm12.features))
-    out = refine_structure(sbm12.adjacency, sbm12.features, theta, GslConfig(),
+    out = refine_structure(sbm12, sbm12.features, theta, GslConfig(),
                            steps=steps)
     loop = _step_loop(sbm12.adjacency, beliefs, GslConfig(), steps)
     assert np.abs(out - loop).max() <= 1e-12
 
 
 def test_refine_structure_needs_an_adjacency(sbm12):
-    theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
+    # refine_structure reads a GraphSnapshot, which checks its adjacency
+    # when it is built: a lopsided matrix never reaches the refinement.
     lopsided = sbm12.adjacency.copy()
     lopsided[0, 1] = 0.5 * lopsided[1, 0] + 0.25
     with pytest.raises(ValueError, match="symmetric"):
-        refine_structure(lopsided, sbm12.features, theta, GslConfig(), steps=5)
+        dataclasses.replace(sbm12, adjacency=lopsided)
+    assert not sbm12.adjacency.flags.writeable
+
+
+@pytest.mark.parametrize("cfg", [GslConfig(), GslConfig(alpha_nuclear=0.25),
+                                 GslConfig(eta_s=0.5, lambda_prox=1.5)],
+                         ids=["closed-form", "nuclear-prior", "oscillating-step"])
+@pytest.mark.parametrize("steps", [0, 1, 20])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_step_from_a_skips_the_zero_anchor_bit_for_bit(cfg, steps, seed):
+    # From S = A the anchor S - A is zero, and the step skips it; forming
+    # it and passing it in must give the same bits, -0.0 entries of A too.
+    n = 16
+    rng = np.random.default_rng(seed)
+    a = random_symmetric(n, seed, density=0.4)
+    zeros = np.triu((a == 0) & (rng.random((n, n)) < 0.5), 1)
+    a[zeros | zeros.T] = -0.0
+    np.fill_diagonal(a, np.where(rng.random(n) < 0.5, -0.0, 0.0))
+    assert np.signbit(a[a == 0]).any()
+    a.setflags(write=False)
+    p = rng.random(n)
+    beliefs = np.column_stack([1.0 - p, p])
+    for task in (None, models._Factors(rng.normal(size=(n, 3)),
+                                       rng.normal(size=(n, 3)), rng.normal(size=n))):
+        skipped = _structure_step(GslState(s=a, a=a, signal=beliefs), cfg,
+                                  steps, task)
+        formed = _structure_step(GslState(s=a, a=a, signal=beliefs), cfg,
+                                 steps, task, anchor=a - a)
+        assert skipped.tobytes() == formed.tobytes()
+        assert skipped is not a
 
 
 def test_fit_and_refine_check_the_dense_ceiling(sbm12, monkeypatch):
@@ -455,7 +486,7 @@ def test_fit_and_refine_check_the_dense_ceiling(sbm12, monkeypatch):
             GslConfig(outer_iters=1), TrainConfig(), mask, seed=7)
     theta = init_params("gcn", SBM12.feature_dim, hidden=8, seed=11)
     with pytest.raises(ValueError, match="dense ceiling"):
-        refine_structure(sbm12.adjacency, sbm12.features, theta, GslConfig(),
+        refine_structure(sbm12, sbm12.features, theta, GslConfig(),
                          steps=5)
 
 

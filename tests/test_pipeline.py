@@ -7,15 +7,18 @@ replays one window with m00 active and one all-benign window.
 
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsentry import codec, gsl, numerics, pipeline
+from gridsentry import codec, graphs, gsl, numerics, pipeline
 from gridsentry.errors import DataError, NumericError
 from gridsentry.flows import (FEATURE_NAMES, apply_zscore, build_snapshot,
                               parse_flows, window)
@@ -25,6 +28,8 @@ from gridsentry.models import init_params, model_logits, softmax
 from gridsentry.pipeline import (Alert, DetectorBundle, PipelineConfig, detect,
                                  run_pipeline, train_from_snapshot,
                                  train_pipeline)
+
+from conftest import without_column
 
 GOLDEN_CONFIG = PipelineConfig(seed=0, detect_refine_steps=60)
 
@@ -197,7 +202,7 @@ def test_alert_flags_are_the_refine_report_pairs_of_the_node(n, seed, threshold,
 
     features = apply_zscore(snapshot.features,
                             (bundle.zscore_mean, bundle.zscore_std))
-    refined = gsl.refine_structure(snapshot.adjacency, features, bundle.params,
+    refined = gsl.refine_structure(snapshot, features, bundle.params,
                                    bundle.gsl, steps)
     scores = softmax(model_logits(bundle.params, refined, features))[:, 1]
     assert [a.device_id for a in alerts] == [
@@ -405,6 +410,62 @@ def test_run_pipeline_names_a_window_over_the_dense_ceiling(
     for failure in failures:
         assert failure.startswith("ValueError: window [")
         assert "dense ceiling" in failure
+
+
+def test_run_pipeline_checks_each_window_adjacency_once(
+        trained, flows_detect_csv, tmp_path, monkeypatch):
+    # The snapshot checks its adjacency when it is built; neither the
+    # refinement nor the scoring checks it, or the refined one, again.
+    _, _, out_dir = trained
+    original = graphs._check_adjacency
+    checked = []
+
+    def counting(a, *args, **kwargs):
+        checked.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("gridsentry")
+                and getattr(module, "_check_adjacency", None) is original):
+            monkeypatch.setattr(module, "_check_adjacency", counting)
+    summary = run_pipeline(flows_detect_csv, out_dir / "bundle.json",
+                           tmp_path / "alerts.jsonl", diag=io.StringIO())
+    assert summary["windows_processed"] == 2 and summary["windows_failed"] == 0
+    assert len(checked) == 2
+
+
+def _flowgen(monkeypatch):
+    """The benchmark's seeded flow generator, ``perfbench/flowgen.py``."""
+    path = Path(__file__).parent.parent / "perfbench" / "flowgen.py"
+    spec = importlib.util.spec_from_file_location("flowgen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_detect_reads_no_labels(tmp_path, monkeypatch):
+    # The benchmark's detect-wide seed-0 input, 4 windows of 400 devices,
+    # gives the same alert bytes with its label column cut out.
+    flowgen = _flowgen(monkeypatch)
+    train_csv = tmp_path / "train.csv"
+    flowgen.write_flow_csv(train_csv, flowgen.FlowShape(
+        devices=200, flows_per_device=10, windows=1), seed=0, stream=1)
+    train_pipeline(train_csv, PipelineConfig(), tmp_path / "model")
+    labelled = tmp_path / "labelled.csv"
+    flowgen.write_flow_csv(labelled, flowgen.FlowShape(
+        devices=400, flows_per_device=10, windows=4), seed=0, stream=0)
+    unlabelled = tmp_path / "unlabelled.csv"
+    without_column(labelled, unlabelled, "label")
+    alerts = []
+    for path in (labelled, unlabelled):
+        out_path = path.with_suffix(".jsonl")
+        summary = run_pipeline(path, tmp_path / "model" / "bundle.json",
+                               out_path, diag=io.StringIO())
+        assert summary["windows_processed"] == 4
+        alerts.append(out_path.read_bytes())
+    assert alerts[0].count(b"\n") == summary["alerts"] > 0
+    assert alerts[1] == alerts[0]
 
 
 def test_run_pipeline_propagates_programming_errors(trained, flows_detect_csv,
