@@ -7,11 +7,28 @@ under evasion they train once per run on the clean graph and every rate
 only evaluates them on its perturbed copy.
 Each (model, attack rate, run) cell reports accuracy, precision, recall, and
 F1 on held-out nodes, with the malicious class as the positive class.
+
+Each run is prepared in this process (graph, split, z-scoring, one attack
+per rate) and then cut into independent units: one training per (rate,
+model) under poisoning, one per model under evasion. The units run in one
+worker interpreter per usable CPU, at most one per unit, and each worker
+runs BLAS single-threaded. The outputs are byte-identical to running the
+units in this process, which is what happens with one usable CPU. Every
+worker holds its own copy of the graphs it trains on, so near the
+2,000-node ceiling peak memory grows with the worker count.
+``taskset -c 0 gridsentry experiment ...`` leaves one usable CPU and so
+runs the grid in this process, which is how to profile it.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -22,7 +39,7 @@ from .errors import DataError
 from .flows import (FlowTable, apply_zscore, build_snapshot,
                     compute_zscore_stats, parse_flows, window)
 from .graphs import GraphSnapshot, SbmSpec, sbm_generate
-from .models import GnnParams, TrainConfig, model_logits, predict, train
+from .models import GnnParams, TrainConfig, _forward, _prepare, predict, train
 from .numerics import make_rng
 
 # Each grid model: the classifier kind behind it, and whether it learns the
@@ -269,7 +286,8 @@ def _predictions(trained: _Trained, snapshot: GraphSnapshot,
 
     Plain models read ``snapshot``'s graph as is. A GSL model reads the
     structure it learned, except under evasion, where it was trained on the
-    clean graph and re-refines the perturbed one with frozen weights.
+    clean graph and re-refines the perturbed one with frozen weights. Each
+    of these is an adjacency by construction, so none is checked again.
     """
     if trained.structure is None:
         s = snapshot.adjacency
@@ -278,7 +296,61 @@ def _predictions(trained: _Trained, snapshot: GraphSnapshot,
                                  gsl_cfg, gsl.REFINE_STEPS)
     else:
         s = trained.structure
-    return predict(model_logits(trained.params, s, snapshot.features))
+    prop = _prepare(trained.params.kind, s, snapshot.features)
+    return predict(_forward(trained.params, prop)[0])
+
+
+class _Unit(NamedTuple):
+    """One independent piece of a grid run: train ``model`` on ``train_on``,
+    then score it on each graph of ``score_on``, the attacked graph of the
+    matching entry of ``rates``."""
+
+    cfg: ExperimentConfig
+    model: str
+    train_on: GraphSnapshot
+    score_on: tuple[GraphSnapshot, ...]
+    rates: tuple[float, ...]
+    train_mask: np.ndarray
+    seed: int
+
+
+def _run_unit(unit: _Unit) -> tuple[list[MetricValues],
+                                    Optional[list[gsl.ObjectiveParts]]]:
+    """The test-node metrics on each scored graph, and a GSL model's fit history."""
+    cfg = unit.cfg
+    trained = _train_model(unit.model, unit.train_on, cfg, unit.train_mask, unit.seed)
+    evasion = cfg.attack_kind == "evasion"
+    scores = []
+    for snapshot in unit.score_on:
+        y_pred = _predictions(trained, snapshot, cfg.gsl, evasion)
+        conf = Confusion.from_predictions(unit.train_on.labels, y_pred, ~unit.train_mask)
+        scores.append(metrics(conf))
+    return scores, trained.history
+
+
+def _prepare_run(cfg: ExperimentConfig, merged: Optional[GraphSnapshot],
+               seed: int) -> list[_Unit]:
+    """Prepare the run seeded ``seed`` and cut it into units, in grid order."""
+    if cfg.sbm is not None:
+        snapshot = sbm_generate(replace(cfg.sbm, seed=seed))
+    else:
+        snapshot = merged
+    train_mask, _ = split(snapshot.labels, cfg.train_frac, seed)
+    if cfg.csv_path is not None:
+        # Standardize with training-node statistics for this run's split.
+        stats = compute_zscore_stats(snapshot.features[train_mask])
+        snapshot = replace(snapshot, features=apply_zscore(snapshot.features, stats))
+    evasion = cfg.attack_kind == "evasion"
+    perturbed = [attacks.apply(snapshot, cfg.attack_spec(rate, seed),
+                               "inference" if evasion else "training")[0]
+                 for rate in cfg.rates]
+    if evasion:
+        # Evasion attacks only the graph a model is evaluated on, so each
+        # model trains once per run on the clean graph.
+        return [_Unit(cfg, model, snapshot, tuple(perturbed), tuple(cfg.rates),
+                      train_mask, seed) for model in cfg.models]
+    return [_Unit(cfg, model, graph, (graph,), (rate,), train_mask, seed)
+            for rate, graph in zip(cfg.rates, perturbed) for model in cfg.models]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -289,38 +361,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                       MIN_WINDOW_NODES, cfg.max_flows)
 
     seeds = [cfg.base_seed + r for r in range(cfg.runs)]
-    evasion = cfg.attack_kind == "evasion"
     per_cell: dict[tuple[str, float], list[MetricValues]] = {
         (m, rate): [] for m in cfg.models for rate in cfg.rates
     }
     histories: dict[tuple[str, float, int], list[gsl.ObjectiveParts]] = {}
+    units_per_run = len(cfg.models) * (
+        1 if cfg.attack_kind == "evasion" else len(cfg.rates))
 
-    for r, seed_r in enumerate(seeds):
-        if cfg.sbm is not None:
-            snapshot = sbm_generate(replace(cfg.sbm, seed=seed_r))
-        else:
-            # Standardize with training-node statistics for this run's split.
-            snapshot = merged
-        train_mask, test_mask = split(snapshot.labels, cfg.train_frac, seed_r)
-        if cfg.csv_path is not None:
-            stats = compute_zscore_stats(snapshot.features[train_mask])
-            snapshot = replace(snapshot,
-                               features=apply_zscore(snapshot.features, stats))
-        # Evasion attacks only the graph a model is evaluated on, so each
-        # model trains once per run on the clean graph.
-        clean_models = {model: _train_model(model, snapshot, cfg, train_mask, seed_r)
-                        for model in cfg.models} if evasion else {}
-        for rate in cfg.rates:
-            perturbed, _ = attacks.apply(snapshot, cfg.attack_spec(rate, seed_r),
-                                         "inference" if evasion else "training")
-            for model in cfg.models:
-                trained = clean_models[model] if evasion else _train_model(
-                    model, perturbed, cfg, train_mask, seed_r)
-                y_pred = _predictions(trained, perturbed, cfg.gsl, evasion)
-                conf = Confusion.from_predictions(snapshot.labels, y_pred, test_mask)
-                per_cell[(model, rate)].append(metrics(conf))
-                if trained.history is not None:
-                    histories[(model, rate, r)] = trained.history
+    with _unit_runner(_worker_count(units_per_run)) as run_units:
+        for r, seed_r in enumerate(seeds):
+            units = _prepare_run(cfg, merged, seed_r)
+            for unit, (scores, history) in zip(units, run_units(units)):
+                for rate, values in zip(unit.rates, scores):
+                    per_cell[(unit.model, rate)].append(values)
+                    if history is not None:
+                        histories[(unit.model, rate, r)] = history
 
     cells = []
     for model in cfg.models:
@@ -331,6 +386,150 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                     mean=mean, std=std))
     report = MetricsReport(config=cfg.to_dict(), seeds=seeds, cells=cells)
     return ExperimentResult(report=report, histories=histories)
+
+
+# ---------------------------------------------------------------------------
+# Worker interpreters
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_WORKER_CODE = "from gridsentry.experiments import _serve; _serve()"
+
+
+def _worker_count(units: int) -> int:
+    """Worker interpreters for runs of ``units`` units: one per usable CPU,
+    at most one per unit."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, units)
+
+
+class _Failed(NamedTuple):
+    """A unit's exception in a worker, with the traceback it had there."""
+
+    error: Exception
+    text: str
+
+
+class _WorkerTraceback(Exception):
+    """The worker-side traceback of a unit's exception, chained as its cause."""
+
+
+@contextmanager
+def _unit_runner(workers: int):
+    """Yield a function that runs a run's units and returns their outcomes
+    in grid order.
+
+    With fewer than two workers the units run here, one after another.
+    Otherwise ``workers`` worker interpreters (``_serve``) start once for
+    the grid, with BLAS single-threaded. Every worker is waited for on the
+    way out, and killed first if the grid failed.
+    """
+    if workers < 2:
+        yield lambda units: [_run_unit(unit) for unit in units]
+        return
+    import subprocess  # here, so that importing the package stays cheap
+
+    env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    package_root = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    procs = []
+    finished = False
+    try:
+        for _ in range(workers):
+            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER_CODE],
+                                          stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, env=env))
+        yield partial(_run_in_workers, procs, {})
+        finished = True
+    finally:
+        for proc in procs:
+            if not finished:
+                proc.kill()
+            with suppress(BrokenPipeError):  # input a dead worker never read
+                proc.stdin.close()
+            proc.stdout.close()
+            proc.wait()
+
+
+def _run_in_workers(procs: list, registry: dict, units: list[_Unit]) -> list:
+    """Deal ``units`` out to the workers and collect their outcomes.
+
+    GSL fits take several times as long as plain trainings, so they are
+    dealt first. Each unit's warnings are issued again here, through the
+    grid's one warnings ``registry``, and the exception of the earliest
+    failing unit in grid order is raised, after the warnings of the units
+    before it, as if the units had run here.
+    """
+    order = sorted(range(len(units)), key=lambda k: not _GRID_MODELS[units[k].model][1])
+    shares = [order[w::len(procs)] for w in range(len(procs))]
+    for proc, share in zip(procs, shares):
+        try:
+            pickle.dump((np.geterr(), [units[k] for k in share]), proc.stdin,
+                        pickle.HIGHEST_PROTOCOL)
+            proc.stdin.flush()
+        except BrokenPipeError:
+            raise _lost(proc) from None
+    outcomes = [None] * len(units)
+    for proc, share in zip(procs, shares):
+        try:
+            batch = pickle.load(proc.stdout)
+        except (EOFError, pickle.UnpicklingError):
+            raise _lost(proc) from None
+        for k, outcome in zip(share, batch):
+            outcomes[k] = outcome
+    results = []
+    for result, caught in outcomes:
+        for category, message, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=registry)
+        if isinstance(result, _Failed):
+            raise result.error from _WorkerTraceback(result.text)
+        results.append(result)
+    return results
+
+
+def _lost(proc) -> RuntimeError:
+    return RuntimeError(f"grid worker {proc.pid} exited with status {proc.wait()} "
+                        "before returning its results")
+
+
+def _serve() -> None:
+    """A worker's loop: read batches of units from stdin until it ends, and
+    write each batch's outcomes to stdout.
+
+    A batch is the parent's numpy error settings and a list of units; its
+    outcomes are, per unit, the result of ``_run_unit`` or a ``_Failed``,
+    and the distinct warnings the unit raised. Every unit runs, whether or
+    not one before it failed. Interrupts are left to the parent, which
+    kills its workers.
+    """
+    import signal
+    import traceback
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    out, sys.stdout = sys.stdout.buffer, sys.stderr  # stdout carries outcomes only
+    while True:
+        try:
+            errors, units = pickle.load(sys.stdin.buffer)
+        except EOFError:
+            return
+        np.seterr(**errors)
+        outcomes = []
+        for unit in units:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = _run_unit(unit)
+                except Exception as exc:  # the parent raises it again
+                    result = _Failed(exc, traceback.format_exc())
+            outcomes.append((result, list(dict.fromkeys(
+                (w.category, str(w.message), w.filename, w.lineno) for w in caught))))
+        pickle.dump(outcomes, out, pickle.HIGHEST_PROTOCOL)
+        out.flush()
 
 
 # ---------------------------------------------------------------------------

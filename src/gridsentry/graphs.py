@@ -82,6 +82,12 @@ class GraphSnapshot:
         self.adjacency = adj
         self.features = feats
 
+    def __reduce__(self):
+        # Unpickling rebuilds the snapshot through the constructor, so one
+        # sent to another interpreter is checked and read-only there too.
+        return (GraphSnapshot, (self.node_ids, self.adjacency, self.features,
+                                self.labels, self.window, self.feature_names))
+
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)

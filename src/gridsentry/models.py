@@ -172,10 +172,10 @@ def _prepare(kind: str, s, x: np.ndarray) -> _Propagation:
 
     GCN and GraphSAGE need a finite square matrix; no adjacency check is
     made here (``model_logits`` makes it for the GCN; the structures that
-    ``gsl.fit`` and ``pipeline.detect`` prepare are adjacencies by
-    construction). The MLP's passes ignore ``s``, which is not checked, but
-    its row sums are formed too: ``gsl.fit``'s objective record reads them
-    for every kind.
+    ``gsl.fit``, ``pipeline.detect`` and the grid's scoring prepare are
+    adjacencies by construction). The MLP's passes ignore ``s``, which is
+    not checked, but its row sums are formed too: ``gsl.fit``'s objective
+    record reads them for every kind.
     """
     if kind == "mlp":
         s = np.asarray(s, dtype=np.float64)

@@ -1,6 +1,7 @@
 """Command-line workflows: flags, config files, exit codes, artifacts."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,20 @@ def test_experiment_reruns_byte_identical(tmp_path):
     report = json.loads((first / "report.json").read_text())
     assert len(report["cells"]) == 4
     assert report["seeds"] == [0, 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_numeric_failure_exits_3(workers, tmp_path, capsys, monkeypatch):
+    # The same exit on the grid's in-process and worker paths.
+    monkeypatch.setattr(experiments, "_worker_count", lambda units: min(workers, units))
+    cfg = _write_json(tmp_path / "exp.json",
+                      {**TINY_EXPERIMENT, "train": {"epochs": 20, "lr": 1e300}})
+    with np.errstate(all="ignore"):
+        assert main(["experiment", "--config", cfg, "-o", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: classifier logits overflowed during training\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_experiment_requires_config(tmp_path):

@@ -1,7 +1,13 @@
 """Splits, metrics, the robustness grid runner, and report rendering."""
 
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridsentry import attacks, codec, experiments
-from gridsentry.errors import DataError
+from gridsentry.errors import DataError, NumericError
 from gridsentry.experiments import (MODELS, CellResult, Confusion,
                                     ExperimentConfig, MetricsReport,
                                     MetricValues, load_merged_snapshot,
@@ -464,6 +470,8 @@ def test_load_merged_snapshot_rejects_empty(tmp_path):
 def test_grid_training_count(attack_kind, per_rate, monkeypatch):
     """Evasion trains each model once per run, poisoning once per rate too."""
     calls = {"train": 0, "fit": 0}
+    # The counting patches live in this interpreter, so no grid worker runs.
+    monkeypatch.setattr(experiments, "_worker_count", lambda units: 1)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -484,3 +492,122 @@ def test_grid_training_count(attack_kind, per_rate, monkeypatch):
         for m in ("GSL-GCN", "GSL-GraphSAGE"):
             for r in (0, 1):
                 assert result.histories[(m, 0.0, r)] is result.histories[(m, 0.5, r)]
+
+
+# Grid workers. ``_worker_count`` picks the path: one worker runs the units
+# in this interpreter, more run them in worker interpreters.
+
+OVERFLOWING_TRAIN = {"epochs": 20, "lr": 1e300}
+PACKAGE_ROOT = str(Path(experiments.__file__).resolve().parents[1])
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(experiments, "_worker_count",
+                        lambda units: min(workers, units))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _grid_outputs(result):
+    histories = [(key, np.array(h).tobytes()) for key, h in result.histories.items()]
+    return (report_to_json(result.report), report_to_markdown(result.report),
+            histories)
+
+
+@pytest.mark.parametrize("source", ["poisoning", "evasion", "csv"])
+def test_grid_workers_match_in_process(source, flows_train_csv, monkeypatch):
+    if source == "csv":
+        doc = {"csv_path": str(flows_train_csv), **TINY_OVERRIDES}
+        cfg = codec.decode(ExperimentConfig, doc, "experiment")
+    else:
+        cfg = _tiny_config(attack_kind=source)
+    outputs = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        result = run_experiment(cfg)
+        _assert_no_children()
+        outputs[workers] = _grid_outputs(result)
+    assert outputs[2] == outputs[1]
+    if source == "evasion":
+        # One fit per (model, run) serves every rate, from workers too.
+        for m in ("GSL-GCN", "GSL-GraphSAGE"):
+            for r in (0, 1):
+                assert result.histories[(m, 0.0, r)] is result.histories[(m, 0.5, r)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_overflow_raises_the_same_error_on_both_paths(workers, monkeypatch):
+    _force_workers(monkeypatch, workers)
+    cfg = _tiny_config(runs=1, train=OVERFLOWING_TRAIN)
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match="^classifier logits overflowed during training$"):
+        run_experiment(cfg)
+    _assert_no_children()
+
+
+def test_grid_worker_warnings_reach_the_parent(monkeypatch):
+    cfg = _tiny_config(runs=1, train=OVERFLOWING_TRAIN)
+    seen = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(NumericError):
+            warnings.simplefilter("always")
+            run_experiment(cfg)
+        seen[workers] = {(w.category, str(w.message)) for w in caught}
+    assert seen[2] == seen[1]
+    assert (RuntimeWarning, "overflow encountered in matmul") in seen[2]
+    # The suite's error::RuntimeWarning filter fails a grid run in workers.
+    with pytest.raises(RuntimeWarning, match="overflow encountered"):
+        run_experiment(cfg)
+    _assert_no_children()
+
+
+def test_grid_raises_the_earliest_failure_in_grid_order():
+    # The GSL units are dealt out first, so they fail first in the workers;
+    # the DNN unit comes first in grid order, so its error is the one raised.
+    units = experiments._prepare_run(_tiny_config(runs=1, rates=[0.0]), None, 0)
+    no_labels = np.zeros_like(units[0].train_mask)
+    units = [units[0]._replace(cfg=_tiny_config(train=OVERFLOWING_TRAIN))] + [
+        unit._replace(train_mask=no_labels) for unit in units[1:]]
+    for workers in (1, 2):
+        with experiments._unit_runner(workers) as run_units, \
+                np.errstate(all="ignore"), pytest.raises(NumericError):
+            run_units(units)
+        _assert_no_children()
+
+
+def test_grid_worker_runs_every_unit_after_a_failure():
+    good = experiments._prepare_run(_tiny_config(runs=1, models=["DNN"]), None, 0)[0]
+    bad = good._replace(cfg=_tiny_config(models=["DNN"], train=OVERFLOWING_TRAIN))
+    with np.errstate(all="ignore"):
+        batch = pickle.dumps((np.geterr(), [bad, good]))
+    done = subprocess.run([sys.executable, "-c", experiments._WORKER_CODE],
+                          input=batch, capture_output=True, check=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+    (failed, _), (result, caught) = pickle.loads(done.stdout)
+    assert isinstance(failed, experiments._Failed)
+    assert isinstance(failed.error, NumericError) and "Traceback" in failed.text
+    assert result == experiments._run_unit(good) and caught == []
+
+
+def test_grid_worker_exiting_without_results_is_an_error(monkeypatch):
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "_WORKER_CODE", "import sys; sys.exit(5)")
+    with pytest.raises(RuntimeError, match="exited with status 5"):
+        run_experiment(_tiny_config(runs=1))
+    _assert_no_children()
+
+
+def test_importing_the_package_leaves_subprocess_unimported():
+    # subprocess is imported on the worker path only, so importing stays cheap.
+    code = ("import sys\n"
+            "import gridsentry.cli, gridsentry.experiments, gridsentry.pipeline\n"
+            "print('subprocess' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
+    assert done.stdout.strip() == "False"

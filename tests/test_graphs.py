@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -185,6 +186,21 @@ def test_snapshot_rejects_bad_adjacency():
 def test_snapshot_arrays_are_frozen(sbm60):
     with pytest.raises(ValueError):
         sbm60.adjacency[0, 1] = 5.0
+
+
+def test_unpickled_snapshot_is_rebuilt_through_the_constructor(sbm60):
+    # How the grid sends snapshots to its worker interpreters.
+    back = pickle.loads(pickle.dumps(sbm60))
+    assert not back.adjacency.flags.writeable and not back.features.flags.writeable
+    assert not back.labels.flags.writeable
+    for name in ("adjacency", "features", "labels"):
+        assert getattr(back, name).tobytes() == getattr(sbm60, name).tobytes()
+    assert (back.node_ids, back.window, back.feature_names) == (
+        sbm60.node_ids, sbm60.window, sbm60.feature_names)
+    broken = pickle.loads(pickle.dumps(sbm60))
+    broken.adjacency = np.triu(sbm60.adjacency)  # set past the constructor
+    with pytest.raises(ValueError, match="symmetric"):
+        pickle.loads(pickle.dumps(broken))
 
 
 def test_snapshot_format_version_checked(tmp_path, sbm60):
