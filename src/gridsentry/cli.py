@@ -121,7 +121,11 @@ def cmd_ingest(args) -> int:
     windows = window(flows, cfg.window_seconds)
     with _writing(out):
         for k, (bounds, bucket) in enumerate(windows):
-            codec.save(build_snapshot(bucket, bounds), out / f"window_{k:04d}.json")
+            try:
+                snapshot = build_snapshot(bucket, bounds)
+            except ValueError as exc:  # above the dense ceiling
+                raise DataError(f"window [{bounds[0]}, {bounds[1]}): {exc}") from exc
+            codec.save(snapshot, out / f"window_{k:04d}.json")
     print(f"wrote {len(windows)} window snapshot(s) to {out}")
     return 0
 

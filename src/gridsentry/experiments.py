@@ -40,7 +40,7 @@ from .flows import (FlowTable, apply_zscore, build_snapshot,
                     compute_zscore_stats, parse_flows, window)
 from .graphs import GraphSnapshot, SbmSpec, sbm_generate
 from .models import GnnParams, TrainConfig, _forward, _prepare, predict, train
-from .numerics import make_rng
+from .numerics import _check_dense_side, make_rng
 
 # Each grid model: the classifier kind behind it, and whether it learns the
 # structure jointly (``gsl.fit``) or trains on the observed graph as is.
@@ -158,6 +158,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.sbm is None) == (self.csv_path is None):
             raise ValueError("set exactly one of sbm or csv_path")
+        if self.sbm is not None:
+            _check_dense_side(self.sbm.n, "sbm graph")
         if self.runs < 1:
             raise ValueError("runs must be positive")
         unknown = [m for m in self.models if m not in MODELS]
@@ -237,7 +239,8 @@ def load_merged_snapshot(csv_path, window_seconds: int, min_nodes: int,
     kept windows and features summarize every kept flow. With ``max_flows``,
     only the first ``max_flows`` usable flows are read (``parse_flows``'
     ``limit``). Training and the grid read the labels, so a CSV without a
-    label column raises DataError.
+    label column raises DataError, as does a graph of more devices than the
+    dense ceiling of ``numerics``.
     """
     flows, _ = parse_flows(csv_path, limit=max_flows)
     if flows.label is None:
@@ -255,7 +258,10 @@ def load_merged_snapshot(csv_path, window_seconds: int, min_nodes: int,
         raise DataError(
             f"every window has fewer than {min_nodes} devices; nothing to train on"
         )
-    return build_snapshot(FlowTable.concat(kept), (spans[0][0], spans[-1][1]))
+    try:
+        return build_snapshot(FlowTable.concat(kept), (spans[0][0], spans[-1][1]))
+    except ValueError as exc:  # above the dense ceiling
+        raise DataError(f"{csv_path}: {exc}") from exc
 
 
 class _Trained(NamedTuple):

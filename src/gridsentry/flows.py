@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import DataError
 from .graphs import GraphSnapshot
+from .numerics import _check_dense_side
 
 PROTOCOLS = ("tcp", "udp", "icmp", "other")
 _PROTOCOL_NAMES = {p: p for p in PROTOCOLS}
@@ -410,7 +411,8 @@ def build_snapshot(flows: FlowTable,
     lexicographic sort of device identifiers, which makes the construction
     independent of flow order. A device is labeled malicious when more than
     half of the flows touching it are attack flows; flows without labels
-    give a snapshot without labels.
+    give a snapshot without labels. More devices than the dense ceiling of
+    ``numerics`` raise ValueError before the adjacency is allocated.
     """
     if not len(flows):
         raise ValueError("build_snapshot needs at least one flow")
@@ -428,6 +430,7 @@ def build_snapshot(flows: FlowTable,
     node_ids = sorted(set(endpoints))
     index = {d: i for i, d in enumerate(node_ids)}
     n = len(node_ids)
+    _check_dense_side(n, "device graph")
     ends = np.fromiter(map(index.__getitem__, endpoints), np.intp, len(endpoints))
     src, dst = ends[0::2], ends[1::2]
 

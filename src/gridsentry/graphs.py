@@ -151,7 +151,6 @@ class SbmSpec:
     """
 
     n: int = 200
-    classes: int = 2
     p_in: float = 0.1
     p_out: float = 0.01
     feature_dim: int = 16
@@ -162,8 +161,6 @@ class SbmSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
-        if self.classes != 2:
-            raise ValueError("only two-class generation is supported")
         if not (0.0 <= self.p_out < self.p_in <= 1.0):
             raise ValueError(
                 f"need 0 <= p_out < p_in <= 1, got p_in={self.p_in} p_out={self.p_out}"
@@ -182,7 +179,7 @@ def sbm_generate(spec: SbmSpec) -> GraphSnapshot:
     """
     rng = make_rng(spec.seed)
     n = spec.n
-    labels = np.arange(n, dtype=np.int64) % spec.classes
+    labels = np.arange(n, dtype=np.int64) % 2
 
     rows, cols = np.triu_indices(n, 1)
     draws = rng.random(rows.size)

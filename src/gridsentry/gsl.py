@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import NumericError
 from .graphs import GraphSnapshot, _check_adjacency, _smoothness
-from .models import (AdamState, GnnParams, TrainConfig, _check_mask, _Factors,
+from .models import (AdamConfig, AdamState, GnnParams, _check_mask, _Factors,
                      _forward, _gradients, _loss_grad_logits, _prepare,
                      _targets, adam_step, init_params, own_logits, softmax)
 from .numerics import (_check_dense_side, nuclear_norm, require_matrix,
@@ -117,7 +117,6 @@ class GslConfig:
     eta_s: float = 0.2
     inner_theta_steps: int = 5
     outer_iters: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("alpha_nuclear", "alpha_l1", "beta_smooth", "lambda_prox"):
@@ -355,7 +354,7 @@ def _structure_step(state: GslState, cfg: GslConfig, steps: int,
 
 
 def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
-        gsl_cfg: GslConfig, train_cfg: TrainConfig, mask,
+        gsl_cfg: GslConfig, adam_cfg: AdamConfig, mask,
         seed: int) -> tuple[np.ndarray, GnnParams, GslState]:
     """Alternate classifier Adam steps with structure steps for a fixed budget.
 
@@ -364,8 +363,8 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     runs ``inner_theta_steps`` Adam updates of the classifier on the task
     loss, refreshes the class beliefs the smoothness term is measured on
     (``_labelled_beliefs``), then takes one structure step. So a fit takes
-    ``outer_iters`` x ``inner_theta_steps`` Adam steps: it reads the Adam
-    settings of ``train_cfg``, never its ``epochs``. The weighted objective,
+    ``outer_iters`` x ``inner_theta_steps`` Adam steps with the settings
+    ``adam_cfg``. The weighted objective,
     with that iteration's beliefs, is recorded before the loop and after
     every outer iteration. There is no convergence test: the
     budget is the schedule, which keeps runs reproducible.
@@ -390,7 +389,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
     mask = _check_mask(mask, a.shape[0])
 
     theta = init_params(gnn_kind, x.shape[1], seed=seed)
-    targets = _targets(labels, mask, a.shape[0], theta.classes)
+    targets = _targets(labels, mask, a.shape[0])
     adam = AdamState.for_params(theta)
     vote = _label_vote(a, labels, mask)
     signal, coef = _labelled_beliefs(theta, x, labels, mask, vote)
@@ -410,7 +409,7 @@ def fit(a: np.ndarray, x: np.ndarray, labels: np.ndarray, gnn_kind: str,
                 raise NumericError(f"non-finite task loss at outer iteration {it}")
             if step == 0:  # S and theta are still those of the record due
                 record(loss)
-            adam_step(theta, grads, adam, train_cfg)
+            adam_step(theta, grads, adam, adam_cfg)
         loss, _, task = _gradients(prop, targets, theta, structure=True)
         if gsl_cfg.inner_theta_steps == 0:  # before the beliefs move on
             record(loss)

@@ -49,6 +49,9 @@ from .numerics import make_rng, require_matrix
 
 KINDS = ("gcn", "sage", "mlp")
 
+# Every model separates benign (0) from malicious (1) nodes.
+CLASSES = 2
+
 _PARAM_KEYS = {
     "gcn": ("w1", "w2"),
     "mlp": ("w1", "w2"),
@@ -56,10 +59,9 @@ _PARAM_KEYS = {
 }
 
 
-def _weight_shapes(kind: str, in_dim: int, hidden: int,
-                   classes: int) -> dict[str, tuple[int, int]]:
+def _weight_shapes(kind: str, in_dim: int, hidden: int) -> dict[str, tuple[int, int]]:
     """Each weight's shape: ``w1*`` is features x hidden, ``w2*`` hidden x classes."""
-    layers = {"w1": (in_dim, hidden), "w2": (hidden, classes)}
+    layers = {"w1": (in_dim, hidden), "w2": (hidden, CLASSES)}
     return {key: layers[key[:2]] for key in _PARAM_KEYS[kind]}
 
 
@@ -69,16 +71,15 @@ class GnnParams:
 
     The matrices are copied at construction, in that order, into one flat
     buffer and held as views of it, so ``adam_step`` updates them all in one
-    pass. Their shapes must agree with ``hidden``, ``classes`` and the
-    first weight's row count, the input feature count.
+    pass. The first weight gives the input feature count (its rows) and the
+    hidden width (its columns); every shape must agree with them and with
+    the ``CLASSES`` outputs.
     """
 
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     kind: str
     weights: dict[str, np.ndarray]
-    hidden: int = 16
-    classes: int = 2
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -109,13 +110,14 @@ class GnnParams:
         return self._flat
 
     def check_shapes(self, in_dim: int) -> None:
-        """Raise ValueError unless every weight fits ``in_dim`` input features."""
-        shapes = _weight_shapes(self.kind, in_dim, self.hidden, self.classes)
-        for key, shape in shapes.items():
+        """Raise ValueError unless every weight fits ``in_dim`` input features,
+        the hidden width of the first weight and the ``CLASSES`` outputs."""
+        hidden = next(iter(self.weights.values())).shape[1]
+        for key, shape in _weight_shapes(self.kind, in_dim, hidden).items():
             if self.weights[key].shape != shape:
                 raise ValueError(
                     f"weight {key} has shape {self.weights[key].shape}, which "
-                    f"disagrees with hidden={self.hidden}, classes={self.classes} "
+                    f"disagrees with hidden={hidden}, classes={CLASSES} "
                     f"and {in_dim} features")
 
 
@@ -124,15 +126,14 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_params(kind: str, in_dim: int, hidden: int = 16, classes: int = 2,
-                seed: int = 0) -> GnnParams:
+def init_params(kind: str, in_dim: int, hidden: int = 16, seed: int = 0) -> GnnParams:
     """Glorot-uniform weights, drawn in the fixed per-kind key order."""
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     rng = make_rng(seed)
     weights = {key: _glorot(rng, *shape) for key, shape
-               in _weight_shapes(kind, in_dim, hidden, classes).items()}
-    return GnnParams(kind=kind, weights=weights, hidden=hidden, classes=classes)
+               in _weight_shapes(kind, in_dim, hidden).items()}
+    return GnnParams(kind=kind, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +283,11 @@ class _Targets(NamedTuple):
     picked: np.ndarray
 
 
-def _targets(labels, mask, n: int, classes: int) -> _Targets:
+def _targets(labels, mask, n: int) -> _Targets:
     """Check ``mask`` against ``n`` nodes and locate the masked labels."""
     rows = np.flatnonzero(_check_mask(mask, n))
     labels = np.asarray(labels, dtype=np.int64)
-    return _Targets(rows, np.arange(len(rows)) * classes + labels.take(rows))
+    return _Targets(rows, np.arange(len(rows)) * CLASSES + labels.take(rows))
 
 
 def _mean_nll(shifted: np.ndarray, total: np.ndarray, picked: np.ndarray) -> float:
@@ -392,7 +393,7 @@ def backward(s: np.ndarray, x: np.ndarray, labels: np.ndarray, mask,
     structure and call ``_gradients``.
     """
     x = require_matrix(x, "features")
-    targets = _targets(labels, mask, x.shape[0], params.classes)
+    targets = _targets(labels, mask, x.shape[0])
     loss, grads, _ = _gradients(_prepare(params.kind, s, x), targets, params)
     return loss, grads
 
@@ -407,16 +408,13 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Full-batch Adam settings.
+class AdamConfig:
+    """Full-batch Adam settings, the ones ``gsl.fit`` reads.
 
-    ``epochs`` is read only by ``train``, which the grid's plain models use;
-    ``gsl.fit`` reads the Adam settings alone and takes ``outer_iters`` x
-    ``inner_theta_steps`` Adam steps. ``weight_decay`` is classic
-    L2-in-the-gradient decay applied to every weight matrix.
+    ``weight_decay`` is classic L2-in-the-gradient decay applied to every
+    weight matrix.
     """
 
-    epochs: int = 200
     lr: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
@@ -424,14 +422,25 @@ class TrainConfig:
     weight_decay: float = 5e-4
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
         if self.eps <= 0 or self.weight_decay < 0:
             raise ValueError("eps must be positive and weight_decay non-negative")
+
+
+@dataclass(frozen=True)
+class TrainConfig(AdamConfig):
+    """Adam settings plus the epoch count of ``train``, which the grid's
+    plain models use."""
+
+    epochs: int = 200
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        super().__post_init__()
 
 
 @dataclass
@@ -449,7 +458,7 @@ class AdamState:
 
 
 def adam_step(params: GnnParams, grads: dict[str, np.ndarray], state: AdamState,
-              cfg: TrainConfig) -> None:
+              cfg: AdamConfig) -> None:
     """One in-place Adam update with L2 decay folded into the gradient.
 
     The update runs once over the model's flat weight buffer, which the weight
@@ -486,7 +495,7 @@ def train(snapshot: GraphSnapshot, s: np.ndarray, cfg: TrainConfig, kind: str,
         raise ValueError("training needs a labeled snapshot")
     x = snapshot.features
     params = init_params(kind, x.shape[1], seed=seed)
-    targets = _targets(snapshot.labels, mask, snapshot.n_nodes, params.classes)
+    targets = _targets(snapshot.labels, mask, snapshot.n_nodes)
     state = AdamState.for_params(params)
     prop = _prepare(kind, s, x)
     losses: list[float] = []

@@ -7,8 +7,9 @@ same seed reproduces the identical stream within one build.
 
 Dense problems are capped at a side of 2,000 (``_MAX_SVD_SIDE``), where one
 float64 matrix takes 32 MB: :func:`require_square` raises ValueError naming
-the dense ceiling above it. ``gsl.fit`` checks the observed adjacency that
-way when it starts, and every factorization checks its input again.
+the dense ceiling above it. ``flows.build_snapshot`` checks a graph's
+device count before it allocates the adjacency, ``gsl.fit`` the observed
+adjacency when it starts, and every factorization its input.
 ``gsl.refine_structure`` reads a ``GraphSnapshot``, whose adjacency was
 checked when the snapshot was built, so it checks only the side against
 the ceiling, with the same message.

@@ -24,7 +24,7 @@ from .experiments import (MIN_WINDOW_NODES, load_merged_snapshot,
 from .flows import (apply_zscore, build_snapshot, compute_zscore_stats,
                     parse_flows, window)
 from .graphs import GraphSnapshot
-from .models import GnnParams, TrainConfig, _forward, _prepare, softmax
+from .models import AdamConfig, GnnParams, _forward, _prepare, softmax
 
 
 def _sig12(value: float) -> float:
@@ -62,12 +62,15 @@ class DetectSettings:
 
 @dataclass(frozen=True)
 class PipelineConfig(DetectSettings):
-    """Training-side settings: the detect settings, plus how to fit the model."""
+    """Training-side settings: the detect settings, plus how to fit the model.
+
+    ``train`` holds the Adam settings of ``gsl.fit``, whose step count the
+    ``gsl`` block sets."""
 
     gnn_kind: str = "gcn"
     min_nodes: int = MIN_WINDOW_NODES
     seed: int = 0
-    train: TrainConfig = field(default_factory=TrainConfig)
+    train: AdamConfig = field(default_factory=AdamConfig)
 
     def __post_init__(self):
         if self.gnn_kind not in ("gcn", "sage"):
@@ -82,12 +85,13 @@ class DetectorBundle(DetectSettings):
     """Everything inference needs, persisted as one versioned JSON document.
 
     A bundle built in code gets the same checks as a loaded one: the detect
-    settings, the standardization statistics, every weight's shape against
-    the feature count, and a given ``model_version`` against the digest of
-    the weights. An empty one is set to that digest.
+    settings, the standardization statistics (finite, and positive
+    deviations), every weight's shape against the feature count, and a
+    given ``model_version`` against the digest of the weights. An empty one
+    is set to that digest.
     """
 
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     params: GnnParams
     zscore_mean: np.ndarray
@@ -99,6 +103,9 @@ class DetectorBundle(DetectSettings):
         super().__post_init__()
         if self.zscore_mean.shape != self.zscore_std.shape:
             raise ValueError("zscore mean/std shapes disagree")
+        for name in ("zscore_mean", "zscore_std"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} contains non-finite entries")
         if np.any(self.zscore_std <= 0):
             raise ValueError("zscore std entries must be positive")
         if len(self.feature_names) != self.zscore_mean.shape[0]:

@@ -29,15 +29,15 @@ settings.load_profile("tier1")
 
 # Main regression fixture for the structure optimizer: dense enough for the
 # attack to have room, features strong enough that pruning is identifiable.
-SBM60 = SbmSpec(n=60, classes=2, p_in=0.25, p_out=0.02, feature_dim=8,
+SBM60 = SbmSpec(n=60, p_in=0.25, p_out=0.02, feature_dim=8,
                 signal=1.5, noise_sigma=0.8, seed=7)
 
 # Harsher-features variant used by the evasion drop check.
-SBM60_SHARP = SbmSpec(n=60, classes=2, p_in=0.2, p_out=0.02, feature_dim=8,
+SBM60_SHARP = SbmSpec(n=60, p_in=0.2, p_out=0.02, feature_dim=8,
                       signal=2.0, noise_sigma=1.0, seed=7)
 
 # Small graph for the step-by-step descent check.
-SBM12 = SbmSpec(n=12, classes=2, p_in=0.8, p_out=0.1, feature_dim=4,
+SBM12 = SbmSpec(n=12, p_in=0.8, p_out=0.1, feature_dim=4,
                 signal=1.5, noise_sigma=0.5, seed=11)
 
 DICE_HALF = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="dice",
@@ -127,7 +127,7 @@ def masked_cross_entropy(logits, labels, mask):
     """Mean negative log-likelihood over the masked nodes, from the package's
     own loss helpers: the oracle for ``models._loss_grad_logits``."""
     logits = require_matrix(logits, "logits")
-    rows, picked = models._targets(labels, mask, *logits.shape)
+    rows, picked = models._targets(labels, mask, len(logits))
     shifted, _, total = models._shifted_exp(logits.take(rows, axis=0))
     return models._mean_nll(shifted, total, picked)
 
@@ -135,8 +135,7 @@ def masked_cross_entropy(logits, labels, mask):
 def copy_params(params):
     """``params`` with its weights copied, so a probe can edit them in place."""
     return models.GnnParams(kind=params.kind,
-                            weights={k: w.copy() for k, w in params.weights.items()},
-                            hidden=params.hidden, classes=params.classes)
+                            weights={k: w.copy() for k, w in params.weights.items()})
 
 
 def reference_loss(logits, labels, mask):
@@ -148,7 +147,7 @@ def reference_loss(logits, labels, mask):
 
 def _task_pass(s, x, labels, mask, params, structure):
     prop = models._prepare(params.kind, s, np.asarray(x, dtype=np.float64))
-    targets = models._targets(labels, mask, np.shape(s)[0], params.classes)
+    targets = models._targets(labels, mask, np.shape(s)[0])
     return models._gradients(prop, targets, params, structure=structure)
 
 

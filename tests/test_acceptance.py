@@ -336,7 +336,7 @@ def test_criterion_08_determinism(golden_run, tmp_path):
     jsonl_ok = first.read_bytes() == second.read_bytes()
 
     cfg_doc = {
-        "sbm": {"n": 40, "classes": 2, "p_in": 0.3, "p_out": 0.05,
+        "sbm": {"n": 40, "p_in": 0.3, "p_out": 0.05,
                 "feature_dim": 4, "signal": 1.5, "noise_sigma": 0.8,
                 "seed": 0},
         "runs": 2,

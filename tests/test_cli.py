@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridsentry import cli, codec, experiments, pipeline
+from gridsentry import cli, codec, experiments, numerics, pipeline
 from gridsentry.cli import main
 from gridsentry.errors import NumericError
 from gridsentry.flows import FEATURE_NAMES, parse_flows, window
@@ -18,7 +18,7 @@ from gridsentry.models import init_params
 from conftest import without_column
 
 TINY_EXPERIMENT = {
-    "sbm": {"n": 40, "classes": 2, "p_in": 0.3, "p_out": 0.05,
+    "sbm": {"n": 40, "p_in": 0.3, "p_out": 0.05,
             "feature_dim": 4, "signal": 1.5, "noise_sigma": 0.8, "seed": 0},
     "runs": 2,
     "rates": [0.0, 0.5],
@@ -210,7 +210,7 @@ def test_train_then_detect_flags_the_scanner(tmp_path, flows_train_csv,
     out_dir = tmp_path / "model"
     assert main(["train", "-i", str(flows_train_csv), "--config", cfg,
                  "-o", str(out_dir)]) == 0
-    assert "trained gcn-b1-" in capsys.readouterr().out
+    assert "trained gcn-b2-" in capsys.readouterr().out
 
     alerts_path = tmp_path / "alerts.jsonl"
     assert main(["detect", "-i", str(flows_detect_csv),
@@ -268,9 +268,11 @@ def test_train_rejects_non_integer_count(bad, tmp_path, flows_train_csv,
 
 
 def test_train_rejects_unknown_nested_key(tmp_path, flows_train_csv):
-    cfg = _write_json(tmp_path / "train.json", {"gsl": {"alpha": 1.0}})
-    assert main(["train", "-i", str(flows_train_csv), "--config", cfg,
-                 "-o", str(tmp_path / "model")]) == 1
+    for bad in ({"gsl": {"alpha": 1.0}}, {"gsl": {"seed": 0}},
+                {"train": {"epochs": 5}}):
+        cfg = _write_json(tmp_path / "train.json", bad)
+        assert main(["train", "-i", str(flows_train_csv), "--config", cfg,
+                     "-o", str(tmp_path / "model")]) == 1
 
 
 def test_detect_missing_bundle_is_data_error(tmp_path, flows_detect_csv,
@@ -350,6 +352,9 @@ def test_experiment_rejects_unknown_key(tmp_path):
     {"max_flows": -3},
     {"runs": 1.5},
     {"train": {"epochs": 5.0}},
+    {"gsl": {"seed": 0}},
+    {"sbm": {**TINY_EXPERIMENT["sbm"], "classes": 2}},
+    {"sbm": {**TINY_EXPERIMENT["sbm"], "n": 2001}},
 ])
 def test_experiment_rejects_bad_setting_before_running(bad, tmp_path, capsys):
     cfg = _write_json(tmp_path / "exp.json", {**TINY_EXPERIMENT, **bad})
@@ -395,6 +400,23 @@ def test_missing_input_file_is_data_error(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["ingest", "train", "experiment"])
+def test_graph_above_the_dense_ceiling_is_data_error(command, tmp_path,
+                                                     flows_train_csv,
+                                                     monkeypatch, capsys):
+    monkeypatch.setattr(numerics, "_MAX_SVD_SIDE", 3)
+    argv = [command, "-o", str(tmp_path / "out")]
+    if command == "experiment":
+        argv += ["--config", _write_json(tmp_path / "exp.json",
+                                         {"csv_path": str(flows_train_csv)})]
+    else:
+        argv += ["-i", str(flows_train_csv)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err  # ingest prints its parse counts first
+    assert err.splitlines()[-1].startswith("data error:")
+    assert "above the dense ceiling of 3" in err and "Traceback" not in err
+
+
 def test_attack_on_invalid_json_is_data_error(tmp_path, capsys):
     bad = tmp_path / "snap.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -406,7 +428,7 @@ def test_attack_on_invalid_json_is_data_error(tmp_path, capsys):
     ("attack", "-i", {"format_version": 1}),
     ("attack", "-i", []),
     ("detect", "-b", []),
-    ("detect", "-b", {"format_version": 1, "params": []}),
+    ("detect", "-b", {"format_version": 2, "params": []}),
     ("report", "-i", []),
     ("report", "-i", {"format_version": 1, "config": {}, "seeds": [], "cells": 5}),
 ])

@@ -32,9 +32,9 @@ PINNED_SHA256 = {
     "receipt.json":
         "40f877ec7cf778ac11e04ef3bcbf0275729f47b91e12c10c80867318219b05f1",
     "bundle.json":
-        "710c040201e8d87380500f81f143fb2211035af21788c051fa0e8230c8751c3b",
+        "00bd81f551cadcd3cb58be836fbcb3e942415c1488a34c7cf45d0107732476c4",
     "report.json":
-        "21b39fc95a8c9c9b37e6a803b003475f7ba0c149fa63b0b0d1dadc62d79c1fd8",
+        "f66446d72702b9cb0389bc497e36602294098ea1555aedc642a6f6e8a4edc6eb",
 }
 
 
@@ -82,24 +82,34 @@ def test_saved_documents_load_and_save_back_byte_for_byte(saved, tmp_path):
 
 
 def test_params_built_in_code_get_the_shape_check():
+    # The hidden width is the first weight's column count.
     with pytest.raises(ValueError, match="weight w2 has shape \\(5, 2\\)"):
         GnnParams(kind="gcn", weights={"w1": np.zeros((3, 4)),
-                                       "w2": np.zeros((5, 2))}, hidden=4)
-    with pytest.raises(ValueError, match="disagrees with hidden=16"):
-        GnnParams(kind="gcn", weights={"w1": np.zeros((3, 4)),
                                        "w2": np.zeros((5, 2))})
+    with pytest.raises(ValueError, match="disagrees with hidden=4, classes=2"):
+        GnnParams(kind="gcn", weights={"w1": np.zeros((3, 4)),
+                                       "w2": np.zeros((4, 3))})
+    GnnParams(kind="gcn", weights={"w1": np.zeros((3, 4)), "w2": np.zeros((4, 2))})
 
 
 def test_params_take_their_weights_in_any_key_order():
     params = init_params("sage", 3, hidden=4, seed=0)
     shuffled = dict(reversed(list(params.weights.items())))
-    again = GnnParams(kind="sage", weights=shuffled, hidden=4)
+    again = GnnParams(kind="sage", weights=shuffled)
     assert list(again.weights) == list(params.weights)
     assert np.array_equal(again._flat_weights(), params._flat_weights())
 
 
 def _rename(doc, old, new):
     doc[new] = doc.pop(old)
+
+
+def _as_format_1(doc):
+    """A bundle as format 1 saved it, with its params' hidden width and
+    class count and a gsl seed."""
+    doc.update(format_version=1)
+    doc["gsl"]["seed"] = 0
+    doc["params"].update(format_version=1, hidden=4, classes=2)
 
 
 # (file, edit of its JSON document, the error's text). Every edit breaks one
@@ -122,15 +132,15 @@ BROKEN = {
                        "features must be a list of numbers"),
     "snapshot version": ("snapshot.json", lambda d: d.update(format_version=2),
                          "unsupported snapshot format_version 2"),
-    "params missing": ("bundle.json", lambda d: d["params"].pop("classes"),
-                       r"missing params keys: \['classes'\]"),
+    "params missing": ("bundle.json", lambda d: d["params"].pop("kind"),
+                       r"missing params keys: \['kind'\]"),
     "params unknown": ("bundle.json", lambda d: d["params"].update(bias=[0.0]),
                        r"unknown params keys: \['bias'\]"),
-    "params mistyped": ("bundle.json", lambda d: d["params"].update(hidden="4"),
-                        "hidden must be an integer, got '4'"),
+    "params mistyped": ("bundle.json", lambda d: d["params"].update(kind=4),
+                        "kind must be a string, got 4"),
     "params version": ("bundle.json",
-                       lambda d: d["params"].update(format_version=2),
-                       "unsupported params format_version 2"),
+                       lambda d: d["params"].update(format_version=1),
+                       "unsupported params format_version 1"),
     "bundle missing": ("bundle.json", lambda d: d.pop("zscore_std"),
                        r"missing bundle keys: \['zscore_std'\]"),
     "bundle nested missing": ("bundle.json", lambda d: d["gsl"].pop("eta_s"),
@@ -139,8 +149,14 @@ BROKEN = {
                        r"unknown bundle keys: \['threshold'\]"),
     "bundle mistyped": ("bundle.json", lambda d: d.update(feature_names=[1, 2, 3]),
                         "feature_names must be a string"),
-    "bundle version": ("bundle.json", lambda d: d.update(format_version=2),
-                       "unsupported bundle format_version 2"),
+    "bundle infinite std": ("bundle.json",
+                            lambda d: d["zscore_std"].__setitem__(0, float("inf")),
+                            "zscore_std contains non-finite entries"),
+    "bundle NaN mean": ("bundle.json",
+                        lambda d: d["zscore_mean"].__setitem__(1, float("nan")),
+                        "zscore_mean contains non-finite entries"),
+    "bundle version": ("bundle.json", _as_format_1,
+                       "unsupported bundle format_version 1"),
     "report missing": ("report.json", lambda d: d.pop("seeds"),
                        r"missing report keys: \['seeds'\]"),
     "report unknown": ("report.json", lambda d: d["cells"][0].update(median={}),

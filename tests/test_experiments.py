@@ -25,7 +25,7 @@ from gridsentry.experiments import (MODELS, CellResult, Confusion,
 from gridsentry.flows import parse_flows, window
 from gridsentry.graphs import SbmSpec
 from gridsentry.gsl import GslConfig, ObjectiveParts
-from gridsentry.models import TrainConfig
+from gridsentry.models import AdamConfig, TrainConfig
 from gridsentry.pipeline import PipelineConfig
 
 
@@ -100,7 +100,7 @@ def test_metrics_match_formula_oracle():
             assert got.f1 == 0.0
 
 
-TINY_SBM = {"n": 30, "classes": 2, "p_in": 0.3, "p_out": 0.05,
+TINY_SBM = {"n": 30, "p_in": 0.3, "p_out": 0.05,
             "feature_dim": 4, "signal": 1.5, "noise_sigma": 0.8, "seed": 0}
 TINY_OVERRIDES = {
     "runs": 2,
@@ -211,11 +211,12 @@ PERTURBATION_SPECS = st.builds(
 GSL_CONFIGS = st.builds(
     GslConfig, alpha_nuclear=SCALE, alpha_l1=SCALE, beta_smooth=SCALE,
     lambda_prox=SCALE, eta_s=SCALE, inner_theta_steps=st.integers(0, 50),
-    outer_iters=st.integers(0, 500), seed=SEEDS)
-TRAIN_CONFIGS = st.builds(
-    TrainConfig, epochs=st.integers(0, 1000), lr=st.floats(1e-6, 1.0),
-    beta1=st.floats(0.0, 0.999), beta2=st.floats(0.0, 0.999),
-    eps=st.floats(1e-12, 1e-3), weight_decay=st.floats(0.0, 1.0))
+    outer_iters=st.integers(0, 500))
+ADAM_SETTINGS = dict(
+    lr=st.floats(1e-6, 1.0), beta1=st.floats(0.0, 0.999),
+    beta2=st.floats(0.0, 0.999), eps=st.floats(1e-12, 1e-3),
+    weight_decay=st.floats(0.0, 1.0))
+TRAIN_CONFIGS = st.builds(TrainConfig, epochs=st.integers(0, 1000), **ADAM_SETTINGS)
 EXPERIMENT_SETTINGS = dict(
     models=st.lists(st.sampled_from(MODELS), min_size=1, unique=True).map(tuple),
     rates=st.lists(UNIT, max_size=4).map(tuple), runs=st.integers(1, 20),
@@ -233,7 +234,7 @@ PIPELINE_CONFIGS = st.builds(
     gnn_kind=st.sampled_from(["gcn", "sage"]), min_nodes=st.integers(1, 1000),
     score_threshold=UNIT, isolate_threshold=UNIT,
     detect_refine_steps=st.integers(0, 200), seed=SEEDS, gsl=GSL_CONFIGS,
-    train=TRAIN_CONFIGS)
+    train=st.builds(AdamConfig, **ADAM_SETTINGS))
 CONFIGS = {"sbm": SBM_SPECS, "perturbation": PERTURBATION_SPECS,
            "gsl": GSL_CONFIGS, "train": TRAIN_CONFIGS,
            "experiment": EXPERIMENT_CONFIGS, "pipeline": PIPELINE_CONFIGS}
@@ -301,7 +302,7 @@ PINNED_SETTINGS = {
     "feature_fraction": None, "window_seconds": 300,
     "gsl": {"alpha_nuclear": 0.0, "alpha_l1": 0.0005, "beta_smooth": 0.5,
             "lambda_prox": 0.15, "eta_s": 0.2, "inner_theta_steps": 5,
-            "outer_iters": 100, "seed": 0},
+            "outer_iters": 100},
     "train": {"epochs": 200, "lr": 0.01, "beta1": 0.9, "beta2": 0.999,
               "eps": 1e-08, "weight_decay": 0.0005},
 }
@@ -311,7 +312,7 @@ def test_config_to_dict_is_pinned():
     # The config block of report.json: only the data source that is set.
     assert ExperimentConfig(sbm=SbmSpec()).to_dict() == {
         **PINNED_SETTINGS, "max_flows": None,
-        "sbm": {"n": 200, "classes": 2, "p_in": 0.1, "p_out": 0.01,
+        "sbm": {"n": 200, "p_in": 0.1, "p_out": 0.01,
                 "feature_dim": 16, "signal": 1.0, "noise_sigma": 1.0, "seed": 0},
     }
     assert ExperimentConfig(csv_path="flows.csv", max_flows=5000).to_dict() == {

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from collections import namedtuple
 from dataclasses import fields
 
@@ -197,6 +198,21 @@ def test_single_flow_feature_vector():
               1.0, 0.0, 0.0, math.log1p(1), 2.0]
     assert np.allclose(snap.features[0], want_a, atol=1e-12)
     assert np.allclose(snap.features[1], want_b, atol=1e-12)
+
+
+def test_build_snapshot_refuses_a_graph_above_the_dense_ceiling():
+    # 2,001 devices: the device count is checked before the 32 MB adjacency
+    # is allocated.
+    records, _ = _parse(*(_flow(1.0, "hub", f"d{k:04d}") for k in range(2000)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="device graph side 2001 is above "
+                                             "the dense ceiling of 2000"):
+            build_snapshot(records, (0.0, 300.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_majority_attack_labeling():

@@ -88,7 +88,7 @@ def test_smoothness_rejects_dimension_mismatch():
 
 
 def test_sbm_degenerate_probabilities_make_two_cliques():
-    snap = sbm_generate(SbmSpec(n=4, classes=2, p_in=1.0, p_out=0.0,
+    snap = sbm_generate(SbmSpec(n=4, p_in=1.0, p_out=0.0,
                                 feature_dim=2, signal=1.0, noise_sigma=0.0,
                                 seed=0))
     # round-robin labels: nodes 0,2 vs 1,3
@@ -100,7 +100,7 @@ def test_sbm_degenerate_probabilities_make_two_cliques():
 
 
 def test_sbm_zero_noise_repeats_class_means():
-    snap = sbm_generate(SbmSpec(n=6, classes=2, p_in=0.5, p_out=0.1,
+    snap = sbm_generate(SbmSpec(n=6, p_in=0.5, p_out=0.1,
                                 feature_dim=3, signal=2.0, noise_sigma=0.0,
                                 seed=1))
     class0 = snap.features[snap.labels == 0]
@@ -110,7 +110,7 @@ def test_sbm_zero_noise_repeats_class_means():
 
 
 def test_sbm_edge_count_within_three_sigma():
-    spec = SbmSpec(n=200, classes=2, p_in=0.1, p_out=0.01, feature_dim=4,
+    spec = SbmSpec(n=200, p_in=0.1, p_out=0.01, feature_dim=4,
                    signal=1.0, noise_sigma=1.0, seed=0)
     snap = sbm_generate(spec)
     edges = int(snap.adjacency.sum()) // 2
@@ -149,13 +149,10 @@ def test_sbm_edges_match_pair_loop_reference(spec):
 
 def test_sbm_spec_validation():
     with pytest.raises(ValueError):
-        SbmSpec(n=10, classes=2, p_in=0.1, p_out=0.2, feature_dim=2,
+        SbmSpec(n=10, p_in=0.1, p_out=0.2, feature_dim=2,
                 signal=1.0, noise_sigma=1.0, seed=0)
     with pytest.raises(ValueError):
-        SbmSpec(n=1, classes=2, p_in=0.5, p_out=0.1, feature_dim=2,
-                signal=1.0, noise_sigma=1.0, seed=0)
-    with pytest.raises(ValueError):
-        SbmSpec(n=10, classes=3, p_in=0.5, p_out=0.1, feature_dim=2,
+        SbmSpec(n=1, p_in=0.5, p_out=0.1, feature_dim=2,
                 signal=1.0, noise_sigma=1.0, seed=0)
 
 

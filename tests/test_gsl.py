@@ -215,8 +215,7 @@ def test_fit_zero_iterations_returns_inputs(sbm60, masks60):
                           "gcn", GslConfig(outer_iters=0), TrainConfig(),
                           train_mask, seed=7)
     assert np.array_equal(s, sbm60.adjacency)
-    fresh = init_params("gcn", sbm60.features.shape[1], hidden=16, classes=2,
-                        seed=7)
+    fresh = init_params("gcn", sbm60.features.shape[1], hidden=16, seed=7)
     for key in theta.weights:
         assert np.array_equal(theta.weights[key], fresh.weights[key])
     assert len(state.objective_history) == 1
@@ -649,7 +648,7 @@ def _dense_task_gradient(s, x, labels, mask, params):
     """The symmetrized structure gradient of the task loss, built as n x n products."""
     prop = models._prepare(params.kind, s, x)
     logits = models._forward(params, prop)[0]
-    _, g = models._loss_grad_logits(logits, models._targets(labels, mask, *logits.shape))
+    _, g = models._loss_grad_logits(logits, models._targets(labels, mask, len(logits)))
     w = params.weights
     if params.kind == "mlp":
         return np.zeros_like(s)

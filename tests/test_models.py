@@ -273,20 +273,20 @@ def test_mask_validation(sbm12):
 
 
 def test_model_save_load_roundtrip():
-    params = init_params("sage", 5, hidden=3, classes=2, seed=9)
+    params = init_params("sage", 5, hidden=3, seed=9)
     back = codec.decode(GnnParams, json.loads(json.dumps(codec.encode(params))),
                         "model params")
-    assert back.kind == "sage" and back.hidden == 3
+    assert back.kind == "sage" and back.weights["w1_self"].shape == (5, 3)
     for key in params.weights:
         assert np.array_equal(back.weights[key], params.weights[key])
 
 
 def test_model_load_rejects_inconsistent_dims():
     doc = codec.encode(init_params("gcn", 4, hidden=3, seed=0))
-    doc["hidden"] = 8
-    with pytest.raises(ValueError, match="disagrees with hidden"):
+    doc["weights"]["w2"] = np.zeros((8, 2)).tolist()
+    with pytest.raises(ValueError, match="disagrees with hidden=3"):
         codec.decode(GnnParams, doc, "model params")
-    doc["hidden"] = 3
+    doc["weights"]["w2"] = np.zeros((3, 2)).tolist()
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="format_version"):
         codec.decode(GnnParams, doc, "model params")

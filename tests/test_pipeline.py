@@ -24,7 +24,7 @@ from gridsentry.flows import (FEATURE_NAMES, apply_zscore, build_snapshot,
                               parse_flows, window)
 from gridsentry.graphs import GraphSnapshot, SbmSpec, sbm_generate
 from gridsentry.gsl import GslConfig
-from gridsentry.models import init_params, model_logits, softmax
+from gridsentry.models import AdamConfig, init_params, model_logits, softmax
 from gridsentry.pipeline import (Alert, DetectorBundle, PipelineConfig, detect,
                                  run_pipeline, train_from_snapshot,
                                  train_pipeline)
@@ -64,20 +64,22 @@ def test_config_from_dict():
         "seed": 3,
         "gnn_kind": "sage",
         "gsl": {"outer_iters": 7},
-        "train": {"epochs": 11},
+        "train": {"lr": 0.05},
     }, "pipeline")
     assert cfg.seed == 3 and cfg.gnn_kind == "sage"
     assert cfg.gsl == GslConfig(outer_iters=7)
-    assert cfg.train.epochs == 11
+    assert cfg.train == AdamConfig(lr=0.05)
     with pytest.raises(ValueError, match="unknown pipeline config keys"):
         codec.decode(PipelineConfig, {"refine": 5}, "pipeline")
     with pytest.raises(ValueError, match="gsl config must be a JSON object"):
         codec.decode(PipelineConfig, {"gsl": ["outer_iters"]}, "pipeline")
 
 
-@pytest.mark.parametrize("key", ["seed", "train_mask", "val_mask", "test_mask"])
+@pytest.mark.parametrize("key", ["seed", "train_mask", "val_mask", "test_mask",
+                                 "epochs"])
 def test_config_rejects_program_set_train_keys(key):
-    # The training seed is the pipeline's top-level seed; masks come from the data.
+    # The training seed is the pipeline's top-level seed, masks come from the
+    # data, and the fit's step count from the gsl block.
     with pytest.raises(ValueError, match=rf"unknown train config keys: \['{key}'\]"):
         codec.decode(PipelineConfig, {"train": {key: 3}}, "pipeline")
 
@@ -91,7 +93,7 @@ def test_train_from_snapshot_stores_raw_feature_stats(sbm60):
 
 
 def test_train_from_snapshot_input_checks(sbm60):
-    small = sbm_generate(SbmSpec(n=5, classes=2, p_in=0.5, p_out=0.1,
+    small = sbm_generate(SbmSpec(n=5, p_in=0.5, p_out=0.1,
                                  feature_dim=3, signal=1.0, noise_sigma=1.0,
                                  seed=0))
     with pytest.raises(DataError, match="at least 10"):
@@ -178,7 +180,7 @@ def test_bundle_validation():
 def test_model_version_shape(trained):
     bundle, _, _ = trained
     kind, build, digest = bundle.model_version.split("-")
-    assert kind == "gcn" and build == "b1"
+    assert kind == "gcn" and build == "b2"
     assert len(digest) == 12 and set(digest) <= set("0123456789abcdef")
 
 
