@@ -32,6 +32,7 @@ from . import attacks, codec, experiments, pipeline
 from .errors import DataError, NumericError
 from .flows import build_snapshot, parse_flows, window
 from .graphs import GraphSnapshot, SbmSpec, sbm_generate
+from .numerics import _check_dense_side
 
 
 class _UsageError(Exception):
@@ -119,13 +120,14 @@ def cmd_ingest(args) -> int:
     flows, stats = parse_flows(args.input)
     print(json.dumps(codec.encode(stats), sort_keys=True), file=sys.stderr)
     windows = window(flows, cfg.window_seconds)
+    for bounds, bucket in windows:  # so that a failing window leaves no files
+        try:
+            _check_dense_side(len(set(bucket.src) | set(bucket.dst)), "device graph")
+        except ValueError as exc:
+            raise DataError(f"window [{bounds[0]}, {bounds[1]}): {exc}") from exc
     with _writing(out):
         for k, (bounds, bucket) in enumerate(windows):
-            try:
-                snapshot = build_snapshot(bucket, bounds)
-            except ValueError as exc:  # above the dense ceiling
-                raise DataError(f"window [{bounds[0]}, {bounds[1]}): {exc}") from exc
-            codec.save(snapshot, out / f"window_{k:04d}.json")
+            codec.save(build_snapshot(bucket, bounds), out / f"window_{k:04d}.json")
     print(f"wrote {len(windows)} window snapshot(s) to {out}")
     return 0
 
@@ -198,13 +200,12 @@ def cmd_experiment(args) -> int:
 
 def cmd_report(args) -> int:
     report = codec.load(args.input, "report", experiments.MetricsReport)
-    text = experiments.render_report(report, args.format)
+    text = experiments.render_report(report, args.format)  # ends in a newline
     if args.output:
         with _writing(args.output):
-            Path(args.output).write_text(
-                text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
+            Path(args.output).write_text(text, encoding="utf-8")
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

@@ -8,14 +8,15 @@ only evaluates them on its perturbed copy.
 Each (model, attack rate, run) cell reports accuracy, precision, recall, and
 F1 on held-out nodes, with the malicious class as the positive class.
 
-Each run is prepared in this process (graph, split, z-scoring, one attack
-per rate) and then cut into independent units: one training per (rate,
-model) under poisoning, one per model under evasion. The units run in one
-worker interpreter per usable CPU, at most one per unit, and each worker
-runs BLAS single-threaded. The outputs are byte-identical to running the
-units in this process, which is what happens with one usable CPU. Every
-worker holds its own copy of the graphs it trains on, so near the
-2,000-node ceiling peak memory grows with the worker count.
+The grid's units are its independent trainings: one per (rate, model)
+under poisoning, one per model under evasion. Whoever runs a unit prepares
+its run (graph, split, z-scoring, one attack per rate), once for each
+stretch of consecutive units of that run. The units are dealt out once to
+one worker interpreter per usable CPU, at most one per unit of a run, and
+each worker runs BLAS single-threaded. The outputs are byte-identical to
+running the units in this process, which is what happens with one usable
+CPU. Every worker prepares its own copy of each run it trains in, so near
+the 2,000-node ceiling peak memory grows with the worker count.
 ``taskset -c 0 gridsentry experiment ...`` leaves one usable CPU and so
 runs the grid in this process, which is how to profile it.
 """
@@ -26,11 +27,10 @@ import os
 import pickle
 import sys
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -306,37 +306,21 @@ def _predictions(trained: _Trained, snapshot: GraphSnapshot,
     return predict(_forward(trained.params, prop)[0])
 
 
-class _Unit(NamedTuple):
-    """One independent piece of a grid run: train ``model`` on ``train_on``,
-    then score it on each graph of ``score_on``, the attacked graph of the
-    matching entry of ``rates``."""
-
-    cfg: ExperimentConfig
-    model: str
-    train_on: GraphSnapshot
-    score_on: tuple[GraphSnapshot, ...]
-    rates: tuple[float, ...]
-    train_mask: np.ndarray
-    seed: int
+def _grid_units(cfg: ExperimentConfig) -> list[tuple[int, str, tuple[float, ...]]]:
+    """Every independent training of the grid as ``(run, model, rates)``, in
+    grid order: one per (rate, model) under poisoning, and one per model
+    under evasion, which scores it at every rate."""
+    if cfg.attack_kind == "evasion":
+        return [(r, model, tuple(cfg.rates))
+                for r in range(cfg.runs) for model in cfg.models]
+    return [(r, model, (rate,)) for r in range(cfg.runs)
+            for rate in cfg.rates for model in cfg.models]
 
 
-def _run_unit(unit: _Unit) -> tuple[list[MetricValues],
-                                    Optional[list[gsl.ObjectiveParts]]]:
-    """The test-node metrics on each scored graph, and a GSL model's fit history."""
-    cfg = unit.cfg
-    trained = _train_model(unit.model, unit.train_on, cfg, unit.train_mask, unit.seed)
-    evasion = cfg.attack_kind == "evasion"
-    scores = []
-    for snapshot in unit.score_on:
-        y_pred = _predictions(trained, snapshot, cfg.gsl, evasion)
-        conf = Confusion.from_predictions(unit.train_on.labels, y_pred, ~unit.train_mask)
-        scores.append(metrics(conf))
-    return scores, trained.history
-
-
-def _prepare_run(cfg: ExperimentConfig, merged: Optional[GraphSnapshot],
-               seed: int) -> list[_Unit]:
-    """Prepare the run seeded ``seed`` and cut it into units, in grid order."""
+def _prepare_run(cfg: ExperimentConfig, merged: Optional[GraphSnapshot], seed: int
+                 ) -> tuple[GraphSnapshot, np.ndarray, dict[float, GraphSnapshot]]:
+    """The run seeded ``seed``: its clean graph, training mask, and the
+    attacked graph at each rate."""
     if cfg.sbm is not None:
         snapshot = sbm_generate(replace(cfg.sbm, seed=seed))
     else:
@@ -346,17 +330,37 @@ def _prepare_run(cfg: ExperimentConfig, merged: Optional[GraphSnapshot],
         # Standardize with training-node statistics for this run's split.
         stats = compute_zscore_stats(snapshot.features[train_mask])
         snapshot = replace(snapshot, features=apply_zscore(snapshot.features, stats))
+    phase = "inference" if cfg.attack_kind == "evasion" else "training"
+    perturbed = {rate: attacks.apply(snapshot, cfg.attack_spec(rate, seed), phase)[0]
+                 for rate in cfg.rates}
+    return snapshot, train_mask, perturbed
+
+
+def _run_units(cfg: ExperimentConfig, merged: Optional[GraphSnapshot], units: list
+               ) -> Iterator[tuple[list[MetricValues],
+                                   Optional[list[gsl.ObjectiveParts]]]]:
+    """Yield, for each of ``units`` in turn, the test-node metrics at each of
+    its rates and a GSL model's fit history.
+
+    A run is prepared once for each stretch of consecutive units of that run.
+    Under evasion a model trains on the clean graph, since the attack only
+    reaches the graphs it is scored on.
+    """
     evasion = cfg.attack_kind == "evasion"
-    perturbed = [attacks.apply(snapshot, cfg.attack_spec(rate, seed),
-                               "inference" if evasion else "training")[0]
-                 for rate in cfg.rates]
-    if evasion:
-        # Evasion attacks only the graph a model is evaluated on, so each
-        # model trains once per run on the clean graph.
-        return [_Unit(cfg, model, snapshot, tuple(perturbed), tuple(cfg.rates),
-                      train_mask, seed) for model in cfg.models]
-    return [_Unit(cfg, model, graph, (graph,), (rate,), train_mask, seed)
-            for rate, graph in zip(cfg.rates, perturbed) for model in cfg.models]
+    prepared = None
+    for run, model, rates in units:
+        seed = cfg.base_seed + run
+        if prepared != run:
+            snapshot, train_mask, perturbed = _prepare_run(cfg, merged, seed)
+            prepared = run
+        train_on = snapshot if evasion else perturbed[rates[0]]
+        trained = _train_model(model, train_on, cfg, train_mask, seed)
+        scores = []
+        for rate in rates:
+            y_pred = _predictions(trained, perturbed[rate], cfg.gsl, evasion)
+            conf = Confusion.from_predictions(snapshot.labels, y_pred, ~train_mask)
+            scores.append(metrics(conf))
+        yield scores, trained.history
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -371,17 +375,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         (m, rate): [] for m in cfg.models for rate in cfg.rates
     }
     histories: dict[tuple[str, float, int], list[gsl.ObjectiveParts]] = {}
-    units_per_run = len(cfg.models) * (
-        1 if cfg.attack_kind == "evasion" else len(cfg.rates))
-
-    with _unit_runner(_worker_count(units_per_run)) as run_units:
-        for r, seed_r in enumerate(seeds):
-            units = _prepare_run(cfg, merged, seed_r)
-            for unit, (scores, history) in zip(units, run_units(units)):
-                for rate, values in zip(unit.rates, scores):
-                    per_cell[(unit.model, rate)].append(values)
-                    if history is not None:
-                        histories[(unit.model, rate, r)] = history
+    units = _grid_units(cfg)
+    workers = _worker_count(len(units) // cfg.runs)
+    if workers < 2:
+        outcomes = _run_units(cfg, merged, units)
+    else:
+        outcomes = _run_in_workers(cfg, merged, units, workers)
+    for (r, model, rates), (scores, history) in zip(units, outcomes):
+        for rate, values in zip(rates, scores):
+            per_cell[(model, rate)].append(values)
+            if history is not None:
+                histories[(model, rate, r)] = history
 
     cells = []
     for model in cfg.models:
@@ -423,33 +427,48 @@ class _WorkerTraceback(Exception):
     """The worker-side traceback of a unit's exception, chained as its cause."""
 
 
-@contextmanager
-def _unit_runner(workers: int):
-    """Yield a function that runs a run's units and returns their outcomes
-    in grid order.
+def _run_in_workers(cfg: ExperimentConfig, merged: Optional[GraphSnapshot],
+                    units: list, workers: int) -> list:
+    """Run the grid's ``units`` in ``workers`` worker interpreters (``_serve``)
+    and return their outcomes in grid order.
 
-    With fewer than two workers the units run here, one after another.
-    Otherwise ``workers`` worker interpreters (``_serve``) start once for
-    the grid, with BLAS single-threaded. Every worker is waited for on the
-    way out, and killed first if the grid failed.
+    GSL fits take several times as long as plain trainings, so they are
+    dealt out first, round-robin, and each share is then sorted back into
+    grid order. Each worker gets one request, runs its share with BLAS
+    single-threaded, and sends back one reply. Every worker is waited for,
+    and killed first if the grid failed. Each unit's warnings are issued
+    again here, through one warnings registry, and the exception of the
+    earliest failing unit in grid order is raised, after the warnings of the
+    units before it, as if the units had run here.
     """
-    if workers < 2:
-        yield lambda units: [_run_unit(unit) for unit in units]
-        return
     import subprocess  # here, so that importing the package stays cheap
 
     env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     package_root = str(Path(__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    order = sorted(range(len(units)), key=lambda k: not _GRID_MODELS[units[k][1]][1])
+    shares = [sorted(order[w::workers]) for w in range(workers)]
+    outcomes = {}
     procs = []
     finished = False
     try:
-        for _ in range(workers):
+        for _ in shares:
             procs.append(subprocess.Popen([sys.executable, "-c", _WORKER_CODE],
                                           stdin=subprocess.PIPE,
                                           stdout=subprocess.PIPE, env=env))
-        yield partial(_run_in_workers, procs, {})
+        for proc, share in zip(procs, shares):
+            request = (np.geterr(), cfg, merged, [units[k] for k in share])
+            try:
+                pickle.dump(request, proc.stdin, pickle.HIGHEST_PROTOCOL)
+                proc.stdin.close()
+            except BrokenPipeError:
+                raise _lost(proc) from None
+        for proc, share in zip(procs, shares):
+            try:
+                outcomes.update(zip(share, pickle.load(proc.stdout)))
+            except (EOFError, pickle.UnpicklingError):
+                raise _lost(proc) from None
         finished = True
     finally:
         for proc in procs:
@@ -459,36 +478,12 @@ def _unit_runner(workers: int):
                 proc.stdin.close()
             proc.stdout.close()
             proc.wait()
-
-
-def _run_in_workers(procs: list, registry: dict, units: list[_Unit]) -> list:
-    """Deal ``units`` out to the workers and collect their outcomes.
-
-    GSL fits take several times as long as plain trainings, so they are
-    dealt first. Each unit's warnings are issued again here, through the
-    grid's one warnings ``registry``, and the exception of the earliest
-    failing unit in grid order is raised, after the warnings of the units
-    before it, as if the units had run here.
-    """
-    order = sorted(range(len(units)), key=lambda k: not _GRID_MODELS[units[k].model][1])
-    shares = [order[w::len(procs)] for w in range(len(procs))]
-    for proc, share in zip(procs, shares):
-        try:
-            pickle.dump((np.geterr(), [units[k] for k in share]), proc.stdin,
-                        pickle.HIGHEST_PROTOCOL)
-            proc.stdin.flush()
-        except BrokenPipeError:
-            raise _lost(proc) from None
-    outcomes = [None] * len(units)
-    for proc, share in zip(procs, shares):
-        try:
-            batch = pickle.load(proc.stdout)
-        except (EOFError, pickle.UnpicklingError):
-            raise _lost(proc) from None
-        for k, outcome in zip(share, batch):
-            outcomes[k] = outcome
+    # A worker stops at its first failure, and its share is in grid order,
+    # so every unit before the earliest failure has an outcome.
+    registry: dict = {}
     results = []
-    for result, caught in outcomes:
+    for k in range(len(units)):
+        result, caught = outcomes[k]
         for category, message, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno,
                                    registry=registry)
@@ -504,38 +499,37 @@ def _lost(proc) -> RuntimeError:
 
 
 def _serve() -> None:
-    """A worker's loop: read batches of units from stdin until it ends, and
-    write each batch's outcomes to stdout.
+    """A worker: run the share of the grid that stdin requests, and write
+    its outcomes to stdout.
 
-    A batch is the parent's numpy error settings and a list of units; its
-    outcomes are, per unit, the result of ``_run_unit`` or a ``_Failed``,
-    and the distinct warnings the unit raised. Every unit runs, whether or
-    not one before it failed. Interrupts are left to the parent, which
-    kills its workers.
+    The request is the parent's numpy error settings, the grid's config, its
+    merged CSV graph or None, and the worker's units in grid order. The
+    outcomes are, per unit, the result of ``_run_units`` or a ``_Failed``,
+    and the distinct warnings the unit raised; the share stops at its first
+    failure. Interrupts are left to the parent, which kills its workers.
     """
     import signal
     import traceback
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     out, sys.stdout = sys.stdout.buffer, sys.stderr  # stdout carries outcomes only
-    while True:
-        try:
-            errors, units = pickle.load(sys.stdin.buffer)
-        except EOFError:
-            return
-        np.seterr(**errors)
-        outcomes = []
-        for unit in units:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    result = _run_unit(unit)
-                except Exception as exc:  # the parent raises it again
-                    result = _Failed(exc, traceback.format_exc())
-            outcomes.append((result, list(dict.fromkeys(
-                (w.category, str(w.message), w.filename, w.lineno) for w in caught))))
-        pickle.dump(outcomes, out, pickle.HIGHEST_PROTOCOL)
-        out.flush()
+    errors, cfg, merged, units = pickle.load(sys.stdin.buffer)
+    np.seterr(**errors)
+    results = _run_units(cfg, merged, units)
+    outcomes = []
+    for _ in units:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = next(results)
+            except Exception as exc:  # the parent raises it again
+                result = _Failed(exc, traceback.format_exc())
+        outcomes.append((result, list(dict.fromkeys(
+            (w.category, str(w.message), w.filename, w.lineno) for w in caught))))
+        if isinstance(result, _Failed):
+            break
+    pickle.dump(outcomes, out, pickle.HIGHEST_PROTOCOL)
+    out.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Matrices throughout this package are dense two-dimensional float64 ndarrays
 All randomness flows through :func:`make_rng`, a seeded PCG64 generator: the
 same seed reproduces the identical stream within one build.
 
-Dense problems are capped at a side of 2,000 (``_MAX_SVD_SIDE``), where one
+Dense problems are capped at a side of 2,000 (``_MAX_DENSE_SIDE``), where one
 float64 matrix takes 32 MB: :func:`require_square` raises ValueError naming
 the dense ceiling above it. ``flows.build_snapshot`` checks a graph's
 device count before it allocates the adjacency, ``gsl.fit`` the observed
@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import NumericError
 
-# Dense factorizations are only meant for desk-scale problems.
-_MAX_SVD_SIDE = 2000
+# Dense matrices, and so graphs, are only meant for desk-scale problems.
+_MAX_DENSE_SIDE = 2000
 
 # Largest asymmetry, relative to the largest entry, that the symmetric
 # operators accept; the eigensolvers read only the lower triangle.
@@ -86,9 +86,9 @@ def svd(m) -> SvdResult:
     instead; only an unsalvageable failure raises NumericError.
     """
     arr = require_matrix(m, "svd input")
-    if min(arr.shape) > _MAX_SVD_SIDE:
+    if min(arr.shape) > _MAX_DENSE_SIDE:
         raise ValueError(
-            f"svd supports min(rows, cols) <= {_MAX_SVD_SIDE}, got shape {arr.shape}"
+            f"svd supports min(rows, cols) <= {_MAX_DENSE_SIDE}, got shape {arr.shape}"
         )
     try:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
@@ -116,9 +116,9 @@ def soft_threshold(m, tau: float) -> np.ndarray:
 
 def _check_dense_side(side: int, name: str) -> None:
     """Raise ValueError naming the dense ceiling if ``side`` is above it."""
-    if side > _MAX_SVD_SIDE:
+    if side > _MAX_DENSE_SIDE:
         raise ValueError(
-            f"{name} side {side} is above the dense ceiling of {_MAX_SVD_SIDE}"
+            f"{name} side {side} is above the dense ceiling of {_MAX_DENSE_SIDE}"
         )
 
 

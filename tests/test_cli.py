@@ -383,6 +383,16 @@ def test_report_rendering(tmp_path, capsys):
                  "--format", "json", "-o", str(rendered)]) == 0
     assert rendered.read_bytes() == (out / "report.json").read_bytes()
 
+    # Printed or written, each format ends in exactly one newline.
+    for fmt in ("json", "markdown"):
+        rendered = tmp_path / f"again.{fmt}"
+        for argv in ([], ["-o", str(rendered)]):
+            assert main(["report", "-i", str(out / "report.json"),
+                         "--format", fmt, *argv]) == 0
+        printed = capsys.readouterr().out
+        assert printed == rendered.read_text(encoding="utf-8")
+        assert printed.endswith("\n") and not printed.endswith("\n\n")
+
 
 def test_report_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -404,7 +414,7 @@ def test_missing_input_file_is_data_error(command, tmp_path, capsys):
 def test_graph_above_the_dense_ceiling_is_data_error(command, tmp_path,
                                                      flows_train_csv,
                                                      monkeypatch, capsys):
-    monkeypatch.setattr(numerics, "_MAX_SVD_SIDE", 3)
+    monkeypatch.setattr(numerics, "_MAX_DENSE_SIDE", 3)
     argv = [command, "-o", str(tmp_path / "out")]
     if command == "experiment":
         argv += ["--config", _write_json(tmp_path / "exp.json",
@@ -415,6 +425,20 @@ def test_graph_above_the_dense_ceiling_is_data_error(command, tmp_path,
     err = capsys.readouterr().err  # ingest prints its parse counts first
     assert err.splitlines()[-1].startswith("data error:")
     assert "above the dense ceiling of 3" in err and "Traceback" not in err
+
+
+def test_ingest_writes_no_window_when_a_later_one_is_above_the_ceiling(
+        tmp_path, monkeypatch, capsys):
+    rows = ["ts,src_ip,dst_ip,proto,src_port,dst_port,bytes,pkts,dur,label",
+            "1,a,b,tcp,40000,443,100,1,0.1,0"]
+    rows += [f"400,c,d{k},tcp,40000,443,100,1,0.1,0" for k in range(3)]
+    flows = tmp_path / "flows.csv"
+    flows.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    monkeypatch.setattr(numerics, "_MAX_DENSE_SIDE", 3)
+    out = tmp_path / "out"
+    assert main(["ingest", "-i", str(flows), "-o", str(out)]) == 2
+    assert "above the dense ceiling of 3" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_attack_on_invalid_json_is_data_error(tmp_path, capsys):

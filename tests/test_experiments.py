@@ -567,32 +567,46 @@ def test_grid_worker_warnings_reach_the_parent(monkeypatch):
     _assert_no_children()
 
 
-def test_grid_raises_the_earliest_failure_in_grid_order():
-    # The GSL units are dealt out first, so they fail first in the workers;
-    # the DNN unit comes first in grid order, so its error is the one raised.
-    units = experiments._prepare_run(_tiny_config(runs=1, rates=[0.0]), None, 0)
-    no_labels = np.zeros_like(units[0].train_mask)
-    units = [units[0]._replace(cfg=_tiny_config(train=OVERFLOWING_TRAIN))] + [
-        unit._replace(train_mask=no_labels) for unit in units[1:]]
+def test_grid_raises_the_earliest_failure_in_grid_order(monkeypatch):
+    # The GSL unit is dealt out first and fails at once on a rate the run
+    # has no attacked graph for; the DNN unit comes first in grid order and
+    # overflows, so its error is the one raised.
+    cfg = _tiny_config(runs=1, rates=[0.0], models=["DNN", "GSL-GCN"],
+                       train=OVERFLOWING_TRAIN)
+    monkeypatch.setattr(experiments, "_grid_units", lambda cfg: [
+        (0, "DNN", (0.0,)), (0, "GSL-GCN", (0.5,))])
     for workers in (1, 2):
-        with experiments._unit_runner(workers) as run_units, \
-                np.errstate(all="ignore"), pytest.raises(NumericError):
-            run_units(units)
+        _force_workers(monkeypatch, workers)
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            run_experiment(cfg)
         _assert_no_children()
 
 
-def test_grid_worker_runs_every_unit_after_a_failure():
-    good = experiments._prepare_run(_tiny_config(runs=1, models=["DNN"]), None, 0)[0]
-    bad = good._replace(cfg=_tiny_config(models=["DNN"], train=OVERFLOWING_TRAIN))
-    with np.errstate(all="ignore"):
-        batch = pickle.dumps((np.geterr(), [bad, good]))
+def test_grid_worker_stops_at_its_first_failure():
+    cfg = _tiny_config(runs=1, rates=[0.0], models=["DNN"])
+    request = pickle.dumps((np.geterr(), cfg, None,
+                            [(0, "DNN", (0.5,)), (0, "DNN", (0.0,))]))
     done = subprocess.run([sys.executable, "-c", experiments._WORKER_CODE],
-                          input=batch, capture_output=True, check=True, timeout=120,
+                          input=request, capture_output=True, check=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT))
-    (failed, _), (result, caught) = pickle.loads(done.stdout)
-    assert isinstance(failed, experiments._Failed)
-    assert isinstance(failed.error, NumericError) and "Traceback" in failed.text
-    assert result == experiments._run_unit(good) and caught == []
+    [(failed, caught)] = pickle.loads(done.stdout)
+    assert isinstance(failed, experiments._Failed) and caught == []
+    assert isinstance(failed.error, KeyError) and "Traceback" in failed.text
+
+
+def test_grid_workers_prepare_every_run(monkeypatch):
+    # The calling process prepares no run when workers run the grid.
+    cfg = _tiny_config()
+    _force_workers(monkeypatch, 1)
+    expected = _grid_outputs(run_experiment(cfg))
+
+    def refuse(*args):
+        raise AssertionError("a run was prepared in the calling process")
+
+    monkeypatch.setattr(experiments, "_prepare_run", refuse)
+    _force_workers(monkeypatch, 2)
+    assert _grid_outputs(run_experiment(cfg)) == expected
+    _assert_no_children()
 
 
 def test_grid_worker_exiting_without_results_is_an_error(monkeypatch):

@@ -478,7 +478,7 @@ def test_a_step_from_a_skips_the_zero_anchor_bit_for_bit(cfg, steps, seed):
 
 
 def test_fit_and_refine_check_the_dense_ceiling(sbm12, monkeypatch):
-    monkeypatch.setattr(numerics, "_MAX_SVD_SIDE", 11)
+    monkeypatch.setattr(numerics, "_MAX_DENSE_SIDE", 11)
     mask = np.ones(12, dtype=bool)
     with pytest.raises(ValueError, match="dense ceiling"):
         fit(sbm12.adjacency, sbm12.features, sbm12.labels, "gcn",

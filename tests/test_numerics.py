@@ -133,7 +133,7 @@ def test_svt_rejects_non_square_asymmetric_and_over_ceiling(monkeypatch):
         svt(asym, 0.1)
     with pytest.raises(ValueError, match="symmetric"):
         nuclear_norm(asym)
-    monkeypatch.setattr(numerics, "_MAX_SVD_SIDE", 4)
+    monkeypatch.setattr(numerics, "_MAX_DENSE_SIDE", 4)
     with pytest.raises(ValueError, match="dense ceiling"):
         svt(random_symmetric(5, 4), 0.1)
     with pytest.raises(ValueError, match="dense ceiling"):

@@ -402,7 +402,7 @@ def test_bundle_is_frozen_and_stores_each_detect_setting_once(trained):
 def test_run_pipeline_names_a_window_over_the_dense_ceiling(
         trained, flows_detect_csv, tmp_path, monkeypatch):
     _, _, out_dir = trained
-    monkeypatch.setattr(numerics, "_MAX_SVD_SIDE", 3)
+    monkeypatch.setattr(numerics, "_MAX_DENSE_SIDE", 3)
     diag = io.StringIO()
     with pytest.raises(DataError, match="unusable"):
         run_pipeline(flows_detect_csv, out_dir / "bundle.json",
