@@ -1,8 +1,9 @@
 """Seeded structure and feature perturbations for robustness experiments.
 
-Two perturbation kinds exist: ``poisoning`` applies before training and
-``evasion`` applies at inference; :func:`apply` enforces that pairing and
-no-ops (with a warning receipt) on a mismatch. Structure edits come in two
+An attack only perturbs: :func:`apply` edits the graph it is given and
+returns the copy. Whether that graph is the one a model trains on
+(poisoning) or the one it is scored on (evasion) is the grid's
+``attack_kind``, decided in ``experiments``. Structure edits come in two
 modes: ``random`` flips uniformly chosen node pairs, ``dice`` deletes
 same-label edges and inserts cross-label edges, which is the classic
 label-aware heuristic. Every edit is returned in a receipt so experiments
@@ -20,14 +21,12 @@ import numpy as np
 from .graphs import GraphSnapshot, _check_adjacency
 from .numerics import make_rng, require_matrix
 
-KINDS = ("poisoning", "evasion")
 STRUCTURE_MODES = ("random", "dice")
-PHASES = ("training", "inference")
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """What to perturb and how much.
+    """What to perturb and how much; not when, which is the grid's choice.
 
     ``rate`` scales the edge budget: exactly floor(rate * edge_count) pairs
     are modified. ``feature_fraction`` defaults to the rate; Gaussian noise
@@ -37,7 +36,6 @@ class PerturbationSpec:
     correlated, not independent.
     """
 
-    kind: str = "poisoning"
     rate: float = 0.0
     structure_mode: str = "dice"
     feature_sigma: float = 0.5
@@ -45,8 +43,6 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.structure_mode not in STRUCTURE_MODES:
             raise ValueError(
                 f"structure_mode must be one of {STRUCTURE_MODES}, got {self.structure_mode!r}"
@@ -70,7 +66,6 @@ class PerturbationReceipt:
     edges_added: list[tuple[int, int]] = field(default_factory=list)
     edges_removed: list[tuple[int, int]] = field(default_factory=list)
     nodes_feature_perturbed: list[int] = field(default_factory=list)
-    warning: Optional[str] = None
 
 
 def _flip(out: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -156,22 +151,14 @@ def perturb_features(x: np.ndarray, spec: PerturbationSpec) -> tuple[np.ndarray,
     return out, chosen
 
 
-def apply(snapshot: GraphSnapshot, spec: PerturbationSpec,
-          phase: str) -> tuple[GraphSnapshot, PerturbationReceipt]:
-    """Phase-gated perturbation of a snapshot.
+def apply(snapshot: GraphSnapshot,
+          spec: PerturbationSpec) -> tuple[GraphSnapshot, PerturbationReceipt]:
+    """Perturb the structure and the features of ``snapshot`` as ``spec`` says.
 
-    Poisoning applies at the training phase and evasion at inference; any
-    other pairing returns the snapshot unchanged with a warning receipt.
+    Returns the perturbed copy and the receipt of every edit. Raises
+    ValueError when the snapshot cannot take the attack: a non-binary
+    adjacency, no labels under ``dice``, or too few candidate pairs.
     """
-    if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    matched = (spec.kind == "poisoning" and phase == "training") or (
-        spec.kind == "evasion" and phase == "inference"
-    )
-    if not matched:
-        return snapshot, PerturbationReceipt(
-            warning=f"{spec.kind} perturbation ignored at {phase} phase"
-        )
     adjacency, receipt = perturb_structure(snapshot.adjacency, snapshot.labels, spec)
     features, nodes = perturb_features(snapshot.features, spec)
     receipt.nodes_feature_perturbed = nodes

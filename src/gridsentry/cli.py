@@ -134,17 +134,15 @@ def cmd_ingest(args) -> int:
 
 def cmd_attack(args) -> int:
     spec = _decode(attacks.PerturbationSpec, _load_config(args.config), "attack", args)
-    phase = args.phase
-    if phase is None:
-        phase = "training" if spec.kind == "poisoning" else "inference"
     snapshot = codec.load(args.input, "snapshot", GraphSnapshot)
-    perturbed, receipt = attacks.apply(snapshot, spec, phase)
+    try:
+        perturbed, receipt = attacks.apply(snapshot, spec)
+    except ValueError as exc:  # a snapshot the attack cannot take
+        raise DataError(f"{args.input}: {exc}") from exc
     out = _require_output(args)
     with _writing(out):
         codec.save(perturbed, out)
         codec.save(receipt, str(out) + ".receipt.json")
-    if receipt.warning:
-        print(f"warning: {receipt.warning}", file=sys.stderr)
     print(
         f"added {len(receipt.edges_added)}, removed {len(receipt.edges_removed)}, "
         f"feature-perturbed {len(receipt.nodes_feature_perturbed)} node(s)"
@@ -234,7 +232,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("attack", help="perturb a snapshot file")
     _common_flags(p)
     p.add_argument("--input", "-i", required=True, help="snapshot JSON path")
-    p.add_argument("--kind", choices=attacks.KINDS, default=None)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--structure-mode", dest="structure_mode",
                    choices=attacks.STRUCTURE_MODES, default=None)
@@ -242,8 +239,6 @@ def build_parser() -> _Parser:
                    default=None)
     p.add_argument("--feature-fraction", dest="feature_fraction", type=float,
                    default=None)
-    p.add_argument("--phase", choices=attacks.PHASES, default=None,
-                   help="defaults to the phase matching the attack kind")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("train", help="train a detector bundle from flows")

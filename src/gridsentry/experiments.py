@@ -48,6 +48,9 @@ _GRID_MODELS = {"DNN": ("mlp", False), "GCN": ("gcn", False),
                 "GraphSAGE": ("sage", False), "GSL-GCN": ("gcn", True),
                 "GSL-GraphSAGE": ("sage", True)}
 MODELS = tuple(_GRID_MODELS)
+# Poisoning attacks the graph each model trains on, evasion the graph it is
+# scored on.
+ATTACK_KINDS = ("poisoning", "evasion")
 
 # Windows with fewer devices are left out of a graph merged from a flow CSV:
 # the default for training (``PipelineConfig.min_nodes``) and for a CSV grid.
@@ -165,6 +168,13 @@ class ExperimentConfig:
         unknown = [m for m in self.models if m not in MODELS]
         if unknown:
             raise ValueError(f"unknown models {unknown}; valid: {list(MODELS)}")
+        for name, values in (("models", self.models), ("rates", self.rates)):
+            repeats = sorted({v for v in values if values.count(v) > 1})
+            if repeats:
+                raise ValueError(f"{name} repeat {repeats}; list each once")
+        if self.attack_kind not in ATTACK_KINDS:
+            raise ValueError(f"attack_kind must be one of {ATTACK_KINDS}, "
+                             f"got {self.attack_kind!r}")
         for rate in self.rates or (0.0,):  # an empty grid's attack is checked too
             self.attack_spec(rate, self.base_seed)
         if not 0.0 < self.train_frac < 1.0:
@@ -178,7 +188,7 @@ class ExperimentConfig:
     def attack_spec(self, rate: float, seed: int) -> attacks.PerturbationSpec:
         """The attack the grid applies at ``rate`` in the run seeded ``seed``."""
         return attacks.PerturbationSpec(
-            kind=self.attack_kind, rate=rate, structure_mode=self.structure_mode,
+            rate=rate, structure_mode=self.structure_mode,
             feature_sigma=self.feature_sigma,
             feature_fraction=self.feature_fraction, seed=seed)
 
@@ -330,8 +340,7 @@ def _prepare_run(cfg: ExperimentConfig, merged: Optional[GraphSnapshot], seed: i
         # Standardize with training-node statistics for this run's split.
         stats = compute_zscore_stats(snapshot.features[train_mask])
         snapshot = replace(snapshot, features=apply_zscore(snapshot.features, stats))
-    phase = "inference" if cfg.attack_kind == "evasion" else "training"
-    perturbed = {rate: attacks.apply(snapshot, cfg.attack_spec(rate, seed), phase)[0]
+    perturbed = {rate: attacks.apply(snapshot, cfg.attack_spec(rate, seed))[0]
                  for rate in cfg.rates}
     return snapshot, train_mask, perturbed
 

@@ -40,8 +40,7 @@ SBM60_SHARP = SbmSpec(n=60, p_in=0.2, p_out=0.02, feature_dim=8,
 SBM12 = SbmSpec(n=12, p_in=0.8, p_out=0.1, feature_dim=4,
                 signal=1.5, noise_sigma=0.5, seed=11)
 
-DICE_HALF = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="dice",
-                             seed=7)
+DICE_HALF = PerturbationSpec(rate=0.5, structure_mode="dice", seed=7)
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +60,7 @@ def sbm12():
 
 @pytest.fixture(scope="session")
 def poisoned60(sbm60):
-    return apply(sbm60, DICE_HALF, phase="training")
+    return apply(sbm60, DICE_HALF)
 
 
 @pytest.fixture(scope="session")

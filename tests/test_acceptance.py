@@ -84,7 +84,7 @@ def _neighbour_vote_f1(cfg: ExperimentConfig, rate: float) -> float:
         seed = cfg.base_seed + r
         snap = sbm_generate(replace(cfg.sbm, seed=seed))
         train_mask, test_mask = split(snap.labels, cfg.train_frac, seed)
-        poisoned, _ = apply(snap, cfg.attack_spec(rate, seed), "training")
+        poisoned, _ = apply(snap, cfg.attack_spec(rate, seed))
         vote = poisoned.adjacency @ np.where(train_mask, 2.0 * snap.labels - 1.0, 0.0)
         conf = Confusion.from_predictions(snap.labels, (vote > 0).astype(int),
                                           test_mask)
@@ -283,8 +283,7 @@ def test_criterion_07_attack_exactness(sbm60):
     m = int(round(np.triu(sbm60.adjacency, k=1).sum()))
     for mode in ("random", "dice"):
         for rate in (0.0, 0.1, 0.25, 0.5):
-            spec = PerturbationSpec(kind="poisoning", rate=rate,
-                                    structure_mode=mode, seed=11)
+            spec = PerturbationSpec(rate=rate, structure_mode=mode, seed=11)
             out, receipt = perturb_structure(sbm60.adjacency, sbm60.labels,
                                              spec)
             k = math.floor(rate * m)

@@ -1,4 +1,4 @@
-"""Perturbation budgets, receipts, phase gating, and the accuracy drop."""
+"""Perturbation budgets, receipts, and the accuracy drop."""
 
 import math
 
@@ -22,8 +22,7 @@ def _edge_count(a):
 @pytest.mark.parametrize("mode", ["random", "dice"])
 @pytest.mark.parametrize("rate", [0.1, 0.25, 0.5])
 def test_budget_is_exact(mode, rate, sbm60):
-    spec = PerturbationSpec(kind="poisoning", rate=rate, structure_mode=mode,
-                            seed=3)
+    spec = PerturbationSpec(rate=rate, structure_mode=mode, seed=3)
     out, receipt = perturb_structure(sbm60.adjacency, sbm60.labels, spec)
     m = _edge_count(sbm60.adjacency)
     k = math.floor(rate * m)
@@ -37,8 +36,7 @@ def test_budget_is_exact(mode, rate, sbm60):
 
 @pytest.mark.parametrize("mode", ["random", "dice"])
 def test_receipt_replays_the_edit(mode, sbm60):
-    spec = PerturbationSpec(kind="poisoning", rate=0.3, structure_mode=mode,
-                            seed=5)
+    spec = PerturbationSpec(rate=0.3, structure_mode=mode, seed=5)
     out, receipt = perturb_structure(sbm60.adjacency, sbm60.labels, spec)
     replay = sbm60.adjacency.copy()
     for i, j in receipt.edges_added:
@@ -86,19 +84,18 @@ def test_receipt_replay_property(n, p_in, graph_seed, seed, rate, mode):
 
 
 def test_rate_zero_changes_nothing(sbm60):
-    spec = PerturbationSpec(kind="poisoning", rate=0.0, seed=1)
+    spec = PerturbationSpec(rate=0.0, seed=1)
     out, receipt = perturb_structure(sbm60.adjacency, sbm60.labels, spec)
     assert np.array_equal(out, sbm60.adjacency)
     assert receipt.edges_added == [] and receipt.edges_removed == []
-    snap, receipt2 = apply(sbm60, spec, phase="training")
+    snap, receipt2 = apply(sbm60, spec)
     assert np.array_equal(snap.adjacency, sbm60.adjacency)
     assert np.array_equal(snap.features, sbm60.features)
     assert receipt2.nodes_feature_perturbed == []
 
 
 def test_dice_respects_label_classes(sbm60):
-    spec = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="dice",
-                            seed=9)
+    spec = PerturbationSpec(rate=0.5, structure_mode="dice", seed=9)
     _, receipt = perturb_structure(sbm60.adjacency, sbm60.labels, spec)
     labels = sbm60.labels
     for i, j in receipt.edges_added:
@@ -110,16 +107,14 @@ def test_dice_respects_label_classes(sbm60):
 
 
 def test_perturbation_is_seed_deterministic(sbm60):
-    spec = PerturbationSpec(kind="poisoning", rate=0.4, structure_mode="dice",
-                            seed=13)
-    first, r1 = apply(sbm60, spec, phase="training")
-    second, r2 = apply(sbm60, spec, phase="training")
+    spec = PerturbationSpec(rate=0.4, structure_mode="dice", seed=13)
+    first, r1 = apply(sbm60, spec)
+    second, r2 = apply(sbm60, spec)
     assert np.array_equal(first.adjacency, second.adjacency)
     assert np.array_equal(first.features, second.features)
     assert codec.encode(r1) == codec.encode(r2)
-    other, _ = apply(sbm60, PerturbationSpec(kind="poisoning", rate=0.4,
-                                             structure_mode="dice", seed=14),
-                     phase="training")
+    other, _ = apply(sbm60, PerturbationSpec(rate=0.4, structure_mode="dice",
+                                             seed=14))
     assert not np.array_equal(first.adjacency, other.adjacency)
 
 
@@ -129,8 +124,7 @@ def test_dice_addition_shortfall():
     for i in range(3):
         a[i, i + 1] = a[i + 1, i] = 1.0
     labels = np.zeros(4, dtype=np.int64)
-    spec = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="dice",
-                            seed=0)
+    spec = PerturbationSpec(rate=0.5, structure_mode="dice", seed=0)
     with pytest.raises(ValueError, match="cross-label non-edges"):
         perturb_structure(a, labels, spec)
 
@@ -141,30 +135,26 @@ def test_dice_removal_shortfall():
     for i, j in ((0, 1), (2, 3), (4, 5), (0, 3)):
         a[i, j] = a[j, i] = 1.0
     labels = np.array([0, 1, 0, 1, 0, 1])
-    spec = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="dice",
-                            seed=0)
+    spec = PerturbationSpec(rate=0.5, structure_mode="dice", seed=0)
     with pytest.raises(ValueError, match="same-label edges"):
         perturb_structure(a, labels, spec)
 
 
 def test_dice_needs_labels(sbm60):
-    spec = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="dice",
-                            seed=0)
+    spec = PerturbationSpec(rate=0.5, structure_mode="dice", seed=0)
     with pytest.raises(ValueError, match="labels"):
         perturb_structure(sbm60.adjacency, None, spec)
 
 
 def test_structure_requires_binary_adjacency():
     weighted = np.array([[0.0, 0.5], [0.5, 0.0]])
-    spec = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="random",
-                            seed=0)
+    spec = PerturbationSpec(rate=0.5, structure_mode="random", seed=0)
     with pytest.raises(ValueError, match="binary"):
         perturb_structure(weighted, None, spec)
 
 
 def test_feature_perturbation_counts_and_isolation(sbm60):
-    spec = PerturbationSpec(kind="poisoning", rate=0.5, feature_sigma=0.3,
-                            seed=21)
+    spec = PerturbationSpec(rate=0.5, feature_sigma=0.3, seed=21)
     out, chosen = perturb_features(sbm60.features, spec)
     assert len(chosen) == math.floor(0.5 * sbm60.n_nodes)
     assert chosen == sorted(chosen) and len(set(chosen)) == len(chosen)
@@ -175,45 +165,30 @@ def test_feature_perturbation_counts_and_isolation(sbm60):
 
 def test_feature_perturbation_zero_cases(sbm60):
     out, chosen = perturb_features(
-        sbm60.features, PerturbationSpec(kind="poisoning", rate=0.0, seed=2))
+        sbm60.features, PerturbationSpec(rate=0.0, seed=2))
     assert chosen == [] and np.array_equal(out, sbm60.features)
     out, chosen = perturb_features(
         sbm60.features,
-        PerturbationSpec(kind="poisoning", rate=0.5, feature_sigma=0.0, seed=2))
+        PerturbationSpec(rate=0.5, feature_sigma=0.0, seed=2))
     assert len(chosen) == 30 and np.array_equal(out, sbm60.features)
 
 
 def test_feature_fraction_overrides_rate(sbm60):
-    spec = PerturbationSpec(kind="poisoning", rate=0.5, feature_fraction=0.1,
-                            seed=2)
+    spec = PerturbationSpec(rate=0.5, feature_fraction=0.1, seed=2)
     assert spec.effective_feature_fraction == 0.1
     _, chosen = perturb_features(sbm60.features, spec)
     assert len(chosen) == 6
 
 
-def test_apply_gates_on_phase(sbm60):
-    poison = PerturbationSpec(kind="poisoning", rate=0.5, seed=1)
-    same, receipt = apply(sbm60, poison, phase="inference")
-    assert same is sbm60
-    assert receipt.warning == "poisoning perturbation ignored at inference phase"
-    evade = PerturbationSpec(kind="evasion", rate=0.5, seed=1)
-    same, receipt = apply(sbm60, evade, phase="training")
-    assert same is sbm60 and "ignored at training" in receipt.warning
-    with pytest.raises(ValueError):
-        apply(sbm60, poison, phase="deploy")
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
-        PerturbationSpec(kind="gremlins", rate=0.1)
+        PerturbationSpec(rate=1.5)
     with pytest.raises(ValueError):
-        PerturbationSpec(kind="poisoning", rate=1.5)
+        PerturbationSpec(rate=0.1, structure_mode="swap")
     with pytest.raises(ValueError):
-        PerturbationSpec(kind="poisoning", rate=0.1, structure_mode="swap")
+        PerturbationSpec(rate=0.1, feature_fraction=2.0)
     with pytest.raises(ValueError):
-        PerturbationSpec(kind="poisoning", rate=0.1, feature_fraction=2.0)
-    with pytest.raises(ValueError):
-        PerturbationSpec(kind="poisoning", rate=0.1, feature_sigma=-1.0)
+        PerturbationSpec(rate=0.1, feature_sigma=-1.0)
 
 
 def test_evasion_degrades_a_clean_trained_model(sbm60_sharp):
@@ -227,12 +202,8 @@ def test_evasion_degrades_a_clean_trained_model(sbm60_sharp):
         return float(np.mean(pred[test_mask] == snap.labels[test_mask]))
 
     clean_acc = accuracy(sbm60_sharp)
-    evaded, _ = apply(
-        sbm60_sharp,
-        PerturbationSpec(kind="evasion", rate=0.3, structure_mode="random",
-                         seed=7),
-        phase="inference",
-    )
+    evaded, _ = apply(sbm60_sharp,
+                      PerturbationSpec(rate=0.3, structure_mode="random", seed=7))
     evaded_acc = accuracy(evaded)
     assert clean_acc >= 0.95
     assert clean_acc - evaded_acc >= 0.10, (

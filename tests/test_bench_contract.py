@@ -110,7 +110,7 @@ def test_grid_report_reads():
 def test_attack_receipt_and_parse_stats(flows_detect_csv):
     snapshot = sbm_generate(SbmSpec(n=30, p_in=0.3, p_out=0.05))
     spec = attacks.PerturbationSpec(rate=0.2, seed=1)
-    _, receipt = attacks.apply(snapshot, spec, "training")
+    _, receipt = attacks.apply(snapshot, spec)
     assert len(receipt.edges_added) + len(receipt.edges_removed) > 0
     _, stats = flows.parse_flows(flows_detect_csv)
     assert stats.rows_total > 0

@@ -168,24 +168,13 @@ def test_attack_rate_zero_roundtrips_bytes(tmp_path):
     assert main(["generate", "--n", "20", "--p-in", "0.4", "--p-out", "0.05",
                  "--seed", "1", "-o", str(snap_path)]) == 0
     out = tmp_path / "attacked.json"
-    assert main(["attack", "-i", str(snap_path), "--kind", "poisoning",
-                 "--rate", "0", "-o", str(out)]) == 0
+    assert main(["attack", "-i", str(snap_path), "--rate", "0",
+                 "-o", str(out)]) == 0
     assert out.read_bytes() == snap_path.read_bytes()
     receipt = json.loads((tmp_path / "attacked.json.receipt.json").read_text())
     assert receipt["edges_added"] == [] and receipt["edges_removed"] == []
-    assert receipt["warning"] is None
-
-
-def test_attack_phase_mismatch_warns_and_copies(tmp_path, capsys):
-    snap_path = tmp_path / "snap.json"
-    main(["generate", "--n", "20", "--p-in", "0.4", "--p-out", "0.05",
-          "--seed", "1", "-o", str(snap_path)])
-    capsys.readouterr()
-    out = tmp_path / "attacked.json"
-    assert main(["attack", "-i", str(snap_path), "--kind", "evasion",
-                 "--rate", "0.5", "--phase", "training", "-o", str(out)]) == 0
-    assert "ignored at training phase" in capsys.readouterr().err
-    assert out.read_bytes() == snap_path.read_bytes()
+    assert sorted(receipt) == ["edges_added", "edges_removed",
+                               "nodes_feature_perturbed"]
 
 
 def test_attack_applies_dice_budget(tmp_path, capsys):
@@ -193,14 +182,37 @@ def test_attack_applies_dice_budget(tmp_path, capsys):
     main(["generate", "--n", "30", "--p-in", "0.4", "--p-out", "0.05",
           "--seed", "2", "-o", str(snap_path)])
     out = tmp_path / "attacked.json"
-    assert main(["attack", "-i", str(snap_path), "--kind", "poisoning",
-                 "--rate", "0.5", "--structure-mode", "dice", "--seed", "3",
-                 "-o", str(out)]) == 0
+    assert main(["attack", "-i", str(snap_path), "--rate", "0.5",
+                 "--structure-mode", "dice", "--seed", "3", "-o", str(out)]) == 0
     receipt = json.loads((tmp_path / "attacked.json.receipt.json").read_text())
     edges = json.loads(snap_path.read_text())["adjacency"]
     m = int(sum(sum(row) for row in edges) // 2)
     k = int(0.5 * m)
     assert len(receipt["edges_added"]) + len(receipt["edges_removed"]) == k
+
+
+def test_attack_on_a_snapshot_it_cannot_take_is_data_error(tmp_path, capsys):
+    snap_path = tmp_path / "snap.json"
+    assert main(["generate", "--n", "10", "--p-in", "1.0", "--p-out", "0.95",
+                 "--seed", "1", "-o", str(snap_path)]) == 0
+    doc = json.loads(snap_path.read_text())
+    weighted = [list(row) for row in doc["adjacency"]]
+    weighted[0][1] = weighted[1][0] = 0.5
+    cases = [
+        (str(snap_path), "1.0",
+         "dice mode needs 22 cross-label non-edges, only 2 available"),
+        (_write_json(tmp_path / "unlabelled.json", {**doc, "labels": None}),
+         "0.5", "dice mode needs node labels"),
+        (_write_json(tmp_path / "weighted.json", {**doc, "adjacency": weighted}),
+         "0.5", "structure perturbation needs a binary adjacency"),
+    ]
+    out = tmp_path / "attacked.json"
+    for path, rate, message in cases:
+        capsys.readouterr()
+        assert main(["attack", "-i", path, "--rate", rate, "--structure-mode",
+                     "dice", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+        assert not out.exists()
 
 
 def test_train_then_detect_flags_the_scanner(tmp_path, flows_train_csv,
@@ -355,6 +367,8 @@ def test_experiment_rejects_unknown_key(tmp_path):
     {"gsl": {"seed": 0}},
     {"sbm": {**TINY_EXPERIMENT["sbm"], "classes": 2}},
     {"sbm": {**TINY_EXPERIMENT["sbm"], "n": 2001}},
+    {"models": ["GCN", "GSL-GCN", "GCN"]},
+    {"rates": [0.1, 0.1, 0.5]},
 ])
 def test_experiment_rejects_bad_setting_before_running(bad, tmp_path, capsys):
     cfg = _write_json(tmp_path / "exp.json", {**TINY_EXPERIMENT, **bad})
@@ -619,7 +633,6 @@ FLAG_CASES = [
     ("generate", "--signal", "signal", 2.0, 3.0),
     ("generate", "--noise-sigma", "noise_sigma", 0.5, 0.8),
     ("generate", "--seed", "seed", 1, 9),
-    ("attack", "--kind", "kind", "evasion", "poisoning"),
     ("attack", "--rate", "rate", 0.1, 0.3),
     ("attack", "--structure-mode", "structure_mode", "random", "dice"),
     ("attack", "--feature-sigma", "feature_sigma", 0.2, 0.7),

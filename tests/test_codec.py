@@ -30,7 +30,7 @@ PINNED_SHA256 = {
     "snapshot.json":
         "9f887719302d0de75d5b9c4ac40d224b5a649de7ab8f5533ba8422217f42b3bd",
     "receipt.json":
-        "40f877ec7cf778ac11e04ef3bcbf0275729f47b91e12c10c80867318219b05f1",
+        "e59ff572c5db7e7db7acfe2f5125998c3e98a60718692589c9fdd276aaf33970",
     "bundle.json":
         "00bd81f551cadcd3cb58be836fbcb3e942415c1488a34c7cf45d0107732476c4",
     "report.json":
@@ -43,7 +43,7 @@ def _write_documents(out):
     snapshot = sbm_generate(SPEC)
     codec.save(snapshot, out / "snapshot.json")
     _, receipt = apply(snapshot, PerturbationSpec(rate=0.3, feature_fraction=0.25,
-                                                  seed=2), "training")
+                                                  seed=2))
     codec.save(receipt, out / "receipt.json")
     d = SPEC.feature_dim
     codec.save(DetectorBundle(params=init_params("sage", d, hidden=4, seed=1),

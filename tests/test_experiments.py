@@ -204,7 +204,7 @@ SBM_SPECS = st.builds(
     p_out=st.floats(0.0, 0.49), feature_dim=st.integers(1, 64),
     signal=st.floats(-10.0, 10.0), noise_sigma=st.floats(0.0, 10.0), seed=SEEDS)
 PERTURBATION_SPECS = st.builds(
-    attacks.PerturbationSpec, kind=st.sampled_from(attacks.KINDS), rate=UNIT,
+    attacks.PerturbationSpec, rate=UNIT,
     structure_mode=st.sampled_from(attacks.STRUCTURE_MODES),
     feature_sigma=st.floats(0.0, 10.0), feature_fraction=st.none() | UNIT,
     seed=SEEDS)
@@ -219,9 +219,9 @@ ADAM_SETTINGS = dict(
 TRAIN_CONFIGS = st.builds(TrainConfig, epochs=st.integers(0, 1000), **ADAM_SETTINGS)
 EXPERIMENT_SETTINGS = dict(
     models=st.lists(st.sampled_from(MODELS), min_size=1, unique=True).map(tuple),
-    rates=st.lists(UNIT, max_size=4).map(tuple), runs=st.integers(1, 20),
+    rates=st.lists(UNIT, max_size=4, unique=True).map(tuple), runs=st.integers(1, 20),
     base_seed=SEEDS, train_frac=st.floats(0.05, 0.95),
-    attack_kind=st.sampled_from(attacks.KINDS),
+    attack_kind=st.sampled_from(experiments.ATTACK_KINDS),
     structure_mode=st.sampled_from(attacks.STRUCTURE_MODES),
     feature_sigma=st.floats(0.0, 10.0), feature_fraction=st.none() | UNIT,
     window_seconds=st.integers(1, 10**6), max_flows=st.none() | st.integers(1, 10**7),
@@ -333,12 +333,37 @@ def test_config_requires_exactly_one_source(tmp_path):
         ExperimentConfig(sbm=SbmSpec(), runs=0)
 
 
+def test_config_rejects_repeated_models_and_rates():
+    # a repeat would make two cells of one (model, rate), and the later
+    # history CSV of each run would overwrite the earlier
+    with pytest.raises(ValueError, match=re.escape("models repeat ['GCN']")):
+        ExperimentConfig(sbm=SbmSpec(), models=("GCN", "DNN", "GCN"))
+    with pytest.raises(ValueError, match=re.escape("rates repeat [0.1]")):
+        ExperimentConfig(sbm=SbmSpec(), rates=(0.1, 0.1, 0.5), runs=1)
+    with pytest.raises(ValueError, match=re.escape("rates repeat [0]")):
+        ExperimentConfig(sbm=SbmSpec(), rates=(0, 0.0))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("heading, cls, level", [
+    ("Experiment config", ExperimentConfig, "experiment"),
+    ("Pipeline config", PipelineConfig, "pipeline"),
+])
+def test_readme_config_example_decodes(heading, cls, level):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(rf"^{heading}\b.*?```json\n(.*?)```", text, re.M | re.S)
+    assert block is not None, f"README has no {heading} JSON block"
+    assert isinstance(codec.decode(cls, json.loads(block.group(1)), level), cls)
+
+
 def test_attack_spec_carries_every_attack_setting():
     cfg = ExperimentConfig(sbm=SbmSpec(), attack_kind="evasion",
                            structure_mode="random", feature_sigma=0.2,
                            feature_fraction=0.3)
     assert cfg.attack_spec(0.1, 4) == attacks.PerturbationSpec(
-        kind="evasion", rate=0.1, structure_mode="random", feature_sigma=0.2,
+        rate=0.1, structure_mode="random", feature_sigma=0.2,
         feature_fraction=0.3, seed=4)
     # the attack settings are checked even when the grid has no rates
     for bad, message in [({"attack_kind": "bogus"}, "kind must be one of"),

@@ -253,9 +253,8 @@ def test_attack_edges_end_light_on_criterion_01_fixture():
     # the attacker's cross-class edges from genuine ones.
     snap = sbm_generate(ROBUST_SBM)
     train_mask, _ = split(snap.labels, 0.8, seed=0)
-    spec = PerturbationSpec(kind="poisoning", rate=0.5, structure_mode="dice",
-                            seed=0)
-    poisoned, receipt = apply(snap, spec, "training")
+    spec = PerturbationSpec(rate=0.5, structure_mode="dice", seed=0)
+    poisoned, receipt = apply(snap, spec)
     s, _, _ = fit(poisoned.adjacency, poisoned.features, poisoned.labels,
                   "gcn", GslConfig(), TrainConfig(), train_mask, seed=0)
     removed = set(receipt.edges_removed)
